@@ -10,7 +10,7 @@ the verifier runs (their catalog entries are gated on that agreement).
 
 from __future__ import annotations
 
-from .elements import Element, linear_extend
+from .elements import Element, _accumulate, linear_extend
 from .enumerators import (
     acyclic_orientations,
     compositions_refining,
@@ -19,7 +19,7 @@ from .enumerators import (
     set_compositions,
 )
 from .errors import InputError
-from .graphs import Graph, VertexPartition, components_partition
+from .graphs import Graph, components_partition
 from .keys import (
     AcyclicOrientation,
     BasisKey,
@@ -28,7 +28,6 @@ from .keys import (
     UnitKey,
 )
 from .monoids import (
-    MONOIDS,
     basis_change,
     composition_crossing_edges,
     composition_crossing_pairs,
@@ -70,9 +69,7 @@ def antipode(mid: str, g: Graph, key: BasisKey, method: str = "takeuchi") -> Ele
 
 
 def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -> Element:
-    return linear_extend(
-        lambda k: antipode(mid, g, k, method), x, empty=Element.zero(mid, g)
-    )
+    return linear_extend(lambda k: antipode(mid, g, k, method), x)
 
 
 # ---------------------------------------------------------------- alternating sum
@@ -87,7 +84,13 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
     if g.n == 0:
         return Element.of(mid, g, key)
     out = Element.zero(mid, g)
-    terms: dict = {}
+    _accumulate(out.terms, _takeuchi_terms(spec, g, key))
+    return out
+
+
+def _takeuchi_terms(spec, g: Graph, key: BasisKey):
+    """One signed (product key, coefficient) pair per set composition whose
+    iterated coproduct does not vanish."""
     full = g.vertex_set
     for comp in set_compositions(g.vertices):
         parts = comp.blocks
@@ -96,39 +99,26 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
         pieces = []
         cur_graph, cur_key = g, key
         rest = full
-        dead = False
         for block in parts[:-1]:
             s = frozenset(block)
             rest = rest - s
             res = spec.coproduct_key(cur_graph, s, rest, cur_key)
             if res is None:
-                dead = True
                 break
-            lk, rk, c = res
+            lk, cur_key, c = res
             coeff = coeff * c
             pieces.append(lk)
             cur_graph = cur_graph.induced(rest)
-            cur_key = rk
-        if dead:
-            continue
-        pieces.append(cur_key)
-        # left-iterated products back up to the full graph
-        acc_set = frozenset(parts[0])
-        pk = pieces[0]
-        for block, piece in zip(parts[1:], pieces[1:]):
-            s = frozenset(block)
-            pk = spec.product_key(g.induced(acc_set | s), acc_set, s, pk, piece)
-            acc_set = acc_set | s
-        if len(parts) % 2:
-            coeff = -coeff
-        acc = terms.get(pk)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            terms[pk] = acc
-        elif pk in terms:
-            del terms[pk]
-    out.terms = terms
-    return out
+        else:
+            pieces.append(cur_key)
+            # left-iterated products back up to the full graph
+            acc_set = frozenset(parts[0])
+            pk = pieces[0]
+            for block, piece in zip(parts[1:], pieces[1:]):
+                s = frozenset(block)
+                pk = spec.product_key(g.induced(acc_set | s), acc_set, s, pk, piece)
+                acc_set = acc_set | s
+            yield pk, -coeff if len(parts) % 2 else coeff
 
 
 # ---------------------------------------------------------------- recursions
@@ -137,12 +127,9 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
 def antipode_milnor_moore(mid: str, g: Graph, key: BasisKey, side: str = "left") -> Element:
     """One-sided recursion: peel a bipartition, recurse on the strictly
     smaller factor, memoized per induced subgraph and key."""
-    if side not in ("left", "right"):
-        raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    spec = get_monoid(mid)
-    spec.validate_key(g, key)
-    memo: dict = {}
-    return _mm(spec, g, key, side, memo)
+    cache = AntipodeCache(mid, side)
+    cache.spec.validate_key(g, key)
+    return cache.of(g, key)
 
 
 def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> Element:
@@ -152,43 +139,29 @@ def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> Element:
     hit = memo.get(mk)
     if hit is not None:
         return hit
-    terms: dict = {}
+    out = Element.zero(spec.id, g)
+    _accumulate(out.terms, _mm_terms(spec, g, key, side, memo))
+    memo[mk] = out
+    return out
+
+
+def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
+    """For each peeled bipartition with coproduct coefficient c, one
+    (product key, -(c * c')) pair per term c' of the recursed factor's
+    antipode, multiplied back with the other factor's key."""
+    left = side == "left"
     for s, t in ordered_bipartitions(g.vertices):
-        if side == "left":
-            if not t:
-                continue
-        elif not s:
+        # the recursed factor must be strictly smaller than g
+        if not (t if left else s):
             continue
         res = spec.coproduct_key(g, s, t, key)
         if res is None:
             continue
         lk, rk, c = res
-        if side == "left":
-            rec = _mm(spec, g.induced(s), lk, side, memo)
-            for k2, c2 in rec.terms.items():
-                pk = spec.product_key(g, s, t, k2, rk)
-                cc = -(c * c2)
-                acc = terms.get(pk)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    terms[pk] = acc
-                elif pk in terms:
-                    del terms[pk]
-        else:
-            rec = _mm(spec, g.induced(t), rk, side, memo)
-            for k2, c2 in rec.terms.items():
-                pk = spec.product_key(g, s, t, lk, k2)
-                cc = -(c * c2)
-                acc = terms.get(pk)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    terms[pk] = acc
-                elif pk in terms:
-                    del terms[pk]
-    out = Element.zero(spec.id, g)
-    out.terms = terms
-    memo[mk] = out
-    return out
+        rec = _mm(spec, g.induced(s if left else t), lk if left else rk, side, memo)
+        for k2, c2 in rec.terms.items():
+            x, y = (k2, rk) if left else (lk, k2)
+            yield spec.product_key(g, s, t, x, y), -(c * c2)
 
 
 class AntipodeCache:
@@ -211,9 +184,7 @@ class AntipodeCache:
         return _mm(self.spec, g, key, self.side, self._memo)
 
     def of_element(self, x: Element) -> Element:
-        return linear_extend(
-            lambda k: self.of(x.graph, k), x, empty=Element.zero(self.spec.id, x.graph)
-        )
+        return linear_extend(lambda k: self.of(x.graph, k), x)
 
 
 def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:

@@ -1,10 +1,17 @@
-"""Free Z[q,t]-modules over basis keys, attached to a graph component.
+"""Free Z[q,t]-modules over basis keys: one module per context.
 
-An Element is a formal linear combination of keys of one monoid's basis over
-one graph; a TensorElement is the same over pairs of keys on a pair of
-induced subgraphs.  Zero coefficients are dropped on construction, so
-equality of term maps is equality of elements.  Arithmetic on mismatched
-contexts (monoid or graph differs) is an input error.
+Every value a structure map produces is a formal linear combination of
+basis keys, stored as a map from key to nonzero QTPolynomial coefficient.
+The context tuple names the module it lives in: an Element has context
+(monoid, graph) and combines keys of one monoid's basis on one graph; a
+TensorElement has context (monoid, left_graph, right_graph) and combines
+pairs of keys on a pair of induced subgraphs.  Both share one
+implementation of the module operations.  Zero coefficients are dropped
+everywhere, so equality of term maps is equality of elements; arithmetic
+across different contexts is an input error.
+
+`_accumulate` is the one place where (key, coefficient) pairs are merged
+into a term map; every structure map builds its result through it.
 """
 
 from __future__ import annotations
@@ -23,83 +30,77 @@ def _coeff(c) -> QTPolynomial:
     raise InputError(f"bad coefficient {c!r}")
 
 
-def _merged(pairs):
-    data: dict = {}
+def _accumulate(terms: dict, pairs) -> dict:
+    """Add each (key, coefficient) pair into `terms`, dropping keys whose
+    coefficient cancels to zero; returns `terms`."""
     for k, c in pairs:
-        c = _coeff(c)
-        if not c:
-            continue
-        acc = data.get(k)
+        acc = terms.get(k)
         acc = c if acc is None else acc + c
         if acc:
-            data[k] = acc
-        elif k in data:
-            del data[k]
-    return data
+            terms[k] = acc
+        elif k in terms:
+            del terms[k]
+    return terms
 
 
-class Element:
-    __slots__ = ("monoid", "graph", "terms")
+def _merged(terms) -> dict:
+    """The term map of a dict or an iterable of (key, coefficient) pairs."""
+    if not terms:
+        return {}
+    if isinstance(terms, dict):
+        terms = terms.items()
+    return _accumulate({}, ((k, _coeff(c)) for k, c in terms))
 
-    def __init__(self, monoid: str, graph: Graph, terms=()):
-        self.monoid = monoid
-        self.graph = graph
-        self.terms = _merged(terms.items() if isinstance(terms, dict) else terms)
 
-    @staticmethod
-    def zero(monoid: str, graph: Graph) -> "Element":
-        return Element(monoid, graph)
+class _LinearCombination:
+    """A finite Z[q,t]-combination of keys in the module named by `context`."""
 
-    @staticmethod
-    def of(monoid: str, graph: Graph, key: BasisKey, coeff=1) -> "Element":
-        return Element(monoid, graph, [(key, coeff)])
+    __slots__ = ("context", "terms")
+
+    @classmethod
+    def zero(cls, *context):
+        return cls(*context)
+
+    def _like(self, terms: dict):
+        # same module, terms already merged
+        out = type(self)(*self.context)
+        out.terms = terms
+        return out
+
+    @property
+    def monoid(self) -> str:
+        return self.context[0]
 
     # ------------------------------------------------------------ arithmetic
 
-    def _check_context(self, other: "Element"):
-        if self.monoid != other.monoid or self.graph != other.graph:
-            raise InputError(
-                f"context mismatch: {self.monoid} on {self.graph!r} vs "
-                f"{other.monoid} on {other.graph!r}"
-            )
+    def _check_context(self, other: "_LinearCombination"):
+        if self.context != other.context:
+            raise InputError(f"context mismatch: {self.context} vs {other.context}")
 
-    def __add__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
+    def __add__(self, other):
+        if not isinstance(other, _LinearCombination):
             return NotImplemented
         self._check_context(other)
-        out = Element.zero(self.monoid, self.graph)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = data.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                data[k] = acc
-            elif k in data:
-                del data[k]
-        out.terms = data
-        return out
+        return self._like(_accumulate(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "Element") -> "Element":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self) -> "Element":
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, c) -> "Element":
+    def scale(self, c):
         c = _coeff(c)
-        out = Element.zero(self.monoid, self.graph)
-        if c:
-            out.terms = {k: v for k, v in ((k, v * c) for k, v in self.terms.items()) if v}
-        return out
+        if not c:
+            return self._like({})
+        return self._like({k: v for k, v in ((k, v * c) for k, v in self.terms.items()) if v})
 
-    def __rmul__(self, c) -> "Element":
-        return self.scale(c)
+    __rmul__ = scale
 
     def __eq__(self, other):
         return (
-            isinstance(other, Element)
-            and self.monoid == other.monoid
-            and self.graph == other.graph
+            isinstance(other, _LinearCombination)
+            and self.context == other.context
             and self.terms == other.terms
         )
 
@@ -110,17 +111,33 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, key: BasisKey) -> QTPolynomial:
+    def coefficient(self, key) -> QTPolynomial:
         return self.terms.get(key, QTPolynomial.zero())
 
-    def specialize(self, q_one: bool = False, t_one: bool = False) -> "Element":
-        return Element(
-            self.monoid,
-            self.graph,
+    def specialize(self, q_one: bool = False, t_one: bool = False):
+        return type(self)(
+            *self.context,
             ((k, c.specialize(q_one, t_one)) for k, c in self.terms.items()),
         )
 
-    # ------------------------------------------------------------ rendering
+    def __repr__(self):
+        return f"{type(self).__name__}[{self.monoid}]({self})"
+
+
+class Element(_LinearCombination):
+    __slots__ = ()
+
+    def __init__(self, monoid: str, graph: Graph, terms=()):
+        self.context = (monoid, graph)
+        self.terms = _merged(terms)
+
+    @property
+    def graph(self) -> Graph:
+        return self.context[1]
+
+    @staticmethod
+    def of(monoid: str, graph: Graph, key: BasisKey, coeff=1) -> "Element":
+        return Element(monoid, graph, [(key, coeff)])
 
     def items(self):
         """Terms in canonical order (sorted by key literal)."""
@@ -130,9 +147,6 @@ class Element:
         if not self.terms:
             return "0"
         return " + ".join(f"({c}) {k.literal()}" for k, c in self.items())
-
-    def __repr__(self):
-        return f"Element[{self.monoid}]({self})"
 
     def to_json(self):
         return {
@@ -155,84 +169,20 @@ class Element:
         )
 
 
-class TensorElement:
-    __slots__ = ("monoid", "left_graph", "right_graph", "terms")
+class TensorElement(_LinearCombination):
+    __slots__ = ()
 
     def __init__(self, monoid: str, left_graph: Graph, right_graph: Graph, terms=()):
-        self.monoid = monoid
-        self.left_graph = left_graph
-        self.right_graph = right_graph
-        self.terms = _merged(terms.items() if isinstance(terms, dict) else terms)
+        self.context = (monoid, left_graph, right_graph)
+        self.terms = _merged(terms)
 
-    @staticmethod
-    def zero(monoid, left_graph, right_graph) -> "TensorElement":
-        return TensorElement(monoid, left_graph, right_graph)
+    @property
+    def left_graph(self) -> Graph:
+        return self.context[1]
 
-    def _check_context(self, other: "TensorElement"):
-        if (
-            self.monoid != other.monoid
-            or self.left_graph != other.left_graph
-            or self.right_graph != other.right_graph
-        ):
-            raise InputError("tensor context mismatch")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check_context(other)
-        out = TensorElement.zero(self.monoid, self.left_graph, self.right_graph)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = data.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                data[k] = acc
-            elif k in data:
-                del data[k]
-        out.terms = data
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorElement":
-        c = _coeff(c)
-        out = TensorElement.zero(self.monoid, self.left_graph, self.right_graph)
-        if c:
-            out.terms = {k: v for k, v in ((k, v * c) for k, v in self.terms.items()) if v}
-        return out
-
-    def __rmul__(self, c) -> "TensorElement":
-        return self.scale(c)
-
-    def swapped(self) -> "TensorElement":
-        """Plain tensor swap: x (x) y -> y (x) x, graphs exchanged."""
-        return TensorElement(
-            self.monoid,
-            self.right_graph,
-            self.left_graph,
-            (((r, l), c) for (l, r), c in self.terms.items()),
-        )
-
-    def specialize(self, q_one: bool = False, t_one: bool = False) -> "TensorElement":
-        return TensorElement(
-            self.monoid,
-            self.left_graph,
-            self.right_graph,
-            ((k, c.specialize(q_one, t_one)) for k, c in self.terms.items()),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.monoid == other.monoid
-            and self.left_graph == other.left_graph
-            and self.right_graph == other.right_graph
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
+    @property
+    def right_graph(self) -> Graph:
+        return self.context[2]
 
     def items(self):
         return sorted(
@@ -246,9 +196,6 @@ class TensorElement:
             f"({c}) {l.literal()} (x) {r.literal()}" for (l, r), c in self.items()
         )
 
-    def __repr__(self):
-        return f"TensorElement[{self.monoid}]({self})"
-
     def to_json(self):
         return {
             "monoid": self.monoid,
@@ -261,22 +208,11 @@ class TensorElement:
         }
 
 
-def combine(a: Element, b: Element, ca=1, cb=1) -> Element:
-    """ca*a + cb*b in one context."""
-    return a.scale(ca) + b.scale(cb)
-
-
-def linear_extend(f, x: Element, empty=None):
-    """Extend a key-level map linearly: sum of coeff * f(key).
-
-    f maps a BasisKey to an Element or TensorElement.  For the zero input the
-    target space is unknowable, so `empty` supplies the zero of the codomain;
-    without it the zero input maps to itself.
-    """
-    acc = empty
+def linear_extend(f, x: _LinearCombination):
+    """Extend a key-level map linearly: the sum of coeff * f(key) over the
+    terms of x.  Every f(key) must lie in x's own context, which also holds
+    the result (the zero input maps to the zero of that context)."""
+    out = x._like({})
     for k, c in x.terms.items():
-        piece = f(k).scale(c)
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        return x
-    return acc
+        out = out + f(k).scale(c)
+    return out

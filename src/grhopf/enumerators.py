@@ -134,27 +134,6 @@ def _independent(g: Graph, block) -> bool:
     return not any(u in bs and v in bs for u, v in g.edges)
 
 
-def composition_refines(fine: SetCompositionKey, coarse: SetCompositionKey) -> bool:
-    """True when coarse is obtained from fine by merging consecutive blocks."""
-    fine_ground = {v for b in fine.blocks for v in b}
-    coarse_ground = {v for b in coarse.blocks for v in b}
-    if fine_ground != coarse_ground:
-        raise InputError("compositions have different ground sets")
-    i = 0
-    for block in coarse.blocks:
-        target = set(block)
-        got: set[str] = set()
-        while got != target:
-            if i >= len(fine.blocks):
-                return False
-            nxt = set(fine.blocks[i])
-            if not nxt <= target - got:
-                return False
-            got |= nxt
-            i += 1
-    return i == len(fine.blocks)
-
-
 def compositions_refining(coarse: SetCompositionKey) -> list[SetCompositionKey]:
     """All compositions below coarse: each block split into its own
     composition, concatenated in block order."""
@@ -206,10 +185,6 @@ def partitions_refining(p: VertexPartition) -> list[VertexPartition]:
     return out
 
 
-def partition_refines(fine: VertexPartition, coarse: VertexPartition) -> bool:
-    return fine.refines(coarse)
-
-
 # ---------------------------------------------------------------- flats
 
 
@@ -256,19 +231,6 @@ def matchings(g: Graph) -> list[frozenset]:
     out = [es for es in _edge_subsets(g) if is_matching(es)]
     out.sort(key=lambda es: sorted(es))
     return out
-
-
-def flat_leq(a, b, g: Graph) -> bool:
-    """Containment in the flat order; both arguments must be flats of g."""
-    fa, fb = frozenset(a), frozenset(b)
-    if not is_flat(g, fa) or not is_flat(g, fb):
-        raise InputError("flat_leq arguments must be flats")
-    return fa <= fb
-
-
-def flat_closure_partition(g: Graph, edges) -> VertexPartition:
-    """Components of (V(g), edges): the partition a flat induces."""
-    return components_partition(g.vertices, edges)
 
 
 # ---------------------------------------------------------------- counting

@@ -2,8 +2,9 @@
 
 Vertices are distinct nonempty strings kept in declaration order; edges are
 unordered pairs stored as lexicographically sorted 2-tuples.  All derived
-canonical forms (blocks, serializations, quotient labels) use lexicographic
-label order, so equal graphs serialize identically.
+canonical forms (blocks, serializations) use lexicographic label order, so
+equal graphs serialize identically.  A quotient keeps each block's smallest
+label, which no other block can hold.
 
 The text format, one declaration per line::
 
@@ -94,17 +95,14 @@ class Graph:
         return _complement(self)
 
     def quotient(self, partition: "VertexPartition") -> "Graph":
-        """Merge each block to one vertex labeled by its sorted concatenation.
+        """Merge each block to one vertex labeled by its smallest label.
 
+        Blocks are disjoint, so two merged vertices never share a label.
         Edges are set-semantic: parallel edges collapse, internal edges drop.
         """
         if partition.ground() != self._vset:
             raise InputError("partition does not cover the vertex set")
-        label = {}
-        for block in partition.blocks:
-            bl = "".join(block)
-            for v in block:
-                label[v] = bl
+        label = {v: block[0] for block in partition.blocks for v in block}
         new_vertices = sorted({label[v] for v in self.vertices})
         new_edges = set()
         for u, v in self.edges:
@@ -243,12 +241,6 @@ class VertexPartition:
         if self.ground() & other.ground():
             raise InputError("ground sets overlap")
         return VertexPartition(self.blocks + other.blocks)
-
-    def refines(self, other: "VertexPartition") -> bool:
-        if self.ground() != other.ground():
-            raise InputError("ground sets differ")
-        where = {v: i for i, b in enumerate(other.blocks) for v in b}
-        return all(len({where[v] for v in b}) == 1 for b in self.blocks)
 
     def __len__(self):
         return len(self.blocks)

@@ -21,9 +21,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import enumerators, keys
-from .elements import Element, TensorElement
+from .elements import Element, TensorElement, _accumulate
 from .errors import InputError
-from .graphs import Graph, VertexPartition, components_partition
+from .graphs import Graph, VertexPartition
 from .keys import (
     AcyclicOrientation,
     BasisKey,
@@ -162,10 +162,9 @@ class MonoidSpec:
         raise NotImplementedError
 
     def braiding(self, g: Graph, S, T) -> QTPolynomial:
-        """The structure's own braiding weight on the (S, T) crossing."""
-        qe = g.crossing_edges(S, T) if self.uses_q else 0
-        te = (len(S) * len(T) - g.crossing_edges(S, T)) if self.uses_t else 0
-        return QTPolynomial.monomial(qe, te)
+        """The structure's own braiding weight on the (S, T) crossing: the
+        graph braiding with the parameters it does not deform set to one."""
+        return braiding_coeff(g, S, T).specialize(not self.uses_q, not self.uses_t)
 
     def parse_key(self, text: str) -> BasisKey:
         return keys.parse_key(self.key_kind, text)
@@ -453,18 +452,14 @@ def product(mid: str, g: Graph, S, T, x: Element, y: Element) -> Element:
     if x.monoid != mid or y.monoid != mid:
         raise InputError("factors belong to a different monoid")
     out = Element.zero(mid, g)
-    terms: dict = {}
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
-            k = spec.product_key(g, s, t, kx, ky)
-            c = cx * cy
-            acc = terms.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[k] = acc
-            elif k in terms:
-                del terms[k]
-    out.terms = terms
+    _accumulate(
+        out.terms,
+        (
+            (spec.product_key(g, s, t, kx, ky), cx * cy)
+            for kx, cx in x.terms.items()
+            for ky, cy in y.terms.items()
+        ),
+    )
     return out
 
 
@@ -475,21 +470,14 @@ def coproduct_component(mid: str, g: Graph, S, T, x: Element) -> TensorElement:
     if x.monoid != mid or x.graph != g:
         raise InputError("element does not live on this graph/monoid")
     out = TensorElement.zero(mid, g.induced(s), g.induced(t))
-    terms: dict = {}
-    for k, c in x.terms.items():
-        res = spec.coproduct_key(g, s, t, k)
-        if res is None:
-            continue
-        lk, rk, cc = res
-        c2 = c * cc
-        pair = (lk, rk)
-        acc = terms.get(pair)
-        acc = c2 if acc is None else acc + c2
-        if acc:
-            terms[pair] = acc
-        elif pair in terms:
-            del terms[pair]
-    out.terms = terms
+    _accumulate(
+        out.terms,
+        (
+            ((res[0], res[1]), c * res[2])
+            for k, c in x.terms.items()
+            if (res := spec.coproduct_key(g, s, t, k)) is not None
+        ),
+    )
     return out
 
 
@@ -509,15 +497,16 @@ def counit_value(x: Element) -> QTPolynomial:
 
 # ---------------------------------------------------------------- basis change
 
-_BASIS_PAIRS = {
-    ("Pi_m", "Pi_p"),
-    ("Pi_p", "Pi_m"),
-    ("SPi_m", "SPi_p"),
-    ("SPi_p", "SPi_m"),
-    ("FL_M", "FL_P"),
-    ("FL_P", "FL_M"),
-    ("Match_M", "Match_P"),
-    ("Match_P", "Match_M"),
+# each m/p (or M/P) basis and the other basis of the same family
+BASIS_PARTNER = {
+    "Pi_m": "Pi_p",
+    "Pi_p": "Pi_m",
+    "SPi_m": "SPi_p",
+    "SPi_p": "SPi_m",
+    "FL_M": "FL_P",
+    "FL_P": "FL_M",
+    "Match_M": "Match_P",
+    "Match_P": "Match_M",
 }
 
 
@@ -531,12 +520,8 @@ def _partition_p_in_m(partition: VertexPartition) -> tuple[tuple[VertexPartition
     # p_pi = m_pi - sum of p_tau over strict refinements tau, recursively.
     acc: dict[VertexPartition, int] = {partition: 1}
     for tau in enumerators.partitions_refining(partition):
-        if tau == partition:
-            continue
-        for sigma, c in _partition_p_in_m(tau):
-            acc[sigma] = acc.get(sigma, 0) - c
-            if not acc[sigma]:
-                del acc[sigma]
+        if tau != partition:
+            _accumulate(acc, ((sigma, -c) for sigma, c in _partition_p_in_m(tau)))
     return tuple(sorted(acc.items(), key=lambda kv: str(kv[0])))
 
 
@@ -550,18 +535,14 @@ def _flats_below(g: Graph, edge_set: frozenset) -> list[frozenset]:
 def _flat_p_in_m(g: Graph, edge_set: frozenset) -> tuple[tuple[frozenset, int], ...]:
     acc: dict[frozenset, int] = {edge_set: 1}
     for sub in _flats_below(g, edge_set):
-        if sub == edge_set:
-            continue
-        for f, c in _flat_p_in_m(g, sub):
-            acc[f] = acc.get(f, 0) - c
-            if not acc[f]:
-                del acc[f]
+        if sub != edge_set:
+            _accumulate(acc, ((f, -c) for f, c in _flat_p_in_m(g, sub)))
     return tuple(sorted(acc.items(), key=lambda kv: sorted(kv[0])))
 
 
 def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     """Rewrite x between the m/p (or M/P) bases of the same family."""
-    if (mid_from, mid_to) not in _BASIS_PAIRS:
+    if BASIS_PARTNER.get(mid_from) != mid_to:
         raise InputError(f"no basis change from {mid_from} to {mid_to}")
     if x.monoid != mid_from or x.graph != g:
         raise InputError("element does not match the stated source basis")
@@ -569,31 +550,23 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     dst = get_monoid(mid_to)
     for k in x.terms:
         src.validate_key(g, k)
-    out = Element.zero(mid_to, g)
-    terms: dict = {}
 
-    def _add(key, c):
-        acc = terms.get(key)
-        acc = c if acc is None else acc + c
-        if acc:
-            terms[key] = acc
-        elif key in terms:
-            del terms[key]
-
-    for k, c in x.terms.items():
+    def images(k, c):
         if isinstance(k, (PartitionM, PartitionP)):
             if mid_from.endswith("_m"):
-                for tau in _partition_m_in_p(k.partition):
-                    _add(dst.key_cls(tau), c)
-            else:
-                for tau, n in _partition_p_in_m(k.partition):
-                    _add(dst.key_cls(tau), c * n)
-        else:
-            if mid_from.endswith("_M"):
-                for f in _flats_below(g, k.edges):
-                    _add(dst.key_cls(f), c)
-            else:
-                for f, n in _flat_p_in_m(g, k.edges):
-                    _add(dst.key_cls(f), c * n)
-    out.terms = terms
+                return ((tau, c) for tau in _partition_m_in_p(k.partition))
+            return ((tau, c * n) for tau, n in _partition_p_in_m(k.partition))
+        if mid_from.endswith("_M"):
+            return ((f, c) for f in _flats_below(g, k.edges))
+        return ((f, c * n) for f, n in _flat_p_in_m(g, k.edges))
+
+    out = Element.zero(mid_to, g)
+    _accumulate(
+        out.terms,
+        (
+            (dst.key_cls(y), cy)
+            for k, c in x.terms.items()
+            for y, cy in images(k, c)
+        ),
+    )
     return out

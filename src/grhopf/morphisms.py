@@ -13,7 +13,7 @@ verifier uses `specialization(...)` for exactly that comparison.
 
 from __future__ import annotations
 
-from .elements import Element
+from .elements import Element, _accumulate
 from .errors import InputError
 from .graphs import Graph, components_partition
 from .keys import (
@@ -171,16 +171,7 @@ def morphism_apply(name: str, g: Graph, x: Element) -> Element:
     for k in x.terms:
         dom_spec.validate_key(g, k)
     out = Element.zero(cod, g)
-    terms: dict = {}
-    for k, c in x.terms.items():
-        nk = f.map_key(g, k)
-        acc = terms.get(nk)
-        acc = c if acc is None else acc + c
-        if acc:
-            terms[nk] = acc
-        elif nk in terms:
-            del terms[nk]
-    out.terms = terms
+    _accumulate(out.terms, ((f.map_key(g, k), c) for k, c in x.terms.items()))
     return out
 
 

@@ -161,14 +161,6 @@ class QTPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = _ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     # ------------------------------------------------------------ maps
 
     def evaluate(self, q_value, t_value):

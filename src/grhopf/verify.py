@@ -27,7 +27,7 @@ from .antipode import (
     antipode_closed_form,
     antipode_takeuchi,
 )
-from .elements import Element
+from .elements import Element, _accumulate
 from .enumerators import (
     acyclic_orientations,
     bell_number,
@@ -37,9 +37,11 @@ from .enumerators import (
 from .errors import InputError
 from .graphs import Graph, chromatic_value
 from .monoids import (
+    BASIS_PARTNER,
     MONOID_IDS,
     MONOIDS,
     _basis_cached,
+    basis_change,
     braiding_coeff,
     get_monoid,
 )
@@ -64,17 +66,6 @@ SUITES = (
 EXPENSIVE_SUITES = frozenset({"bimonoid", "antipode", "commutativity", "morphisms"})
 SAMPLE_GRAPHS_5 = 16
 KEY_CAP_5 = 8
-
-BASIS_CHANGE_IDS = (
-    "Pi_m",
-    "Pi_p",
-    "SPi_m",
-    "SPi_p",
-    "FL_M",
-    "FL_P",
-    "Match_M",
-    "Match_P",
-)
 
 COMMUTATIVE_FAMILY = (
     "Pi_m",
@@ -250,13 +241,6 @@ def _capped_basis(mid: str, g: Graph, key_cap: int | None):
 # bimonoid axioms
 
 
-def _tensor_eq(a, b) -> bool:
-    # 0-or-1-term tensors as Optional[(left key, right key, coeff)]
-    if a is None or b is None:
-        return a is None and b is None
-    return a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
-
-
 def _tensor_str(t) -> str:
     if t is None:
         return "0"
@@ -380,7 +364,7 @@ def _compat_witness(spec, g: Graph, key_cap=None) -> dict | None:
                             ka = spec.product_key(ga, sa, ta, xa, ya)
                             kb = spec.product_key(gb, sb_part, tb_part, xb, yb)
                             rhs = (ka, kb, c1 * c2 * beta)
-                    if not _tensor_eq(lhs, rhs):
+                    if lhs != rhs:
                         return {
                             "axiom": "product_coproduct_compatibility",
                             "product_split": [sorted(s_set), sorted(t_set)],
@@ -539,7 +523,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                 ("convolution_left", left_cache, True),
                 ("convolution_right", right_cache, False),
             ):
-                acc: dict = {}
+                leftover = Element.zero(mid, g)
                 for s_set, t_set in bips:
                     res = spec.coproduct_key(g, s_set, t_set, key)
                     if res is None:
@@ -547,24 +531,16 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                     lk, rk, coeff = res
                     if s_on_left:
                         pairs = (
-                            (spec.product_key(g, s_set, t_set, sk, rk), sc)
+                            (spec.product_key(g, s_set, t_set, sk, rk), coeff * sc)
                             for sk, sc in cache.of(g.induced(s_set), lk).terms.items()
                         )
                     else:
                         pairs = (
-                            (spec.product_key(g, s_set, t_set, lk, sk), sc)
+                            (spec.product_key(g, s_set, t_set, lk, sk), coeff * sc)
                             for sk, sc in cache.of(g.induced(t_set), rk).terms.items()
                         )
-                    for pk, sc in pairs:
-                        cur = acc.get(pk)
-                        cur = coeff * sc if cur is None else cur + coeff * sc
-                        if cur.is_zero:
-                            acc.pop(pk, None)
-                        else:
-                            acc[pk] = cur
-                if acc:
-                    leftover = Element.zero(mid, g)
-                    leftover.terms = acc
+                    _accumulate(leftover.terms, pairs)
+                if leftover:
                     records.append(
                         CheckRecord(
                             "antipode",
@@ -671,7 +647,7 @@ def check_commutativity(
                 "coproduct": _tensor_str(fwd),
                 "braided_swap_of_reverse": _tensor_str(swapped),
             }
-            if cocomm_exact is None and not _tensor_eq(fwd, swapped):
+            if cocomm_exact is None and fwd != swapped:
                 cocomm_exact = witness
             if cocomm_plain is None and plain_fwd != plain_swapped:
                 cocomm_plain = witness
@@ -740,7 +716,7 @@ def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckReco
                 if res_cod is not None:
                     lk, rk, coeff = res_cod
                     res_cod = (lk, rk, coeff.specialize(q_one, t_one))
-                if not _tensor_eq(pushed, res_cod):
+                if pushed != res_cod:
                     return CheckRecord(
                         "morphism",
                         name,
@@ -912,19 +888,8 @@ def check_stanley(g: Graph) -> CheckRecord:
 
 def check_basis_change(mid: str, g: Graph) -> CheckRecord:
     """Round trip through the partner basis is the identity on every key."""
-    from .monoids import basis_change
-
     spec = get_monoid(mid)
-    partner = {
-        "Pi_m": "Pi_p",
-        "Pi_p": "Pi_m",
-        "SPi_m": "SPi_p",
-        "SPi_p": "SPi_m",
-        "FL_M": "FL_P",
-        "FL_P": "FL_M",
-        "Match_M": "Match_P",
-        "Match_P": "Match_M",
-    }[mid]
+    partner = BASIS_PARTNER[mid]
     gtext = g.to_text()
     for key in spec.basis(g):
         x = Element.of(mid, g, key)
@@ -1006,7 +971,7 @@ def _graph_records(
         records.append(check_stanley(g))
     elif suite == "basis-change":
         for mid in mids:
-            if mid in BASIS_CHANGE_IDS:
+            if mid in BASIS_PARTNER:
                 records.append(check_basis_change(mid, g))
     else:
         raise InputError(f"unknown concrete suite {suite!r}")

@@ -114,6 +114,15 @@ def test_flat_m_antipode_path3():
         assert antipode("FL_M", g, key("FL_M", "ab,bc"), m) == want
 
 
+def test_flat_m_closed_form_when_a_label_spells_a_merged_block():
+    # the quotient by the flat a-b must not reuse the existing vertex "ab"
+    g = Graph(["a", "b", "ab"], [("a", "b"), ("b", "ab")])
+    for k in get_monoid("FL_M").basis(g):
+        assert antipode("FL_M", g, k, "closed") == antipode("FL_M", g, k, "takeuchi")
+    top = antipode("FL_M", g, key("FL_M", "a-b,ab-b"), "closed")
+    assert top.coefficient(key("FL_M", "a-b")) == 2
+
+
 def test_partition_p_antipode_signs():
     g = path3()
     assert antipode("Pi_p", g, key("Pi_p", "a,b/c"), "closed") == elem(

@@ -1,6 +1,8 @@
 """Formal linear combinations over Z[q,t]: module laws and context checks."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grhopf import (
     Element,
@@ -8,9 +10,11 @@ from grhopf import (
     InputError,
     LinearOrder,
     Q,
+    QTPolynomial,
     T,
     TensorElement,
     linear_extend,
+    linear_orders,
 )
 
 
@@ -98,9 +102,6 @@ def test_tensor_element_ops():
     t2 = TensorElement("L", gs, gt, [((ka, kb), 1 - Q)])
     assert (t1 + t2).items() == [((ka, kb), t1.terms[(ka, kb)] + t2.terms[(ka, kb)])]
     assert (t1 - t1).terms == {}
-    sw = t1.swapped()
-    assert sw.left_graph == gt and sw.right_graph == gs
-    assert sw.terms == {(kb, ka): Q}
     assert t1.scale(T).terms == {(ka, kb): Q * T}
     assert str(t1) == "(q) a<b (x) c"
 
@@ -124,6 +125,74 @@ def test_linear_extend():
     def reverse(key):
         return Element.of("L", g, LinearOrder(tuple(reversed(key.seq))))
 
-    y = linear_extend(reverse, x, empty=Element.zero("L", g))
+    y = linear_extend(reverse, x)
     assert y == Element.of("L", g, b, Q) + Element.of("L", g, a, 2)
-    assert linear_extend(reverse, Element.zero("L", g), empty=Element.zero("L", g)).is_zero
+    assert linear_extend(reverse, Element.zero("L", g)).is_zero
+
+
+# ---------------------------------------------------------------- module laws
+
+
+def _element_module():
+    g = p3()
+    return (
+        lambda terms: Element("L", g, terms),
+        linear_orders(g.vertices),
+        lambda terms: Element("L", Graph("abc", [("a", "b")]), terms),
+    )
+
+
+def _tensor_module():
+    g = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    gs, gt = g.induced({"a", "b"}), g.induced({"c", "d"})
+    pairs = [(x, y) for x in linear_orders("ab") for y in linear_orders("cd")]
+    return (
+        lambda terms: TensorElement("L", gs, gt, terms),
+        pairs,
+        lambda terms: TensorElement("L", gt, gs, terms),
+    )
+
+
+MODULES = {"element": _element_module, "tensor": _tensor_module}
+
+polys = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=3
+).map(lambda ts: QTPolynomial([((qe, te), c) for qe, te, c in ts]))
+
+
+def _draw(data, kind, count):
+    make, keys, other = MODULES[kind]()
+    term_maps = st.dictionaries(st.sampled_from(keys), polys, max_size=len(keys))
+    return make, other, [make(data.draw(term_maps)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", sorted(MODULES))
+@given(data=st.data())
+def test_addition_is_associative_and_commutative(kind, data):
+    _make, _other, (x, y, z) = _draw(data, kind, 3)
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert all((x + y).terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(MODULES))
+@given(data=st.data())
+def test_difference_with_itself_is_zero(kind, data):
+    make, _other, (x,) = _draw(data, kind, 1)
+    d = x - x
+    assert d == make({}) and d.terms == {} and not d
+
+
+@pytest.mark.parametrize("kind", sorted(MODULES))
+@given(data=st.data(), c=polys)
+def test_scale_distributes_over_addition(kind, data, c):
+    _make, _other, (x, y) = _draw(data, kind, 2)
+    assert (x + y).scale(c) == x.scale(c) + y.scale(c)
+
+
+@pytest.mark.parametrize("kind", sorted(MODULES))
+@given(data=st.data())
+def test_addition_across_contexts_is_rejected(kind, data):
+    _make, other, (x,) = _draw(data, kind, 1)
+    with pytest.raises(InputError):
+        x + other(x.terms)

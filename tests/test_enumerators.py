@@ -2,24 +2,19 @@
 
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from grhopf import (
     Graph,
-    InputError,
     SetCompositionKey,
     VertexPartition,
     acyclic_orientations,
     bell_number,
     chromatic_value,
     complete_graph,
-    composition_refines,
     compositions_refining,
     discrete_graph,
-    flat_closure_partition,
-    flat_leq,
     flats,
     fubini_number,
     is_flat,
@@ -28,7 +23,6 @@ from grhopf import (
     matchings,
     ordered_bipartitions,
     ordered_tripartitions,
-    partition_refines,
     partitions_refining,
     set_compositions,
     set_partitions,
@@ -102,6 +96,8 @@ def test_set_compositions_count_is_fubini():
 def test_set_partitions_count_is_bell():
     for n, labels in [(0, ""), (1, "a"), (2, "ab"), (3, "abc"), (4, "abcd"), (5, "abcde")]:
         assert len(set_partitions(labels)) == bell_number(n)
+    refs = partitions_refining(VertexPartition([("a", "b", "c")]))
+    assert len(refs) == bell_number(3)
 
 
 def test_stable_structures_on_path():
@@ -114,30 +110,12 @@ def test_stable_structures_on_path():
     assert len(stable_partitions(discrete_graph("abc"))) == bell_number(3)
 
 
-def test_composition_refinement():
-    assert composition_refines(comp("a|b|c"), comp("a,b|c"))
-    assert composition_refines(comp("b|a|c"), comp("a,b|c"))
-    assert not composition_refines(comp("a|c|b"), comp("a,b|c"))
-    assert composition_refines(comp("a,b|c"), comp("a,b|c"))
-    with pytest.raises(InputError):
-        composition_refines(comp("a|b"), comp("a,b|c"))
-
-
 def test_compositions_refining_counts():
     # refinements of one k-block composition multiply per-block counts
     assert len(compositions_refining(comp("a,b,c"))) == fubini_number(3)
     assert len(compositions_refining(comp("a,b|c,d"))) == 9
     allc = compositions_refining(comp("a,b|c"))
     assert comp("b|a|c") in allc and comp("a|c|b") not in allc
-
-
-def test_partition_refinement():
-    fine = VertexPartition([("a",), ("b",), ("c",)])
-    coarse = VertexPartition([("a", "b"), ("c",)])
-    assert partition_refines(fine, coarse)
-    assert not partition_refines(VertexPartition([("a", "c"), ("b",)]), coarse)
-    refs = partitions_refining(VertexPartition([("a", "b", "c")]))
-    assert len(refs) == bell_number(3)
 
 
 def test_flats_and_matchings_on_small_graphs():
@@ -165,25 +143,6 @@ def test_is_matching():
     assert is_matching(frozenset())
     assert is_matching(frozenset({("a", "b"), ("c", "d")}))
     assert not is_matching(frozenset({("a", "b"), ("b", "c")}))
-
-
-def test_flat_leq_is_containment_of_flats():
-    g = path3()
-    empty = frozenset()
-    ab = frozenset({("a", "b")})
-    both = frozenset({("a", "b"), ("b", "c")})
-    assert flat_leq(empty, ab, g) and flat_leq(ab, both, g)
-    assert not flat_leq(both, ab, g)
-    with pytest.raises(InputError):
-        flat_leq(frozenset({("a", "b"), ("b", "c")}), both, complete_graph("abc"))
-
-
-def test_flat_closure_partition():
-    g = path3()
-    assert flat_closure_partition(g, {("a", "b")}) == VertexPartition(
-        [("a", "b"), ("c",)]
-    )
-    assert flat_closure_partition(g, set()) == VertexPartition.singletons("abc")
 
 
 def test_orientation_count_equals_signed_chromatic_value():

@@ -101,13 +101,21 @@ def test_crossing_edges():
 def test_quotient_merges_blocks():
     g = path3()
     q = g.quotient(VertexPartition([("a", "b"), ("c",)]))
-    assert q == Graph(["ab", "c"], [("ab", "c")])
+    assert q == Graph(["a", "c"], [("a", "c")])
     # parallel edges collapse
     g2 = Graph(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("a", "d")])
     q2 = g2.quotient(VertexPartition([("a", "b"), ("c",), ("d",)]))
-    assert q2 == Graph(["ab", "c", "d"], [("ab", "c"), ("ab", "d")])
+    assert q2 == Graph(["a", "c", "d"], [("a", "c"), ("a", "d")])
     with pytest.raises(InputError):
         g.quotient(VertexPartition([("a", "b")]))
+
+
+def test_quotient_label_cannot_collide_with_a_vertex():
+    # merging a and b must not produce a second vertex named "ab"
+    g = Graph(["a", "b", "ab"], [("a", "b"), ("b", "ab")])
+    q = g.quotient(VertexPartition([("a", "b"), ("ab",)]))
+    assert q == Graph(["a", "ab"], [("a", "ab")])
+    assert chromatic_polynomial(g) == (0, 1, -2, 1)
 
 
 def test_text_round_trip():
@@ -156,17 +164,6 @@ def test_vertex_partition_canonical_and_ops():
         VertexPartition([(), ("a",)])
     with pytest.raises(InputError):
         VertexPartition([("a",), ("a", "b")])
-
-
-def test_refinement_order():
-    fine = VertexPartition.singletons("abc")
-    mid = VertexPartition([("a", "b"), ("c",)])
-    coarse = VertexPartition([("a", "b", "c")])
-    assert fine.refines(mid) and mid.refines(coarse) and fine.refines(coarse)
-    assert not coarse.refines(fine)
-    assert mid.refines(mid)
-    with pytest.raises(InputError):
-        fine.refines(VertexPartition([("a", "b")]))
 
 
 def test_components_partition():

@@ -8,6 +8,7 @@ from grhopf import (
     Graph,
     InputError,
     VerificationReport,
+    check_stanley,
     corpus,
     run_suite,
     sampled_graphs,
@@ -146,6 +147,13 @@ def test_stanley_six_vertex_samples():
     assert rep.ok
     assert len(rep.records) == 2 + 5
     assert rep.graph_count == 2 + 5
+
+
+def test_stanley_when_a_label_spells_a_merged_block():
+    # deletion-contraction merges a and b; the merged vertex must stay
+    # distinct from the existing vertex "ab"
+    g = Graph(["a", "b", "ab"], [("a", "b"), ("b", "ab")])
+    assert check_stanley(g).passed
 
 
 def test_monoid_selection():
