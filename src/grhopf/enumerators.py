@@ -25,13 +25,23 @@ def _sorted_edges(g: Graph):
 
 def ordered_bipartitions(labels) -> list[tuple[frozenset, frozenset]]:
     """All 2^n ordered pairs (S, T) with S disjoint-union T = labels."""
-    vs = sorted(labels)
+    return list(_ordered_bipartitions(tuple(sorted(labels))))
+
+
+# one frozenset per distinct label set in the cached splits: the splits of
+# all subsets of n labels share 2^n sets instead of holding 2 * 3^n
+_LABEL_SETS: dict[frozenset, frozenset] = {}
+
+
+@lru_cache(maxsize=None)
+def _ordered_bipartitions(vs: tuple) -> tuple[tuple[frozenset, frozenset], ...]:
     out = []
     for mask in range(1 << len(vs)):
         s = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-        out.append((s, frozenset(vs) - s))
+        t = frozenset(vs) - s
+        out.append((_LABEL_SETS.setdefault(s, s), _LABEL_SETS.setdefault(t, t)))
     out.sort(key=lambda st: (sorted(st[0]), sorted(st[1])))
-    return out
+    return tuple(out)
 
 
 def ordered_tripartitions(labels) -> list[tuple[frozenset, frozenset, frozenset]]:

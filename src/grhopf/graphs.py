@@ -13,8 +13,13 @@ The text format, one declaration per line::
     v b
     e a b
 
-Duplicate vertices or edges, loops, and undeclared endpoints are hard parse
-errors carrying a line/column position.
+Duplicate vertices or edges, loops, undeclared endpoints, and labels holding
+a reserved character are hard parse errors carrying a line/column position.
+
+Labels may not contain any of the characters `<>,|/-()#`: they separate
+labels in key literals (`a<b`, `a>b`, `a,b|c`, `a,b/c`, `a-b`, `()`)
+and start comments in the text format, so a label holding one would spell a
+literal that parses back as a different key.
 """
 
 from __future__ import annotations
@@ -22,6 +27,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import GraphParseError, InputError
+
+_RESERVED = frozenset("<>,|/-()#")
+
+
+def _reserved_char(label: str) -> int:
+    """Index of the first reserved character in label, or -1."""
+    if _RESERVED.isdisjoint(label):
+        return -1
+    return next(i for i, ch in enumerate(label) if ch in _RESERVED)
 
 
 def edge_pair(u: str, v: str) -> tuple[str, str]:
@@ -39,6 +53,11 @@ class Graph:
         for v in vertices:
             if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
                 raise InputError(f"bad vertex label {v!r}")
+            at = _reserved_char(v)
+            if at >= 0:
+                raise InputError(
+                    f"vertex label {v!r} contains the reserved character {v[at]!r}"
+                )
             if v in vset:
                 raise InputError(f"duplicate vertex {v!r}")
             vset.add(v)
@@ -147,6 +166,13 @@ class Graph:
                 if len(tokens) != 2:
                     raise GraphParseError("expected: v <label>", lineno, col)
                 v = tokens[1]
+                at = _reserved_char(v)
+                if at >= 0:
+                    raise GraphParseError(
+                        f"vertex label {v!r} contains the reserved character {v[at]!r}",
+                        lineno,
+                        raw.index(v, col + len(kind) - 1) + at + 1,
+                    )
                 if v in vset:
                     raise GraphParseError(f"duplicate vertex {v!r}", lineno, col)
                 vertices.append(v)

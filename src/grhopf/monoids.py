@@ -164,6 +164,8 @@ class MonoidSpec:
     def braiding(self, g: Graph, S, T) -> QTPolynomial:
         """The structure's own braiding weight on the (S, T) crossing: the
         graph braiding with the parameters it does not deform set to one."""
+        if not (self.uses_q or self.uses_t):
+            return QTPolynomial.one()
         return braiding_coeff(g, S, T).specialize(not self.uses_q, not self.uses_t)
 
     def parse_key(self, text: str) -> BasisKey:

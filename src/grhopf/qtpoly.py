@@ -50,7 +50,13 @@ class QTPolynomial:
 
     @staticmethod
     def monomial(qe: int, te: int, c: int = 1) -> "QTPolynomial":
-        return QTPolynomial([((qe, te), c)])
+        """c * q^qe * t^te; with c = 1, one shared instance per exponent pair."""
+        if c != 1:
+            return QTPolynomial([((qe, te), c)])
+        out = _MONOMIALS.get((qe, te))
+        if out is None:
+            out = _MONOMIALS[(qe, te)] = QTPolynomial([((qe, te), 1)])
+        return out
 
     # ------------------------------------------------------------ inspection
 
@@ -220,6 +226,9 @@ class QTPolynomial:
 
 _ZERO = QTPolynomial()
 _ONE = QTPolynomial([((0, 0), 1)])
+# the unit-coefficient monomials handed out so far; instances are immutable,
+# so every caller may share one
+_MONOMIALS: dict[tuple[int, int], QTPolynomial] = {(0, 0): _ONE}
 
 ZERO = _ZERO
 ONE = _ONE

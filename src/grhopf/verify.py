@@ -6,6 +6,13 @@ agreement and convolution identities, (co)commutativity flavors, morphism
 axioms and pasted diagrams, complementation functor identities, the
 orientation-count/chromatic-polynomial identity, and basis-change round trips.
 
+`check_bimonoid` and `check_commutativity` evaluate the same key-level
+structure map on the same (graph, split, keys) arguments many times over
+(each `y` coproduct once per `x`, each first-level split once per
+tripartition sharing it).  Each call wraps its monoid in a private
+`_KeyMaps` memo that lives for that one call; the maps are pure, so the
+records are exactly those of the unmemoized maps.
+
 Checks are grouped into named suites.  `run_suite` returns a
 `VerificationReport` holding one `CheckRecord` per (check, monoid, graph)
 triple; record order is deterministic for a given (suite, n_max, seed),
@@ -241,6 +248,50 @@ def _capped_basis(mid: str, g: Graph, key_cap: int | None):
 # bimonoid axioms
 
 
+_NOT_COMPUTED = object()
+
+
+class _KeyMaps:
+    """A monoid whose `product_key` and `coproduct_key` remember every
+    result by its full argument tuple; every other attribute is the
+    monoid's own.  Made per check call and dropped when the call returns.
+
+    The remembered results share one instance per distinct key: a check
+    sees a few hundred distinct keys across thousands of results, and a
+    copy per result about triples the memory the memo holds."""
+
+    __slots__ = ("_spec", "_products", "_coproducts", "_keys")
+
+    def __init__(self, spec):
+        self._spec = spec
+        self._products: dict = {}
+        self._coproducts: dict = {}
+        self._keys: dict = {}
+
+    def __getattr__(self, name):
+        return getattr(self._spec, name)
+
+    def product_key(self, g: Graph, S, T, x, y):
+        args = (g, S, T, x, y)
+        out = self._products.get(args)
+        if out is None:
+            out = self._spec.product_key(g, S, T, x, y)
+            out = self._products[args] = self._keys.setdefault(out, out)
+        return out
+
+    def coproduct_key(self, g: Graph, S, T, key):
+        args = (g, S, T, key)
+        out = self._coproducts.get(args, _NOT_COMPUTED)
+        if out is _NOT_COMPUTED:
+            out = self._spec.coproduct_key(g, S, T, key)
+            if out is not None:
+                left, right, coeff = out
+                keys = self._keys
+                out = (keys.setdefault(left, left), keys.setdefault(right, right), coeff)
+            self._coproducts[args] = out
+        return out
+
+
 def _tensor_str(t) -> str:
     if t is None:
         return "0"
@@ -414,7 +465,7 @@ def check_bimonoid(mid: str, g: Graph, key_cap: int | None = None) -> CheckRecor
     """Associativity, coassociativity, (co)unit laws, braided compatibility,
     and (for sub-monoids) closure, on one graph.  One record; the detail
     carries the first failing axiom's counterexample."""
-    spec = get_monoid(mid)
+    spec = _KeyMaps(get_monoid(mid))
     axioms = [
         _assoc_witness,
         _coassoc_witness,
@@ -597,21 +648,28 @@ def check_commutativity(
     Returns {flavor: (holds, witness-or-None)}.  Interpretation against the
     per-monoid expectation tables happens in the suite driver, which also
     aggregates corpus-wide witnesses for the must-fail flavors."""
-    spec = get_monoid(mid)
-    results: dict[str, tuple[bool, dict | None]] = {}
-    comm_exact: dict | None = None
-    comm_plain: dict | None = None
-    comm_disjoint: dict | None = None
-    comm_join: dict | None = None
-    cocomm_exact: dict | None = None
-    cocomm_plain: dict | None = None
-    bips = ordered_bipartitions(g.vertices)
+    spec = _KeyMaps(get_monoid(mid))
+    # flavor -> its first witness; built only when some flavor first fails
+    found: dict[str, dict] = {}
 
-    for s_set, t_set in bips:
+    def note(failed: list[str], witness) -> None:
+        missing = [f for f in failed if f not in found]
+        if missing:
+            detail = witness()
+            for f in missing:
+                found[f] = detail
+
+    for s_set, t_set in ordered_bipartitions(g.vertices):
         gs, gt = g.induced(s_set), g.induced(t_set)
         crossing = g.crossing_edges(s_set, t_set)
-        all_pairs = len(s_set) * len(t_set)
         beta = spec.braiding(g, s_set, t_set)
+        # flavors that fail wherever the braided exchange does on this split
+        braided = ["commutative_exact"]
+        if crossing == 0:
+            braided.append("disjoint_commutative")
+        if crossing == len(s_set) * len(t_set):
+            braided.append("join_commutative")
+        beta_is_one = beta == ONE
         sb = _capped_basis(mid, gs, key_cap)
         tb = _capped_basis(mid, gt, key_cap)
         for x in sb:
@@ -619,46 +677,41 @@ def check_commutativity(
                 fwd = spec.product_key(g, s_set, t_set, x, y)
                 bwd = spec.product_key(g, t_set, s_set, y, x)
                 keys_match = fwd == bwd
-                braided_ok = keys_match and beta == ONE
-                witness = {
-                    "split": [sorted(s_set), sorted(t_set)],
-                    "keys": [x.literal(), y.literal()],
-                    "forward": fwd.literal(),
-                    "backward": bwd.literal(),
-                    "braiding": str(beta),
-                }
-                if comm_exact is None and not braided_ok:
-                    comm_exact = witness
-                if comm_plain is None and not keys_match:
-                    comm_plain = witness
-                if comm_disjoint is None and crossing == 0 and not braided_ok:
-                    comm_disjoint = witness
-                if comm_join is None and crossing == all_pairs and not braided_ok:
-                    comm_join = witness
+                if keys_match and beta_is_one:
+                    continue
+                note(
+                    braided if keys_match else braided + ["commutative_plain"],
+                    lambda: {
+                        "split": [sorted(s_set), sorted(t_set)],
+                        "keys": [x.literal(), y.literal()],
+                        "forward": fwd.literal(),
+                        "backward": bwd.literal(),
+                        "braiding": str(beta),
+                    },
+                )
         for key in _capped_basis(mid, g, key_cap):
             fwd = spec.coproduct_key(g, s_set, t_set, key)
             bwd = spec.coproduct_key(g, t_set, s_set, key)
             swapped = None if bwd is None else (bwd[1], bwd[0], bwd[2] * beta)
+            if fwd == swapped:
+                continue
             plain_fwd = None if fwd is None else (fwd[0], fwd[1])
             plain_swapped = None if bwd is None else (bwd[1], bwd[0])
-            witness = {
-                "split": [sorted(s_set), sorted(t_set)],
-                "key": key.literal(),
-                "coproduct": _tensor_str(fwd),
-                "braided_swap_of_reverse": _tensor_str(swapped),
-            }
-            if cocomm_exact is None and fwd != swapped:
-                cocomm_exact = witness
-            if cocomm_plain is None and plain_fwd != plain_swapped:
-                cocomm_plain = witness
+            note(
+                ["cocommutative_exact"]
+                + (["cocommutative_plain"] if plain_fwd != plain_swapped else []),
+                lambda: {
+                    "split": [sorted(s_set), sorted(t_set)],
+                    "key": key.literal(),
+                    "coproduct": _tensor_str(fwd),
+                    "braided_swap_of_reverse": _tensor_str(swapped),
+                },
+            )
 
-    results["commutative_exact"] = (comm_exact is None, comm_exact)
-    results["commutative_plain"] = (comm_plain is None, comm_plain)
-    results["cocommutative_exact"] = (cocomm_exact is None, cocomm_exact)
-    results["cocommutative_plain"] = (cocomm_plain is None, cocomm_plain)
-    results["disjoint_commutative"] = (comm_disjoint is None, comm_disjoint)
-    results["join_commutative"] = (comm_join is None, comm_join)
-    return results
+    return {
+        flavor: (flavor not in found, found.get(flavor))
+        for flavor in COMMUTATIVITY_FLAVORS
+    }
 
 
 # ---------------------------------------------------------------------------

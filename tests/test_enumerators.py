@@ -53,6 +53,9 @@ def test_ordered_bipartitions_count_and_disjointness():
         assert s | t == frozenset("abc") and not (s & t)
     assert len(set(bips)) == 8
     assert ordered_bipartitions([]) == [(frozenset(), frozenset())]
+    # every call hands out its own list
+    bips.clear()
+    assert ordered_bipartitions("cba") == ordered_bipartitions("abc") != bips
 
 
 def test_ordered_tripartitions_count():

@@ -15,7 +15,9 @@ from grhopf import (
     components_partition,
     discrete_graph,
     edge_pair,
+    parse_key,
 )
+from grhopf.keys import FlatM
 
 # the running 7-vertex example: a triangle block, a 4-cycle-with-chord
 # block, and three bridging edges
@@ -147,6 +149,29 @@ def test_parse_errors_carry_position(text, fragment):
     msg = str(exc.value)
     assert fragment in msg
     assert "line" in msg and "column" in msg
+
+
+def test_label_that_breaks_a_flat_literal_is_rejected():
+    # a vertex a-b makes the flat {a-b, c} print as a-b-c, which parses back
+    # as the edge (a, b-c): a different key
+    flat = FlatM([("a-b", "c")])
+    assert parse_key("flat_m", flat.literal()) != flat
+    with pytest.raises(InputError, match="reserved character '-'"):
+        Graph(["a-b", "c"], [("a-b", "c")])
+
+
+@pytest.mark.parametrize("ch", "<>,|/-()#")
+def test_reserved_label_characters_are_rejected(ch):
+    with pytest.raises(InputError) as exc:
+        Graph([f"a{ch}b"])
+    assert f"reserved character {ch!r}" in str(exc.value)
+
+
+def test_reserved_label_character_parse_error_has_its_position():
+    with pytest.raises(GraphParseError) as exc:
+        Graph.from_text("v a\n  v b|c\n")
+    assert (exc.value.line, exc.value.column) == (2, 6)
+    assert "reserved character '|'" in str(exc.value)
 
 
 def test_vertex_partition_canonical_and_ops():

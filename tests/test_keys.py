@@ -1,10 +1,14 @@
 """Basis key literals: parsing, canonical emission, JSON round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grhopf import (
+    MONOID_IDS,
     AcyclicOrientation,
     FlatM,
+    Graph,
     InputError,
     LinearOrder,
     MatchingP,
@@ -12,6 +16,7 @@ from grhopf import (
     SetCompositionKey,
     UnitKey,
     VertexPartition,
+    get_monoid,
     key_from_json,
     parse_key,
 )
@@ -107,3 +112,24 @@ def test_json_round_trips():
     for k in keys:
         again = key_from_json(k.to_json())
         assert again == k and type(again) is type(k)
+
+
+# labels drawn from characters that no key literal uses as a separator
+safe_labels = st.text(alphabet="abxyz019_.", min_size=1, max_size=3)
+
+
+@st.composite
+def labeled_graphs(draw):
+    labels = draw(st.lists(safe_labels, max_size=4, unique=True))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(labels, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs())
+def test_every_key_kind_round_trips_through_its_literal(g):
+    for mid in MONOID_IDS:
+        spec = get_monoid(mid)
+        for key in spec.basis(g):
+            assert spec.parse_key(key.literal()) == key

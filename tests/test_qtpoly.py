@@ -102,6 +102,18 @@ def test_constant_value_requires_constant():
         Q.constant_value()
 
 
+def test_unit_monomials_are_shared():
+    assert QTPolynomial.monomial(2, 1) is QTPolynomial.monomial(2, 1)
+    assert QTPolynomial.monomial(0, 0) is ONE
+    scaled = QTPolynomial.monomial(2, 1, 3)
+    assert scaled is not QTPolynomial.monomial(2, 1, 3)
+    assert scaled == QTPolynomial.monomial(2, 1, 3) == poly((2, 1, 3))
+    fresh = poly((2, 1, 1))
+    assert QTPolynomial.monomial(2, 1) == fresh
+    assert hash(QTPolynomial.monomial(2, 1)) == hash(fresh)
+    assert QTPolynomial.monomial(2, 1) != scaled
+
+
 def test_json_round_trip():
     p = Q * Q * T - 3 * Q + 1
     blob = p.to_json()

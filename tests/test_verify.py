@@ -4,21 +4,32 @@ import pytest
 
 from grhopf import (
     MONOID_IDS,
+    MONOIDS,
     CheckRecord,
     Graph,
     InputError,
     VerificationReport,
+    check_bimonoid,
+    check_commutativity,
     check_stanley,
     corpus,
+    get_monoid,
+    ordered_bipartitions,
     run_suite,
     sampled_graphs,
 )
+from grhopf import verify
 from grhopf.verify import (
     COMMUTATIVITY_FLAVORS,
     EXPECTED_ALWAYS,
     EXPECTED_FAILING,
     MAX_CORPUS_N,
     SUITES,
+    _assoc_witness,
+    _coassoc_witness,
+    _compat_witness,
+    _KeyMaps,
+    _unit_counit_witness,
 )
 
 
@@ -257,3 +268,52 @@ def test_suites_tuple():
         "basis-change",
         "all",
     )
+
+
+def test_key_maps_equal_the_raw_maps():
+    for mid in MONOID_IDS:
+        spec = get_monoid(mid)
+        for g in corpus(3):
+            maps = _KeyMaps(spec)
+            assert maps.id == mid and maps.empty_key() == spec.empty_key()
+            for s, t in ordered_bipartitions(g.vertices):
+                assert maps.braiding(g, s, t) == spec.braiding(g, s, t)
+                for key in spec.basis(g):
+                    got = maps.coproduct_key(g, s, t, key)
+                    assert got == spec.coproduct_key(g, s, t, key)
+                    assert maps.coproduct_key(g, s, t, key) is got
+                for x in spec.basis(g.induced(s)):
+                    for y in spec.basis(g.induced(t)):
+                        got = maps.product_key(g, s, t, x, y)
+                        assert got == spec.product_key(g, s, t, x, y)
+                        assert maps.product_key(g, s, t, x, y) is got
+
+
+class _SigmaDroppingT(type(MONOIDS["Sigma"])):
+    """Sigma, except that the coproduct forgets its t power on one split."""
+
+    def coproduct_key(self, g, S, T, key):
+        res = super().coproduct_key(g, S, T, key)
+        if res is not None and S == {"v1"} and T == {"v2", "v3"}:
+            return res[0], res[1], res[2].specialize(t_one=True)
+        return res
+
+
+def test_memoized_checks_report_the_raw_witnesses(monkeypatch):
+    broken = _SigmaDroppingT("Sigma", stable=False)
+    monkeypatch.setitem(MONOIDS, "Sigma", broken)
+    g = Graph(["v1", "v2", "v3"], [("v1", "v2")])
+
+    record = check_bimonoid("Sigma", g)
+    assert not record.passed
+    raw = [
+        fn(broken, g)
+        for fn in (_assoc_witness, _coassoc_witness, _unit_counit_witness, _compat_witness)
+    ]
+    assert record.detail == next(w for w in raw if w is not None)
+
+    flavors = check_commutativity("Sigma", g)
+    assert not flavors["cocommutative_exact"][0]
+    monkeypatch.setattr(verify, "_KeyMaps", lambda spec: spec)
+    assert check_commutativity("Sigma", g) == flavors
+    assert check_bimonoid("Sigma", g) == record
