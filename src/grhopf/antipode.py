@@ -6,17 +6,27 @@ verifier can confront them with each other on every key of every corpus
 graph.  The closed forms are the fast route; the composition and flat-m
 forms are additionally confronted with the alternating-sum oracle wherever
 the verifier runs (their catalog entries are gated on that agreement).
+
+The alternating sum walks set compositions depth-first over their first
+blocks, so compositions sharing a prefix share that prefix's coproducts,
+products and coefficient, computed once per prefix instead of once per
+composition, and a vanishing coproduct prunes every composition that
+starts with it.  It stays the alternating sum, not a third recursion: no
+result is remembered across branches or keyed on a (subgraph, key) pair,
+every non-vanishing composition contributes exactly one signed (product
+key, coefficient) pair, and every structure-map call has the arguments the
+composition-by-composition loop gives it, with the coefficients multiplied
+in the same left-to-right order.
 """
 
 from __future__ import annotations
 
 from .elements import Element, _accumulate, linear_extend
 from .enumerators import (
+    _ordered_bipartitions,
     acyclic_orientations,
     compositions_refining,
     flats,
-    ordered_bipartitions,
-    set_compositions,
 )
 from .errors import InputError
 from .graphs import Graph, components_partition
@@ -90,35 +100,38 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
 
 def _takeuchi_terms(spec, g: Graph, key: BasisKey):
     """One signed (product key, coefficient) pair per set composition whose
-    iterated coproduct does not vanish."""
-    full = g.vertex_set
-    for comp in set_compositions(g.vertices):
-        parts = comp.blocks
-        # left-iterated two-block coproducts along the composition
-        coeff = QTPolynomial.one()
-        pieces = []
-        cur_graph, cur_key = g, key
-        rest = full
-        for block in parts[:-1]:
-            s = frozenset(block)
-            rest = rest - s
-            res = spec.coproduct_key(cur_graph, s, rest, cur_key)
+    iterated coproduct does not vanish, walked depth-first over first blocks.
+
+    A node is a composition prefix: the graph on the vertices still to
+    place with its right coproduct key, the placed vertices with their
+    left-folded product key, and the prefix's coefficient.  Each node yields
+    the composition ending with all remaining vertices as one block, then
+    peels every nonempty proper first block off the rest; a vanishing
+    coproduct prunes every composition that starts with that prefix.
+    Nothing is remembered across branches (see the module docstring).
+    """
+    product_key, coproduct_key = spec.product_key, spec.coproduct_key
+    # (rest graph, its key, placed set, product key of the placed blocks
+    # or None, coefficient, whether the node's own composition has an odd
+    # number of blocks)
+    stack = [(g, key, frozenset(), None, QTPolynomial.one(), True)]
+    while stack:
+        rest_g, rest_key, placed, pk, coeff, odd = stack.pop()
+        last = rest_key if pk is None else product_key(
+            g, placed, rest_g.vertex_set, pk, rest_key
+        )
+        yield last, -coeff if odd else coeff
+        for s, t in _ordered_bipartitions(rest_g.vertices):
+            if not s or not t:
+                continue
+            res = coproduct_key(rest_g, s, t, rest_key)
             if res is None:
-                break
-            lk, cur_key, c = res
-            coeff = coeff * c
-            pieces.append(lk)
-            cur_graph = cur_graph.induced(rest)
-        else:
-            pieces.append(cur_key)
-            # left-iterated products back up to the full graph
-            acc_set = frozenset(parts[0])
-            pk = pieces[0]
-            for block, piece in zip(parts[1:], pieces[1:]):
-                s = frozenset(block)
-                pk = spec.product_key(g.induced(acc_set | s), acc_set, s, pk, piece)
-                acc_set = acc_set | s
-            yield pk, -coeff if len(parts) % 2 else coeff
+                continue
+            lk, rk, c = res
+            done = placed | s
+            if pk is not None:
+                lk = product_key(g.induced(done), placed, s, pk, lk)
+            stack.append((rest_g.induced(t), rk, done, lk, coeff * c, not odd))
 
 
 # ---------------------------------------------------------------- recursions
@@ -150,7 +163,7 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
     (product key, -(c * c')) pair per term c' of the recursed factor's
     antipode, multiplied back with the other factor's key."""
     left = side == "left"
-    for s, t in ordered_bipartitions(g.vertices):
+    for s, t in _ordered_bipartitions(g.vertices):
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
             continue

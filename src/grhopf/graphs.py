@@ -105,9 +105,8 @@ class Graph:
 
     def induced(self, subset) -> "Graph":
         s = frozenset(subset)
-        bad = s - self._vset
-        if bad:
-            raise InputError(f"not vertices of this graph: {sorted(bad)}")
+        if not s <= self._vset:
+            raise InputError(f"not vertices of this graph: {sorted(s - self._vset)}")
         return _induced(self, s)
 
     def complement(self) -> "Graph":

@@ -21,11 +21,13 @@ including under --jobs parallelism.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .antipode import (
     CLOSED_FORM_IDS,
@@ -568,14 +570,17 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
     # convolution: summing mu o (s (x) id) o Delta over all ordered
     # bipartitions gives unit o counit (zero on every nonempty graph)
     if g.n > 0:
-        bips = ordered_bipartitions(g.vertices)
+        splits = [
+            (s_set, t_set, g.induced(s_set), g.induced(t_set))
+            for s_set, t_set in ordered_bipartitions(g.vertices)
+        ]
         for key in basis:
             for law, cache, s_on_left in (
                 ("convolution_left", left_cache, True),
                 ("convolution_right", right_cache, False),
             ):
                 leftover = Element.zero(mid, g)
-                for s_set, t_set in bips:
+                for s_set, t_set, gs, gt in splits:
                     res = spec.coproduct_key(g, s_set, t_set, key)
                     if res is None:
                         continue
@@ -583,12 +588,12 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                     if s_on_left:
                         pairs = (
                             (spec.product_key(g, s_set, t_set, sk, rk), coeff * sc)
-                            for sk, sc in cache.of(g.induced(s_set), lk).terms.items()
+                            for sk, sc in cache.of(gs, lk).terms.items()
                         )
                     else:
                         pairs = (
                             (spec.product_key(g, s_set, t_set, lk, sk), coeff * sc)
-                            for sk, sc in cache.of(g.induced(t_set), rk).terms.items()
+                            for sk, sc in cache.of(gt, rk).terms.items()
                         )
                     _accumulate(leftover.terms, pairs)
                 if leftover:
@@ -828,6 +833,29 @@ def _is_discrete(g: Graph) -> bool:
     return len(g.edges) == 0
 
 
+@lru_cache(maxsize=None)
+def _complement_witness(g: Graph) -> dict | None:
+    """The first failure of the complement laws that hold for every monoid:
+    complement is an involution, and the full two-parameter braiding
+    statistic, before per-monoid specialization, swaps its parameters under
+    complement.  None when both hold.  The result is shared by every caller,
+    so callers copy it before handing it out."""
+    comp = g.complement()
+    if comp.complement() != g:
+        return {"law": "complement_involution"}
+    for s_set, t_set in ordered_bipartitions(g.vertices):
+        full_here = braiding_coeff(g, s_set, t_set)
+        full_there = braiding_coeff(comp, s_set, t_set)
+        if full_there != full_here.swap_qt():
+            return {
+                "law": "complement_swaps_parameters",
+                "split": [sorted(s_set), sorted(t_set)],
+                "braiding": str(full_here),
+                "complement_braiding": str(full_there),
+            }
+    return None
+
+
 def check_functors(mid: str, g: Graph) -> CheckRecord:
     """Complementation identities for one monoid on one graph: the braiding
     swaps its parameters under complement, complement is an involution, and
@@ -836,29 +864,9 @@ def check_functors(mid: str, g: Graph) -> CheckRecord:
     basis-count identities."""
     spec = get_monoid(mid)
     gtext = g.to_text()
-    comp = g.complement()
-    if comp.complement() != g:
-        return CheckRecord(
-            "functors", mid, gtext, False, {"law": "complement_involution"}
-        )
-    for s_set, t_set in ordered_bipartitions(g.vertices):
-        # the full two-parameter braiding statistic, before per-monoid
-        # specialization, must swap its parameters under complement
-        full_here = braiding_coeff(g, s_set, t_set)
-        full_there = braiding_coeff(comp, s_set, t_set)
-        if full_there != full_here.swap_qt():
-            return CheckRecord(
-                "functors",
-                mid,
-                gtext,
-                False,
-                {
-                    "law": "complement_swaps_parameters",
-                    "split": [sorted(s_set), sorted(t_set)],
-                    "braiding": str(full_here),
-                    "complement_braiding": str(full_there),
-                },
-            )
+    witness = _complement_witness(g)
+    if witness is not None:
+        return CheckRecord("functors", mid, gtext, False, copy.deepcopy(witness))
 
     checks: list[tuple[str, bool]] = []
     if _is_complete(g):

@@ -5,6 +5,8 @@ sum; the suite freezes them so the implementations cannot drift.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grhopf import (
     CLOSED_FORM_IDS,
@@ -28,10 +30,13 @@ from grhopf import (
     get_monoid,
     make_element,
     ordered_bipartitions,
+    set_compositions,
     unit_element,
 )
+from grhopf.antipode import _takeuchi_terms
 
 from .test_graphs import path3
+from .test_keys import labeled_graphs
 
 
 def k2():
@@ -160,6 +165,84 @@ def test_all_methods_agree_on_small_corpus():
             for k in spec.basis(g):
                 vals = [antipode(mid, g, k, m) for m in methods]
                 assert all(v == vals[0] for v in vals[1:]), (mid, g, k)
+
+
+# ------------------------------------------- alternating sum, flat reference
+
+
+def _flat_takeuchi_terms(spec, g, key):
+    # the alternating sum as one independent loop per set composition:
+    # left-iterated coproducts along the blocks, then left-iterated products
+    full = g.vertex_set
+    for comp in set_compositions(g.vertices):
+        parts = comp.blocks
+        coeff = QTPolynomial.one()
+        pieces = []
+        cur_graph, cur_key = g, key
+        rest = full
+        for block in parts[:-1]:
+            s = frozenset(block)
+            rest = rest - s
+            res = spec.coproduct_key(cur_graph, s, rest, cur_key)
+            if res is None:
+                break
+            lk, cur_key, c = res
+            coeff = coeff * c
+            pieces.append(lk)
+            cur_graph = cur_graph.induced(rest)
+        else:
+            pieces.append(cur_key)
+            acc_set = frozenset(parts[0])
+            pk = pieces[0]
+            for block, piece in zip(parts[1:], pieces[1:]):
+                s = frozenset(block)
+                pk = spec.product_key(g.induced(acc_set | s), acc_set, s, pk, piece)
+                acc_set = acc_set | s
+            yield pk, -coeff if len(parts) % 2 else coeff
+
+
+def _assert_walk_matches_flat_reference(mid, g, keys):
+    spec = get_monoid(mid)
+    for k in keys:
+        flat = list(_flat_takeuchi_terms(spec, g, k))
+        # one pair per composition whose coproducts do not vanish
+        assert len(list(_takeuchi_terms(spec, g, k))) == len(flat), (mid, g, k)
+        assert antipode(mid, g, k, "takeuchi") == Element(mid, g, flat), (mid, g, k)
+
+
+def test_prefix_walk_equals_flat_alternating_sum_on_corpus3():
+    for g in corpus(3):
+        if g.n == 0:
+            continue
+        for mid in MONOID_IDS:
+            _assert_walk_matches_flat_reference(mid, g, get_monoid(mid).basis(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # the bull: a triangle with a pendant edge at two of its corners
+        Graph("abcde", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d"), ("b", "e")]),
+        # a 5-cycle with one chord
+        Graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e"), ("a", "c")]),
+    ],
+    ids=["bull", "c5_chord"],
+)
+def test_prefix_walk_equals_flat_alternating_sum_on_five_vertices(g):
+    # four keys spread over each basis: the flat loop costs Fubini(5) = 541
+    # compositions per key
+    for mid in MONOID_IDS:
+        basis = get_monoid(mid).basis(g)
+        step = max(1, len(basis) // 4)
+        _assert_walk_matches_flat_reference(mid, g, basis[::step][:4])
+
+
+@settings(max_examples=50, deadline=None)
+@given(labeled_graphs(min_vertices=3), st.data())
+def test_closed_forms_equal_the_alternating_sum_over_random_labels(g, data):
+    for mid in CLOSED_FORM_IDS:
+        k = data.draw(st.sampled_from(get_monoid(mid).basis(g)), label=mid)
+        assert antipode(mid, g, k, "closed") == antipode(mid, g, k, "takeuchi"), (mid, k)
 
 
 def test_gated_ids_are_a_subset_of_closed_ids():

@@ -19,6 +19,8 @@ from grhopf import (
 )
 from grhopf.keys import FlatM
 
+from .test_keys import labeled_graphs, safe_labels
+
 # the running 7-vertex example: a triangle block, a 4-cycle-with-chord
 # block, and three bridging edges
 FUN_VERTICES = ("f", "u", "n", "m", "a", "t", "h")
@@ -253,3 +255,11 @@ def test_chromatic_at_positive_ints_counts_colorings(g):
         if all(color[u] != color[v] for u, v in g.edges):
             count += 1
     assert chromatic_value(g, 3) == count
+
+
+@given(labeled_graphs(), st.data())
+def test_chromatic_polynomial_is_invariant_under_relabeling(g, data):
+    new = data.draw(st.lists(safe_labels, min_size=g.n, max_size=g.n, unique=True))
+    name = dict(zip(g.vertices, new))
+    h = Graph(new, [(name[u], name[v]) for u, v in g.edges])
+    assert chromatic_polynomial(h) == chromatic_polynomial(g)

@@ -119,8 +119,8 @@ safe_labels = st.text(alphabet="abxyz019_.", min_size=1, max_size=3)
 
 
 @st.composite
-def labeled_graphs(draw):
-    labels = draw(st.lists(safe_labels, max_size=4, unique=True))
+def labeled_graphs(draw, min_vertices=0):
+    labels = draw(st.lists(safe_labels, min_size=min_vertices, max_size=4, unique=True))
     pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(labels, edges)
