@@ -37,12 +37,7 @@ from .keys import (
     SetCompositionKey,
     UnitKey,
 )
-from .monoids import (
-    basis_change,
-    composition_crossing_edges,
-    composition_crossing_pairs,
-    get_monoid,
-)
+from .monoids import _crossing_exponents, basis_change, get_monoid
 from .qtpoly import QTPolynomial
 
 METHODS = ("takeuchi", "milnor-moore-left", "milnor-moore-right", "closed")
@@ -212,12 +207,11 @@ def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:
 def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
     spec = get_monoid(mid)
     spec.validate_key(g, key)
-    n = g.n
-    sign = -1 if n % 2 else 1
+    sign = -1 if g.n % 2 else 1
 
     if mid == "L":
-        e = len(g.edges)
-        coeff = QTPolynomial.monomial(e, n * (n - 1) // 2 - e, sign)
+        qe, te = _crossing_exponents({v: i for i, v in enumerate(key.seq)}, g.edges)
+        coeff = QTPolynomial.monomial(qe, te, sign)
         return Element.of(mid, g, LinearOrder(reversed(key.seq)), coeff)
 
     if mid == "AO":
@@ -227,8 +221,9 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
         )
 
     if mid in ("Sigma", "SSigma"):
-        qe = composition_crossing_edges(key.blocks, g.edges)
-        te = composition_crossing_pairs(key.blocks) - qe
+        qe, te = _crossing_exponents(
+            {v: i for i, b in enumerate(key.blocks) for v in b}, g.edges
+        )
         prefactor = QTPolynomial.monomial(qe, te)
         reverse = SetCompositionKey(reversed(key.blocks))
         terms = []
@@ -241,11 +236,7 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
         c = 1 if len(key.partition) % 2 == 0 else -1
         return Element.of(mid, g, key, c)
 
-    if mid in ("Pi_m", "SPi_m"):
-        if mid == "SPi_m":
-            raise InputError(
-                "SPi_m has no catalogued closed form; use the takeuchi method"
-            )
+    if mid == "Pi_m":
         # reroute through the p basis
         as_p = basis_change("Pi_m", "Pi_p", g, Element.of(mid, g, key))
         flipped = Element(

@@ -148,7 +148,7 @@ def compositions_refining(coarse: SetCompositionKey) -> list[SetCompositionKey]:
     """All compositions below coarse: each block split into its own
     composition, concatenated in block order."""
     per_block = [
-        [c.blocks for c in set_compositions(b)] for b in coarse.blocks
+        list(_ordered_block_sequences(frozenset(b))) for b in coarse.blocks
     ]
     out = []
     for choice in product(*per_block):

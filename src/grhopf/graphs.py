@@ -249,10 +249,6 @@ class VertexPartition:
         self.blocks = tuple(canon)
         self._hash = hash(self.blocks)
 
-    @staticmethod
-    def singletons(labels) -> "VertexPartition":
-        return VertexPartition([(v,) for v in labels])
-
     def ground(self) -> frozenset:
         return frozenset(v for b in self.blocks for v in b)
 

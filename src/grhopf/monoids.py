@@ -18,6 +18,8 @@ Match_M, Match_P, E.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 
 from . import enumerators, keys
@@ -44,74 +46,37 @@ EMPTY_GRAPH = Graph(())
 
 # ---------------------------------------------------------------- statistics
 
+# Both take a rank map, vertex -> int: a linear order ranks each vertex by
+# its position, a set composition by the index of its block, so an order is
+# the composition into singletons.  The crossing count is not derived from
+# the inversion count, so the closed forms (which use the first) stay a
+# route independent of the alternating sum (which uses the second).
 
-def order_edge_inversions(seq, edges, S, T) -> int:
-    """Edges st with s in S, t in T, and s placed after t in seq."""
-    pos = {v: i for i, v in enumerate(seq)}
-    count = 0
+
+def _inversion_exponents(rank, edges, S, T) -> tuple[int, int]:
+    """(qe, te): the crossing edges, and the crossing non-edges, that join a
+    vertex of S to a strictly lower-ranked vertex of T."""
+    qe = 0
     for a, b in edges:
-        if a in S and b in T:
-            if pos[a] > pos[b]:
-                count += 1
-        elif b in S and a in T:
-            if pos[b] > pos[a]:
-                count += 1
-    return count
+        if a in S:
+            if b in T and rank[a] > rank[b]:
+                qe += 1
+        elif b in S and a in T and rank[b] > rank[a]:
+            qe += 1
+    t_ranks = sorted([rank[v] for v in T])
+    pairs = 0
+    for s in S:
+        pairs += bisect_left(t_ranks, rank[s])
+    return qe, pairs - qe
 
 
-def order_pair_inversions(seq, S, T) -> int:
-    """All pairs (s, t) in S x T with s after t in seq, adjacent or not."""
-    count = 0
-    running_t = 0
-    for v in seq:
-        if v in T:
-            running_t += 1
-        elif v in S:
-            count += running_t
-    return count
-
-
-def composition_edge_inversions(blocks, edges, S, T) -> int:
-    """Edges st, s in S, t in T, with s in a strictly later block than t."""
-    pos = {v: i for i, b in enumerate(blocks) for v in b}
-    count = 0
-    for a, b in edges:
-        if a in S and b in T:
-            if pos[a] > pos[b]:
-                count += 1
-        elif b in S and a in T:
-            if pos[b] > pos[a]:
-                count += 1
-    return count
-
-
-def composition_pair_inversions(blocks, S, T) -> int:
-    """Pairs (s, t) in S x T with s in a strictly later block than t."""
-    count = 0
-    t_seen = 0
-    for b in blocks:
-        s_here = sum(1 for v in b if v in S)
-        count += s_here * t_seen
-        t_seen += sum(1 for v in b if v in T)
-    return count
-
-
-def composition_crossing_edges(blocks, edges) -> int:
-    """Edges whose endpoints lie in different blocks."""
-    pos = {v: i for i, b in enumerate(blocks) for v in b}
-    return sum(1 for a, b in edges if pos[a] != pos[b])
-
-
-def composition_crossing_pairs(blocks) -> int:
-    """Vertex pairs in different blocks."""
-    sizes = [len(b) for b in blocks]
-    total = sum(sizes)
-    return (total * (total - 1) - sum(s * (s - 1) for s in sizes)) // 2
-
-
-def arc_count_from_to(arcs, A, B) -> int:
-    """Arcs with tail in A and head in B."""
-    return sum(1 for u, v in arcs if u in A and v in B)
+def _crossing_exponents(rank, edges) -> tuple[int, int]:
+    """(qe, te): the edges, and the non-edges, whose ends have different
+    ranks."""
+    qe = sum(1 for a, b in edges if rank[a] != rank[b])
+    n = len(rank)
+    same = sum(c * c for c in Counter(rank.values()).values())
+    return qe, (n * n - same) // 2 - qe
 
 
 def braiding_coeff(g: Graph, S, T) -> QTPolynomial:
@@ -193,8 +158,9 @@ class _OrderMonoid(MonoidSpec):
         return LinearOrder(x.seq + y.seq)
 
     def coproduct_key(self, g, S, T, key):
-        qe = order_edge_inversions(key.seq, g.edges, S, T)
-        te = order_pair_inversions(key.seq, S, T) - qe
+        qe, te = _inversion_exponents(
+            {v: i for i, v in enumerate(key.seq)}, g.edges, S, T
+        )
         left = LinearOrder(v for v in key.seq if v in S)
         right = LinearOrder(v for v in key.seq if v in T)
         return left, right, QTPolynomial.monomial(qe, te)
@@ -232,7 +198,7 @@ class _OrientationMonoid(MonoidSpec):
         return AcyclicOrientation(tuple(x.arcs) + tuple(y.arcs) + tuple(cross))
 
     def coproduct_key(self, g, S, T, key):
-        qe = arc_count_from_to(key.arcs, T, S)
+        qe = sum(1 for u, v in key.arcs if u in T and v in S)
         left = AcyclicOrientation((u, v) for u, v in key.arcs if u in S and v in S)
         right = AcyclicOrientation((u, v) for u, v in key.arcs if u in T and v in T)
         return left, right, QTPolynomial.monomial(qe, 0)
@@ -269,8 +235,9 @@ class _CompositionMonoid(MonoidSpec):
         return SetCompositionKey(x.blocks + y.blocks)
 
     def coproduct_key(self, g, S, T, key):
-        qe = composition_edge_inversions(key.blocks, g.edges, S, T)
-        te = composition_pair_inversions(key.blocks, S, T) - qe
+        qe, te = _inversion_exponents(
+            {v: i for i, b in enumerate(key.blocks) for v in b}, g.edges, S, T
+        )
         left = SetCompositionKey(
             bb for b in key.blocks if (bb := tuple(v for v in b if v in S))
         )

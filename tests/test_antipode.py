@@ -23,8 +23,6 @@ from grhopf import (
     antipode,
     antipode_element,
     antipode_table,
-    composition_crossing_edges,
-    composition_crossing_pairs,
     compositions_refining,
     corpus,
     get_monoid,
@@ -34,6 +32,7 @@ from grhopf import (
     unit_element,
 )
 from grhopf.antipode import _takeuchi_terms
+from grhopf.monoids import _crossing_exponents
 
 from .test_graphs import path3
 from .test_keys import labeled_graphs
@@ -270,8 +269,8 @@ def test_per_refinement_reweighting_is_wrong():
     reverse = SetCompositionKey(reversed(k.blocks))
     terms = []
     for ref in compositions_refining(reverse):
-        qe = composition_crossing_edges(ref.blocks, g.edges)
-        te = composition_crossing_pairs(ref.blocks) - qe
+        rank = {v: i for i, b in enumerate(ref.blocks) for v in b}
+        qe, te = _crossing_exponents(rank, g.edges)
         sign = 1 if len(ref.blocks) % 2 == 0 else -1
         terms.append((ref, QTPolynomial.monomial(qe, te, sign)))
     variant = Element("Sigma", g, terms)

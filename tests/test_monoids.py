@@ -25,9 +25,11 @@ from grhopf import (
     fubini_number,
     get_monoid,
     make_element,
+    ordered_bipartitions,
     product,
     unit_element,
 )
+from grhopf.monoids import _crossing_exponents, _inversion_exponents
 
 from .test_graphs import fun_graph
 
@@ -200,6 +202,22 @@ def test_composition_coproduct_counts_block_inversions():
     d2 = discrete_graph("ab")
     res4 = coproduct_component("Sigma", d2, {"b"}, {"a"}, one_term("Sigma", d2, "a|b"))
     assert list(res4.terms.values()) == [T]
+
+
+def test_exponent_helpers_count_by_their_definitions():
+    # brute force over vertex pairs, every split and every composition of
+    # the fun graph's first five vertices
+    g = fun_graph().induced({"f", "u", "n", "m", "a"})
+    for k in get_monoid("Sigma").basis(g):
+        rank = {v: i for i, b in enumerate(k.blocks) for v in b}
+        crossing = [(u, v) for u in g.vertices for v in g.vertices
+                    if u < v and rank[u] != rank[v]]
+        qe = sum(1 for u, v in crossing if g.has_edge(u, v))
+        assert _crossing_exponents(rank, g.edges) == (qe, len(crossing) - qe)
+        for s, t in ordered_bipartitions(g.vertices):
+            inverted = [(u, v) for u in s for v in t if rank[u] > rank[v]]
+            qe = sum(1 for u, v in inverted if g.has_edge(u, v))
+            assert _inversion_exponents(rank, g.edges, s, t) == (qe, len(inverted) - qe)
 
 
 def test_partition_m_coproduct_restricts_unconditionally():

@@ -6,11 +6,14 @@ from grhopf import (
     MONOID_IDS,
     MONOIDS,
     CheckRecord,
+    Element,
     Graph,
     InputError,
     VerificationReport,
+    check_antipode,
     check_bimonoid,
     check_commutativity,
+    check_functors,
     check_stanley,
     corpus,
     get_monoid,
@@ -317,3 +320,37 @@ def test_memoized_checks_report_the_raw_witnesses(monkeypatch):
     monkeypatch.setattr(verify, "_KeyMaps", lambda spec: spec)
     assert check_commutativity("Sigma", g) == flavors
     assert check_bimonoid("Sigma", g) == record
+
+
+def test_functors_build_no_basis_where_no_count_is_expected():
+    # a path is neither complete nor discrete, so no basis count applies
+    g = Graph(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
+    before = verify._basis_cached.cache_info()
+    for mid in MONOID_IDS:
+        assert check_functors(mid, g).passed
+    after = verify._basis_cached.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits
+
+
+def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
+    # every route agrees on the identity, which is not the antipode: the
+    # convolution law fails after the closed form has been judged
+    class IdentityCache:
+        def __init__(self, mid, side="left"):
+            self.mid = mid
+
+        def of(self, g, key):
+            return Element.of(self.mid, g, key)
+
+        def of_element(self, x):
+            return x
+
+    monkeypatch.setattr(verify, "antipode_takeuchi", lambda mid, g, key: Element.of(mid, g, key))
+    monkeypatch.setattr(verify, "AntipodeCache", IdentityCache)
+    g = Graph(["v1", "v2"], [("v1", "v2")])
+    main, verdict = check_antipode("Sigma", g)
+    assert not main.passed and main.detail["law"] == "convolution_left"
+    assert verdict.check == "antipode_closed_form_verdict"
+    assert not verdict.passed
+    assert verdict.detail["takeuchi"] == str(Element.of("Sigma", g, get_monoid("Sigma").basis(g)[0]))
