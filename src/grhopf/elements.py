@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .graphs import Graph
-from .keys import BasisKey, key_from_json
+from .keys import BasisKey
 from .qtpoly import QTPolynomial
 
 
@@ -148,26 +148,6 @@ class Element(_LinearCombination):
             return "0"
         return " + ".join(f"({c}) {k.literal()}" for k, c in self.items())
 
-    def to_json(self):
-        return {
-            "monoid": self.monoid,
-            "graph": self.graph.to_text(),
-            "terms": [
-                {"key": k.to_json(), "coeff": c.to_json()} for k, c in self.items()
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "Element":
-        return Element(
-            obj["monoid"],
-            Graph.from_text(obj["graph"]),
-            (
-                (key_from_json(t["key"]), QTPolynomial.from_json(t["coeff"]))
-                for t in obj["terms"]
-            ),
-        )
-
 
 class TensorElement(_LinearCombination):
     __slots__ = ()
@@ -195,17 +175,6 @@ class TensorElement(_LinearCombination):
         return " + ".join(
             f"({c}) {l.literal()} (x) {r.literal()}" for (l, r), c in self.items()
         )
-
-    def to_json(self):
-        return {
-            "monoid": self.monoid,
-            "left_graph": self.left_graph.to_text(),
-            "right_graph": self.right_graph.to_text(),
-            "terms": [
-                {"left": l.to_json(), "right": r.to_json(), "coeff": c.to_json()}
-                for (l, r), c in self.items()
-            ],
-        }
 
 
 def linear_extend(f, x: _LinearCombination):

@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 from .errors import InputError
 from .graphs import Graph, VertexPartition, components_partition
-from .keys import AcyclicOrientation, LinearOrder, SetCompositionKey
+from .keys import AcyclicOrientation, LinearOrder, SetCompositionKey, _edges_literal
 
 
 def _sorted_edges(g: Graph):
@@ -61,7 +61,7 @@ def ordered_tripartitions(labels) -> list[tuple[frozenset, frozenset, frozenset]
 
 
 def linear_orders(labels) -> list[LinearOrder]:
-    return [LinearOrder(p) for p in permutations(sorted(labels))]
+    return [LinearOrder(p) for p in sorted(permutations(labels), key="<".join)]
 
 
 # ---------------------------------------------------------------- orientations
@@ -228,7 +228,7 @@ def _edge_subsets(g: Graph):
 @lru_cache(maxsize=None)
 def _flat_sets(g: Graph) -> tuple[frozenset, ...]:
     out = [es for es in _edge_subsets(g) if is_flat(g, es)]
-    out.sort(key=lambda es: sorted(es))
+    out.sort(key=_edges_literal)
     return tuple(out)
 
 
@@ -239,7 +239,7 @@ def flats(g: Graph) -> list[frozenset]:
 
 def matchings(g: Graph) -> list[frozenset]:
     out = [es for es in _edge_subsets(g) if is_matching(es)]
-    out.sort(key=lambda es: sorted(es))
+    out.sort(key=_edges_literal)
     return out
 
 

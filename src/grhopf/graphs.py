@@ -202,7 +202,6 @@ def _induced(g: Graph, s: frozenset) -> Graph:
     )
 
 
-@lru_cache(maxsize=None)
 def _complement(g: Graph) -> Graph:
     vs = sorted(g.vertices)
     non_edges = [

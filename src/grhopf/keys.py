@@ -30,14 +30,6 @@ class BasisKey:
     def literal(self) -> str:
         raise NotImplementedError
 
-    def payload_json(self):
-        raise NotImplementedError
-
-    def to_json(self):
-        out = {"kind": self.kind}
-        out.update(self.payload_json())
-        return out
-
     def __repr__(self):
         return f"<{self.kind} {self.literal()}>"
 
@@ -54,9 +46,6 @@ class LinearOrder(BasisKey):
 
     def literal(self):
         return "<".join(self.seq) if self.seq else "()"
-
-    def payload_json(self):
-        return {"order": list(self.seq)}
 
     def __eq__(self, other):
         return isinstance(other, LinearOrder) and self.seq == other.seq
@@ -82,9 +71,6 @@ class AcyclicOrientation(BasisKey):
         if not self.arcs:
             return "()"
         return ",".join(f"{u}>{v}" for u, v in sorted(self.arcs))
-
-    def payload_json(self):
-        return {"arcs": [[u, v] for u, v in sorted(self.arcs)]}
 
     def __eq__(self, other):
         return isinstance(other, AcyclicOrientation) and self.arcs == other.arcs
@@ -117,9 +103,6 @@ class SetCompositionKey(BasisKey):
             return "()"
         return "|".join(",".join(b) for b in self.blocks)
 
-    def payload_json(self):
-        return {"blocks": [list(b) for b in self.blocks]}
-
     def __eq__(self, other):
         return isinstance(other, SetCompositionKey) and self.blocks == other.blocks
 
@@ -138,9 +121,6 @@ class _PartitionKey(BasisKey):
 
     def literal(self):
         return str(self.partition)
-
-    def payload_json(self):
-        return {"blocks": [list(b) for b in self.partition.blocks]}
 
     def __eq__(self, other):
         return type(other) is type(self) and self.partition == other.partition
@@ -167,18 +147,18 @@ class _EdgeSetKey(BasisKey):
         self._hash = hash((self.kind, self.edges))
 
     def literal(self):
-        if not self.edges:
-            return "()"
-        return ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
-
-    def payload_json(self):
-        return {"edges": [[u, v] for u, v in sorted(self.edges)]}
+        return _edges_literal(self.edges)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.edges == other.edges
 
     def __hash__(self):
         return self._hash
+
+
+def _edges_literal(edges) -> str:
+    """The literal of the flat or matching key on an edge set."""
+    return ",".join(f"{u}-{v}" for u, v in sorted(edges)) if edges else "()"
 
 
 class FlatM(_EdgeSetKey):
@@ -210,9 +190,6 @@ class UnitKey(BasisKey):
 
     def literal(self):
         return "unit"
-
-    def payload_json(self):
-        return {}
 
     def __eq__(self, other):
         return isinstance(other, UnitKey)
@@ -296,19 +273,3 @@ def parse_key(kind: str, text: str) -> BasisKey:
     edges = [_parse_edge_token(tok) for tok in _split_labels(text, ",")] if text else []
     return _KIND_CLASSES[kind](edges)
 
-
-def key_from_json(obj) -> BasisKey:
-    kind = obj.get("kind")
-    if kind not in _KIND_CLASSES:
-        raise InputError(f"unknown key kind {kind!r}")
-    if kind == "unit":
-        return UnitKey()
-    if kind == "order":
-        return LinearOrder(obj["order"])
-    if kind == "orientation":
-        return AcyclicOrientation((u, v) for u, v in obj["arcs"])
-    if kind == "composition":
-        return SetCompositionKey(obj["blocks"])
-    if kind in ("partition_m", "partition_p"):
-        return _KIND_CLASSES[kind](VertexPartition(obj["blocks"]))
-    return _KIND_CLASSES[kind]((u, v) for u, v in obj["edges"])

@@ -479,11 +479,6 @@ BASIS_PARTNER = {
 }
 
 
-def _partition_m_in_p(partition: VertexPartition) -> list[VertexPartition]:
-    # m = sum of p over all refinements.
-    return enumerators.partitions_refining(partition)
-
-
 @lru_cache(maxsize=None)
 def _partition_p_in_m(partition: VertexPartition) -> tuple[tuple[VertexPartition, int], ...]:
     # p_pi = m_pi - sum of p_tau over strict refinements tau, recursively.
@@ -523,7 +518,8 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     def images(k, c):
         if isinstance(k, (PartitionM, PartitionP)):
             if mid_from.endswith("_m"):
-                return ((tau, c) for tau in _partition_m_in_p(k.partition))
+                # m = sum of p over all refinements
+                return ((tau, c) for tau in enumerators.partitions_refining(k.partition))
             return ((tau, c * n) for tau, n in _partition_p_in_m(k.partition))
         if mid_from.endswith("_M"):
             return ((f, c) for f in _flats_below(g, k.edges))

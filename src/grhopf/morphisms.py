@@ -57,7 +57,7 @@ def _order_to_composition(g, key):
     return SetCompositionKey((v,) for v in key.seq)
 
 
-def _composition_identity(g, key):
+def _identity(g, key):
     return key
 
 
@@ -88,10 +88,6 @@ def _composition_to_partition(g, key):
     return PartitionM(key.blocks)
 
 
-def _partition_identity(g, key):
-    return key
-
-
 def _flat_to_partition(g, key):
     return PartitionP(components_partition(g.vertices, key.edges))
 
@@ -109,16 +105,14 @@ MORPHISMS: dict[str, Morphism] = {
     m.name: m
     for m in (
         Morphism("iota_L_SSigma", {"L": "SSigma"}, _order_to_composition),
-        Morphism("iota_SSigma_Sigma", {"SSigma": "Sigma"}, _composition_identity),
+        Morphism("iota_SSigma_Sigma", {"SSigma": "Sigma"}, _identity),
         Morphism("pi_arrow_L", {"L": "AO"}, _order_to_orientation),
         Morphism("pi_arrow_SSigma", {"SSigma": "AO"}, _composition_to_orientation),
         Morphism("pi_abelianize", {"L": "E"}, _to_unit),
         Morphism("pi_AO_E", {"AO": "E"}, _to_unit),
         Morphism("pi_Sigma_Pi", {"Sigma": "Pi_m"}, _composition_to_partition),
         Morphism("pi_SSigma_SPi", {"SSigma": "SPi_m"}, _composition_to_partition),
-        Morphism(
-            "iota_SPi_Pi", {"SPi_m": "Pi_m", "SPi_p": "Pi_p"}, _partition_identity
-        ),
+        Morphism("iota_SPi_Pi", {"SPi_m": "Pi_m", "SPi_p": "Pi_p"}, _identity),
         Morphism("iota_FL_Pi", {"FL_P": "Pi_p"}, _flat_to_partition),
         Morphism("phi_Pi_FL", {"Pi_m": "FL_M"}, _partition_to_flat),
         Morphism("rho_SPi_E", {"SPi_m": "E"}, _to_unit),

@@ -189,15 +189,7 @@ class QTPolynomial:
         """The image under exchanging q and t."""
         return QTPolynomial((((te, qe), c) for (qe, te), c in self._terms.items()))
 
-    # ------------------------------------------------------------ serialization
-
-    def to_json(self):
-        """Sorted [q-exponent, t-exponent, coefficient] triples."""
-        return [[qe, te, c] for (qe, te), c in self.terms()]
-
-    @staticmethod
-    def from_json(data) -> "QTPolynomial":
-        return QTPolynomial((((qe, te), c) for qe, te, c in data))
+    # ------------------------------------------------------------ printing
 
     def __str__(self):
         if not self._terms:

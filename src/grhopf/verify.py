@@ -13,6 +13,10 @@ tripartition sharing it).  Each call wraps its monoid in a private
 `_KeyMaps` memo that lives for that one call; the maps are pure, so the
 records are exactly those of the unmemoized maps.
 
+Each check looks for a witness, its first counterexample, and `_record`
+turns that witness (or None) into the check's `CheckRecord`.  `_splits`
+gives every ordered bipartition of a graph with both induced subgraphs.
+
 Checks are grouped into named suites.  `run_suite` returns a
 `VerificationReport` holding one `CheckRecord` per (check, monoid, graph)
 triple; record order is deterministic for a given (suite, n_max, seed),
@@ -28,6 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .antipode import (
     CLOSED_FORM_IDS,
@@ -38,9 +43,9 @@ from .antipode import (
 )
 from .elements import Element, _accumulate
 from .enumerators import (
+    _ordered_bipartitions,
     acyclic_orientations,
     bell_number,
-    ordered_bipartitions,
     ordered_tripartitions,
 )
 from .errors import InputError
@@ -54,7 +59,7 @@ from .monoids import (
     braiding_coeff,
     get_monoid,
 )
-from .morphisms import DIAGRAMS, MORPHISM_NAMES, apply_path, get_morphism
+from .morphisms import DIAGRAMS, MORPHISMS, apply_path, get_morphism
 from .qtpoly import ONE
 
 MAX_CORPUS_N = 5
@@ -234,10 +239,23 @@ def sampled_graphs(n: int, count: int, seed: int) -> list[Graph]:
 
 
 def _capped_basis(mid: str, g: Graph, key_cap: int | None):
-    basis = _basis_cached(mid, g)
-    if key_cap is not None and len(basis) > key_cap:
-        return basis[:key_cap]
-    return basis
+    # a tuple's slice covering all of it is the tuple itself
+    return _basis_cached(mid, g)[:key_cap]
+
+
+def _record(check: str, subject: str, g: Graph, witness: dict | None) -> CheckRecord:
+    """The record of one check on one graph, given the check's witness: its
+    first counterexample, or None when it found none."""
+    return CheckRecord(check, subject, g.to_text(), witness is None, witness)
+
+
+def _splits(g: Graph) -> list[tuple[frozenset, frozenset, Graph, Graph]]:
+    """Every ordered bipartition (S, T) of g, with g.induced(S) and
+    g.induced(T), in the order of `enumerators.ordered_bipartitions`."""
+    return [
+        (s_set, t_set, g.induced(s_set), g.induced(t_set))
+        for s_set, t_set in _ordered_bipartitions(g.vertices)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +307,10 @@ class _KeyMaps:
 
 
 def _tensor_str(t) -> str:
+    """A (key, ..., key, coefficient) tuple as `(c) k1 (x) k2 ...`; None is 0."""
     if t is None:
         return "0"
-    return f"({t[2]}) {t[0].literal()} (x) {t[1].literal()}"
+    return f"({t[-1]}) " + " (x) ".join(k.literal() for k in t[:-1])
 
 
 def _assoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
@@ -340,24 +359,15 @@ def _coassoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
                 if second is not None:
                     ka, kb, c2 = second
                     path2 = (ka, kb, kc, c1 * c2)
-            if (path1 is None) != (path2 is None) or (
-                path1 is not None and path1 != path2
-            ):
+            if path1 != path2:
                 return {
                     "axiom": "coassociativity",
                     "parts": [sorted(a_set), sorted(b_set), sorted(c_set)],
                     "key": key.literal(),
-                    "path_first_then_rest": _triple_str(path1),
-                    "path_rest_then_first": _triple_str(path2),
+                    "path_first_then_rest": _tensor_str(path1),
+                    "path_rest_then_first": _tensor_str(path2),
                 }
     return None
-
-
-def _triple_str(t) -> str:
-    if t is None:
-        return "0"
-    ka, kb, kc, c = t
-    return f"({c}) {ka.literal()} (x) {kb.literal()} (x) {kc.literal()}"
 
 
 def _unit_counit_witness(spec, g: Graph, key_cap=None) -> dict | None:
@@ -370,14 +380,14 @@ def _unit_counit_witness(spec, g: Graph, key_cap=None) -> dict | None:
         if spec.product_key(g, full, empty, key, e_key) != key:
             return {"axiom": "right_unit", "key": key.literal()}
         left = spec.coproduct_key(g, empty, full, key)
-        if left is None or left[0] != e_key or left[1] != key or left[2] != ONE:
+        if left != (e_key, key, ONE):
             return {
                 "axiom": "left_counit",
                 "key": key.literal(),
                 "got": _tensor_str(left),
             }
         right = spec.coproduct_key(g, full, empty, key)
-        if right is None or right[0] != key or right[1] != e_key or right[2] != ONE:
+        if right != (key, e_key, ONE):
             return {
                 "axiom": "right_counit",
                 "key": key.literal(),
@@ -387,13 +397,11 @@ def _unit_counit_witness(spec, g: Graph, key_cap=None) -> dict | None:
 
 
 def _compat_witness(spec, g: Graph, key_cap=None) -> dict | None:
-    bips = ordered_bipartitions(g.vertices)
-    for s_set, t_set in bips:
-        gs, gt = g.induced(s_set), g.induced(t_set)
+    splits = _splits(g)
+    for s_set, t_set, gs, gt in splits:
         sb = _capped_basis(spec.id, gs, key_cap)
         tb = _capped_basis(spec.id, gt, key_cap)
-        for a_set, b_set in bips:
-            ga, gb = g.induced(a_set), g.induced(b_set)
+        for a_set, b_set, ga, gb in splits:
             sa, sb_part = s_set & a_set, s_set & b_set
             ta, tb_part = t_set & a_set, t_set & b_set
             beta = spec.braiding(g, sb_part, ta)
@@ -425,8 +433,7 @@ def _compat_witness(spec, g: Graph, key_cap=None) -> dict | None:
 
 def _closure_witness(spec, g: Graph, key_cap=None) -> dict | None:
     # products of basis keys and coproduct factors must land back in the basis
-    for s_set, t_set in ordered_bipartitions(g.vertices):
-        gs, gt = g.induced(s_set), g.induced(t_set)
+    for s_set, t_set, gs, gt in _splits(g):
         for x in _capped_basis(spec.id, gs, key_cap):
             for y in _capped_basis(spec.id, gt, key_cap):
                 prod = spec.product_key(g, s_set, t_set, x, y)
@@ -473,8 +480,8 @@ def check_bimonoid(mid: str, g: Graph, key_cap: int | None = None) -> CheckRecor
     for fn in axioms:
         witness = fn(spec, g, key_cap)
         if witness is not None:
-            return CheckRecord("bimonoid", mid, g.to_text(), False, witness)
-    return CheckRecord("bimonoid", mid, g.to_text(), True)
+            break
+    return _record("bimonoid", mid, g, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +496,15 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
     spec = get_monoid(mid)
-    gtext = g.to_text()
     left_cache = AntipodeCache(mid, "left")
     right_cache = AntipodeCache(mid, "right")
     has_closed = mid in CLOSED_FORM_IDS
     gated = mid in ORACLE_GATED_IDS
-    closed_ok = True
     closed_witness: dict | None = None
     basis = _capped_basis(mid, g, key_cap)
 
     def first_failure() -> dict | None:
-        nonlocal closed_ok, closed_witness
+        nonlocal closed_witness
         tables: dict = {}
         for key in basis:
             reference = antipode_takeuchi(mid, g, key)
@@ -510,7 +515,6 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
             ):
                 if other != reference:
                     # no reference to judge the closed form against
-                    closed_ok = False
                     closed_witness = {"verdict": "skipped: methods disagree"}
                     return {
                         "law": "method_agreement",
@@ -528,16 +532,13 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                     }
                     if not gated:
                         return {"law": "method_agreement", **witness}
-                    if closed_ok:
-                        closed_ok, closed_witness = False, witness
+                    if closed_witness is None:
+                        closed_witness = witness
 
         # convolution: summing mu o (s (x) id) o Delta over all ordered
         # bipartitions gives unit o counit (zero on every nonempty graph)
         if g.n > 0:
-            splits = [
-                (s_set, t_set, g.induced(s_set), g.induced(t_set))
-                for s_set, t_set in ordered_bipartitions(g.vertices)
-            ]
+            splits = _splits(g)
             for key in basis:
                 for law, cache, s_on_left in (
                     ("convolution_left", left_cache, True),
@@ -574,14 +575,9 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                     }
         return None
 
-    failure = first_failure()
-    records = [CheckRecord("antipode", mid, gtext, failure is None, failure)]
+    records = [_record("antipode", mid, g, first_failure())]
     if gated:
-        records.append(
-            CheckRecord(
-                "antipode_closed_form_verdict", mid, gtext, closed_ok, closed_witness
-            )
-        )
+        records.append(_record("antipode_closed_form_verdict", mid, g, closed_witness))
     return records
 
 
@@ -608,8 +604,7 @@ def check_commutativity(
             for f in missing:
                 found[f] = detail
 
-    for s_set, t_set in ordered_bipartitions(g.vertices):
-        gs, gt = g.induced(s_set), g.induced(t_set)
+    for s_set, t_set, gs, gt in _splits(g):
         crossing = g.crossing_edges(s_set, t_set)
         beta = spec.braiding(g, s_set, t_set)
         # flavors that fail wherever the braided exchange does on this split
@@ -667,19 +662,13 @@ def check_commutativity(
 # morphisms and diagrams
 
 
-def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckRecord:
-    """One morphism, one graph: the induced map must intertwine products and
-    coproducts on every route, with deformation parameters specialized away
-    whenever the two ends disagree on them."""
-    morphism = get_morphism(name)
-    gtext = g.to_text()
-    bips = ordered_bipartitions(g.vertices)
+def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
+    splits = _splits(g)
     for dom_id in sorted(morphism.routes):
         cod_id = morphism.routes[dom_id]
         dom, cod = MONOIDS[dom_id], MONOIDS[cod_id]
         q_one, t_one = morphism.specialization(dom_id)
-        for s_set, t_set in bips:
-            gs, gt = g.induced(s_set), g.induced(t_set)
+        for s_set, t_set, gs, gt in splits:
             sb = _capped_basis(dom_id, gs, key_cap)
             tb = _capped_basis(dom_id, gt, key_cap)
             for x in sb:
@@ -689,20 +678,14 @@ def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckReco
                     mapped = morphism.map_key(g, dom.product_key(g, s_set, t_set, x, y))
                     direct = cod.product_key(g, s_set, t_set, fx, morphism.map_key(gt, y))
                     if mapped != direct:
-                        return CheckRecord(
-                            "morphism",
-                            name,
-                            gtext,
-                            False,
-                            {
-                                "law": "product_intertwines",
-                                "route": [dom_id, cod_id],
-                                "split": [sorted(s_set), sorted(t_set)],
-                                "keys": [x.literal(), y.literal()],
-                                "map_of_product": mapped.literal(),
-                                "product_of_maps": direct.literal(),
-                            },
-                        )
+                        return {
+                            "law": "product_intertwines",
+                            "route": [dom_id, cod_id],
+                            "split": [sorted(s_set), sorted(t_set)],
+                            "keys": [x.literal(), y.literal()],
+                            "map_of_product": mapped.literal(),
+                            "product_of_maps": direct.literal(),
+                        }
             for key in _capped_basis(dom_id, g, key_cap):
                 res_dom = dom.coproduct_key(g, s_set, t_set, key)
                 if res_dom is None:
@@ -719,21 +702,23 @@ def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckReco
                     lk, rk, coeff = res_cod
                     res_cod = (lk, rk, coeff.specialize(q_one, t_one))
                 if pushed != res_cod:
-                    return CheckRecord(
-                        "morphism",
-                        name,
-                        gtext,
-                        False,
-                        {
-                            "law": "coproduct_intertwines",
-                            "route": [dom_id, cod_id],
-                            "split": [sorted(s_set), sorted(t_set)],
-                            "key": key.literal(),
-                            "map_then_coproduct": _tensor_str(res_cod),
-                            "coproduct_then_map": _tensor_str(pushed),
-                        },
-                    )
-    return CheckRecord("morphism", name, gtext, True)
+                    return {
+                        "law": "coproduct_intertwines",
+                        "route": [dom_id, cod_id],
+                        "split": [sorted(s_set), sorted(t_set)],
+                        "key": key.literal(),
+                        "map_then_coproduct": _tensor_str(res_cod),
+                        "coproduct_then_map": _tensor_str(pushed),
+                    }
+    return None
+
+
+def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckRecord:
+    """One morphism, one graph: the induced map must intertwine products and
+    coproducts on every route, with deformation parameters specialized away
+    whenever the two ends disagree on them."""
+    witness = _morphism_witness(get_morphism(name), g, key_cap)
+    return _record("morphism", name, g, witness)
 
 
 def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> CheckRecord:
@@ -743,17 +728,15 @@ def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> Ch
             break
     else:
         raise InputError(f"unknown diagram {diagram_name!r}")
-    gtext = g.to_text()
     for key in _capped_basis(dom_id, g, key_cap):
         x = Element.of(dom_id, g, key)
         via_a = apply_path(path_a, dom_id, g, x)
         via_b = apply_path(path_b, dom_id, g, x)
         if via_a != via_b:
-            return CheckRecord(
+            return _record(
                 "diagram",
                 diagram_name,
-                gtext,
-                False,
+                g,
                 {
                     "key": key.literal(),
                     "path": list(path_a),
@@ -762,19 +745,11 @@ def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> Ch
                     "via_other_path": str(via_b),
                 },
             )
-    return CheckRecord("diagram", diagram_name, gtext, True)
+    return _record("diagram", diagram_name, g, None)
 
 
 # ---------------------------------------------------------------------------
 # functor identities, orientation counts, basis changes
-
-
-def _is_complete(g: Graph) -> bool:
-    return len(g.edges) == math.comb(g.n, 2)
-
-
-def _is_discrete(g: Graph) -> bool:
-    return len(g.edges) == 0
 
 
 @lru_cache(maxsize=None)
@@ -787,7 +762,7 @@ def _complement_witness(g: Graph) -> dict | None:
     comp = g.complement()
     if comp.complement() != g:
         return {"law": "complement_involution"}
-    for s_set, t_set in ordered_bipartitions(g.vertices):
+    for s_set, t_set in _ordered_bipartitions(g.vertices):
         full_here = braiding_coeff(g, s_set, t_set)
         full_there = braiding_coeff(comp, s_set, t_set)
         if full_there != full_here.swap_qt():
@@ -800,58 +775,37 @@ def _complement_witness(g: Graph) -> dict | None:
     return None
 
 
-def check_functors(mid: str, g: Graph) -> CheckRecord:
-    """Complementation identities for one monoid on one graph: the braiding
-    swaps its parameters under complement, complement is an involution, and
-    on complete (resp. discrete) graphs every structure constant is t-free
-    (resp. q-free).  On complete/discrete graphs also recheck the closed
-    basis-count identities."""
+def _functor_witness(mid: str, g: Graph) -> dict | None:
     spec = get_monoid(mid)
-    gtext = g.to_text()
     witness = _complement_witness(g)
     if witness is not None:
-        return CheckRecord("functors", mid, gtext, False, copy.deepcopy(witness))
+        return copy.deepcopy(witness)
 
-    checks: list[tuple[str, bool]] = []
-    if _is_complete(g):
-        checks.append(("complete_t_free", True))
-    if _is_discrete(g):
-        checks.append(("discrete_q_free", False))
-    for law, want_t_free in checks:
-        for s_set, t_set in ordered_bipartitions(g.vertices):
+    complete = len(g.edges) == math.comb(g.n, 2)
+    discrete = not g.edges
+    checks = []
+    if complete:
+        checks.append(("complete_t_free", attrgetter("t_free")))
+    if discrete:
+        checks.append(("discrete_q_free", attrgetter("q_free")))
+    for law, free in checks:
+        for s_set, t_set in _ordered_bipartitions(g.vertices):
             coeff = spec.braiding(g, s_set, t_set)
-            ok = coeff.t_free if want_t_free else coeff.q_free
-            if not ok:
-                return CheckRecord(
-                    "functors",
-                    mid,
-                    gtext,
-                    False,
-                    {"law": law, "where": "braiding", "coefficient": str(coeff)},
-                )
+            if not free(coeff):
+                return {"law": law, "where": "braiding", "coefficient": str(coeff)}
             for key in _basis_cached(mid, g):
                 res = spec.coproduct_key(g, s_set, t_set, key)
-                if res is None:
-                    continue
-                coeff = res[2]
-                ok = coeff.t_free if want_t_free else coeff.q_free
-                if not ok:
-                    return CheckRecord(
-                        "functors",
-                        mid,
-                        gtext,
-                        False,
-                        {
-                            "law": law,
-                            "where": "coproduct",
-                            "split": [sorted(s_set), sorted(t_set)],
-                            "key": key.literal(),
-                            "coefficient": str(coeff),
-                        },
-                    )
+                if res is not None and not free(res[2]):
+                    return {
+                        "law": law,
+                        "where": "coproduct",
+                        "split": [sorted(s_set), sorted(t_set)],
+                        "key": key.literal(),
+                        "coefficient": str(res[2]),
+                    }
 
     expected: int | None = None
-    if _is_complete(g):
+    if complete:
         expected = {
             "L": math.factorial(g.n),
             "AO": math.factorial(g.n),
@@ -861,7 +815,7 @@ def check_functors(mid: str, g: Graph) -> CheckRecord:
             "SPi_m": 1,
             "SPi_p": 1,
         }.get(mid)
-    if expected is None and _is_discrete(g):
+    if expected is None and discrete:
         expected = {
             "AO": 1,
             "SPi_m": bell_number(g.n),
@@ -872,14 +826,17 @@ def check_functors(mid: str, g: Graph) -> CheckRecord:
     if expected is not None:
         count = len(_basis_cached(mid, g))
         if count != expected:
-            return CheckRecord(
-                "functors",
-                mid,
-                gtext,
-                False,
-                {"law": "basis_count", "expected": expected, "got": count},
-            )
-    return CheckRecord("functors", mid, gtext, True)
+            return {"law": "basis_count", "expected": expected, "got": count}
+    return None
+
+
+def check_functors(mid: str, g: Graph) -> CheckRecord:
+    """Complementation identities for one monoid on one graph: the braiding
+    swaps its parameters under complement, complement is an involution, and
+    on complete (resp. discrete) graphs every structure constant is t-free
+    (resp. q-free).  On complete/discrete graphs also recheck the closed
+    basis-count identities."""
+    return _record("functors", mid, g, _functor_witness(mid, g))
 
 
 def check_stanley(g: Graph) -> CheckRecord:
@@ -887,33 +844,32 @@ def check_stanley(g: Graph) -> CheckRecord:
     The two sides come from independent algorithms."""
     count = len(acyclic_orientations(g))
     chrom = (-1) ** g.n * chromatic_value(g, -1)
-    passed = count == chrom
-    detail = None if passed else {"orientations": count, "signed_chromatic": chrom}
-    return CheckRecord("stanley", "AO", g.to_text(), passed, detail)
+    witness = None
+    if count != chrom:
+        witness = {"orientations": count, "signed_chromatic": chrom}
+    return _record("stanley", "AO", g, witness)
 
 
 def check_basis_change(mid: str, g: Graph) -> CheckRecord:
     """Round trip through the partner basis is the identity on every key."""
     spec = get_monoid(mid)
     partner = BASIS_PARTNER[mid]
-    gtext = g.to_text()
     for key in spec.basis(g):
         x = Element.of(mid, g, key)
         over = basis_change(mid, partner, g, x)
         back = basis_change(partner, mid, g, over)
         if back != x:
-            return CheckRecord(
+            return _record(
                 "basis_change",
                 mid,
-                gtext,
-                False,
+                g,
                 {
                     "key": key.literal(),
                     "partner_basis": partner,
                     "round_trip": str(back),
                 },
             )
-    return CheckRecord("basis_change", mid, gtext, True)
+    return _record("basis_change", mid, g, None)
 
 
 # ---------------------------------------------------------------------------
@@ -923,13 +879,13 @@ def check_basis_change(mid: str, g: Graph) -> CheckRecord:
 def _graph_records(
     suite: str,
     mids: tuple[str, ...],
-    morphism_names: tuple[str, ...],
-    diagram_names: tuple[str, ...],
     g: Graph,
     key_cap: int | None,
 ) -> tuple[list[CheckRecord], list[tuple[str, str, dict]]]:
     """All records for one concrete suite on one graph, plus observed
-    (monoid, flavor, witness) commutativity failures for corpus aggregation."""
+    (monoid, flavor, witness) commutativity failures for corpus aggregation.
+    The morphisms suite checks the morphisms with a domain in `mids` and the
+    diagrams rooted in `mids`."""
     records: list[CheckRecord] = []
     observed_failures: list[tuple[str, str, dict]] = []
     if suite == "bimonoid":
@@ -944,21 +900,18 @@ def _graph_records(
             bad = None
             for flavor in sorted(EXPECTED_ALWAYS[mid]):
                 holds, witness = flavor_results[flavor]
-                if not holds and bad is None:
-                    bad = {"flavor": flavor, **(witness or {})}
+                if not holds:
+                    bad = {"flavor": flavor, **witness}
+                    break
+            # a passing record lists every flavor that holds on g
+            holding = sorted(f for f, (ok, _) in flavor_results.items() if ok)
             records.append(
                 CheckRecord(
                     "commutativity",
                     mid,
                     g.to_text(),
                     bad is None,
-                    bad
-                    if bad is not None
-                    else {
-                        "holds": sorted(
-                            f for f, (ok, _) in flavor_results.items() if ok
-                        )
-                    },
+                    bad or {"holds": holding},
                 )
             )
             for flavor in sorted(EXPECTED_FAILING[mid]):
@@ -966,10 +919,12 @@ def _graph_records(
                 if not holds:
                     observed_failures.append((mid, flavor, witness or {}))
     elif suite == "morphisms":
-        for name in morphism_names:
-            records.append(check_morphism(name, g, key_cap))
-        for name in diagram_names:
-            records.append(check_diagram(name, g, key_cap))
+        for name, morphism in MORPHISMS.items():
+            if any(d in mids for d in morphism.routes):
+                records.append(check_morphism(name, g, key_cap))
+        for name, dom, _, _ in DIAGRAMS:
+            if dom in mids:
+                records.append(check_diagram(name, g, key_cap))
     elif suite == "functors":
         for mid in mids:
             records.append(check_functors(mid, g))
@@ -985,8 +940,7 @@ def _graph_records(
 
 
 def _worker(task):
-    suite, mids, morphism_names, diagram_names, g, key_cap = task
-    return _graph_records(suite, mids, morphism_names, diagram_names, g, key_cap)
+    return _graph_records(*task)
 
 
 def _suite_graphs(
@@ -1038,42 +992,29 @@ def run_suite(
     else:
         for mid in monoids:
             get_monoid(mid)
-        seen = set()
-        mids = tuple(m for m in monoids if not (m in seen or seen.add(m)))
+        mids = tuple(dict.fromkeys(monoids))
         if not mids:
             raise InputError("empty monoid selection")
-    selected = frozenset(mids)
-    morphism_names = tuple(
-        name
-        for name in MORPHISM_NAMES
-        if monoids is None or any(d in selected for d in get_morphism(name).routes)
-    )
-    diagram_names = tuple(
-        name for name, dom, _, _ in DIAGRAMS if monoids is None or dom in selected
-    )
 
     start = time.perf_counter()
     base_graphs = corpus(n_max)
     concrete = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
 
-    tasks: list[tuple[str, tuple, tuple, tuple, Graph, int | None]] = []
+    tasks: list[tuple[str, tuple, Graph, int | None]] = []
     for sub in concrete:
         graphs = _suite_graphs(sub, base_graphs, seed)
         if sub == "stanley" and samples6 > 0:
             graphs = graphs + [(g, None) for g in sampled_graphs(6, samples6, seed)]
         for g, cap in graphs:
-            tasks.append((sub, mids, morphism_names, diagram_names, g, cap))
+            tasks.append((sub, mids, g, cap))
 
     records: list[CheckRecord] = []
     observed: list[tuple[str, str, dict]] = []
     if jobs == 1 or len(tasks) <= 1:
         results = map(_worker, tasks)
     else:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        try:
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
             results = list(executor.map(_worker, tasks, chunksize=8))
-        finally:
-            executor.shutdown()
     for recs, obs in results:
         records.extend(recs)
         observed.extend(obs)
@@ -1087,18 +1028,16 @@ def run_suite(
         for mid in mids:
             for flavor in sorted(EXPECTED_FAILING[mid]):
                 witness = found.get((mid, flavor))
+                detail = witness
+                if witness is None:
+                    detail = {"error": "no failing witness found in corpus"}
                 records.append(
                     CheckRecord(
                         "commutativity_witness",
                         mid,
                         "",
                         witness is not None,
-                        {"flavor": flavor, **(witness or {})}
-                        if witness is not None
-                        else {
-                            "flavor": flavor,
-                            "error": "no failing witness found in corpus",
-                        },
+                        {"flavor": flavor, **detail},
                     )
                 )
 

@@ -84,14 +84,6 @@ def test_specialize():
     assert x.specialize(True, True) == Element.of("L", g, key)
 
 
-def test_element_json_round_trip():
-    g = p3()
-    a, b = k_abc("abc", "bac")
-    x = Element.of("L", g, a, Q - 1) + Element.of("L", g, b, 2)
-    blob = x.to_json()
-    assert Element.from_json(blob) == x
-
-
 def test_tensor_element_ops():
     g = p3()
     gs = g.induced({"a", "b"})

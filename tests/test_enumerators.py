@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grhopf import (
+    MONOID_IDS,
+    FlatM,
     Graph,
     SetCompositionKey,
     VertexPartition,
@@ -16,6 +18,7 @@ from grhopf import (
     compositions_refining,
     discrete_graph,
     flats,
+    get_monoid,
     fubini_number,
     is_flat,
     is_matching,
@@ -119,6 +122,35 @@ def test_compositions_refining_counts():
     assert len(compositions_refining(comp("a,b|c,d"))) == 9
     allc = compositions_refining(comp("a,b|c"))
     assert comp("b|a|c") in allc and comp("a|c|b") not in allc
+
+
+def test_every_basis_and_enumerator_is_sorted_by_literal():
+    # labels whose literal order differs from their tuple order: "v10<v1"
+    # sorts before "v1<v10" ('0' < '<'), and "a+-b" before "a-b" ('+' < '-')
+    graphs = (
+        Graph(["v1", "v2", "v10"], [("v1", "v10"), ("v10", "v2")]),
+        Graph(["a", "a+", "b"], [("a", "b"), ("a+", "b")]),
+    )
+    for g in graphs:
+        listings = {mid: [k.literal() for k in get_monoid(mid).basis(g)] for mid in MONOID_IDS}
+        coarse = SetCompositionKey([g.vertices])
+        listings.update(
+            linear_orders=[k.literal() for k in linear_orders(g.vertices)],
+            acyclic_orientations=[k.literal() for k in acyclic_orientations(g)],
+            set_compositions=[k.literal() for k in set_compositions(g.vertices)],
+            stable_compositions=[k.literal() for k in stable_compositions(g)],
+            compositions_refining=[k.literal() for k in compositions_refining(coarse)],
+            set_partitions=[str(p) for p in set_partitions(g.vertices)],
+            stable_partitions=[str(p) for p in stable_partitions(g)],
+            partitions_refining=[
+                str(p) for p in partitions_refining(VertexPartition([g.vertices]))
+            ],
+            flats=[FlatM(es).literal() for es in flats(g)],
+            matchings=[FlatM(es).literal() for es in matchings(g)],
+        )
+        for name, literals in listings.items():
+            assert literals == sorted(literals), (g, name)
+            assert len(set(literals)) == len(literals), (g, name)
 
 
 def test_flats_and_matchings_on_small_graphs():

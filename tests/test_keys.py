@@ -17,7 +17,6 @@ from grhopf import (
     UnitKey,
     VertexPartition,
     get_monoid,
-    key_from_json,
     parse_key,
 )
 
@@ -94,24 +93,6 @@ def test_keys_hash_and_eq_by_kind_and_payload():
     assert a == b and hash(a) == hash(b)
     assert parse_key("flat_m", "ab") != parse_key("flat_p", "ab")
     assert parse_key("partition_m", "a,b") != parse_key("partition_p", "a,b")
-
-
-def test_json_round_trips():
-    keys = [
-        parse_key("order", "a<b<c"),
-        parse_key("orientation", "a>b,c>b"),
-        parse_key("composition", "a,b|c"),
-        parse_key("partition_m", "a,b/c"),
-        parse_key("partition_p", "a/b/c"),
-        parse_key("flat_m", "ab,bc"),
-        parse_key("flat_p", "()"),
-        parse_key("matching_m", "ab"),
-        parse_key("matching_p", "ab,cd"),
-        parse_key("unit", "unit"),
-    ]
-    for k in keys:
-        again = key_from_json(k.to_json())
-        assert again == k and type(again) is type(k)
 
 
 # labels drawn from characters that no key literal uses as a separator

@@ -114,14 +114,6 @@ def test_unit_monomials_are_shared():
     assert QTPolynomial.monomial(2, 1) != scaled
 
 
-def test_json_round_trip():
-    p = Q * Q * T - 3 * Q + 1
-    blob = p.to_json()
-    assert blob == [[0, 0, 1], [1, 0, -3], [2, 1, 1]]
-    assert QTPolynomial.from_json(blob) == p
-    assert QTPolynomial.from_json(ZERO.to_json()) == ZERO
-
-
 coeffs = st.integers(min_value=-6, max_value=6)
 exps = st.integers(min_value=0, max_value=4)
 polys = st.lists(
@@ -145,11 +137,6 @@ def test_ring_laws(a, b, c):
 def test_evaluation_is_ring_morphism(a, b, qv, tv):
     assert (a + b).evaluate(qv, tv) == a.evaluate(qv, tv) + b.evaluate(qv, tv)
     assert (a * b).evaluate(qv, tv) == a.evaluate(qv, tv) * b.evaluate(qv, tv)
-
-
-@given(polys)
-def test_json_round_trip_property(a):
-    assert QTPolynomial.from_json(a.to_json()) == a
 
 
 @given(polys)

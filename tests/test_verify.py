@@ -5,15 +5,22 @@ import pytest
 from grhopf import (
     MONOID_IDS,
     MONOIDS,
+    MORPHISMS,
     CheckRecord,
     Element,
     Graph,
     InputError,
+    Morphism,
+    Q,
+    SetCompositionKey,
     VerificationReport,
     check_antipode,
+    check_basis_change,
     check_bimonoid,
     check_commutativity,
+    check_diagram,
     check_functors,
+    check_morphism,
     check_stanley,
     corpus,
     get_monoid,
@@ -21,7 +28,8 @@ from grhopf import (
     run_suite,
     sampled_graphs,
 )
-from grhopf import verify
+from grhopf import T as T_POLY
+from grhopf import monoids, verify
 from grhopf.verify import (
     COMMUTATIVITY_FLAVORS,
     EXPECTED_ALWAYS,
@@ -354,3 +362,142 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     assert verdict.check == "antipode_closed_form_verdict"
     assert not verdict.passed
     assert verdict.detail["takeuchi"] == str(Element.of("Sigma", g, get_monoid("Sigma").basis(g)[0]))
+
+
+# ---------------------------------------------------------------------------
+# pinned failure witnesses: each broken fixture must report exactly this
+# first counterexample
+
+
+_P3 = Graph(["v1", "v2", "v3"], [("v1", "v2")])
+_K3 = Graph(["v1", "v2", "v3"], [("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
+_D3 = Graph(["v1", "v2", "v3"], [])
+
+
+def _reversed_order_inclusion():
+    return Morphism(
+        "iota_L_SSigma",
+        {"L": "SSigma"},
+        lambda g, key: SetCompositionKey((v,) for v in reversed(key.seq)),
+    )
+
+
+def test_bimonoid_coassociativity_witness(monkeypatch):
+    monkeypatch.setitem(MONOIDS, "Sigma", _SigmaDroppingT("Sigma", stable=False))
+    record = check_bimonoid("Sigma", _P3)
+    assert not record.passed
+    assert record.detail == {
+        "axiom": "coassociativity",
+        "parts": [["v1"], ["v2"], ["v3"]],
+        "key": "v2,v3|v1",
+        "path_first_then_rest": "(q) v1 (x) v2 (x) v3",
+        "path_rest_then_first": "(q*t) v1 (x) v2 (x) v3",
+    }
+
+
+def test_morphism_product_witness(monkeypatch):
+    monkeypatch.setitem(MORPHISMS, "iota_L_SSigma", _reversed_order_inclusion())
+    record = check_morphism("iota_L_SSigma", _P3)
+    assert (record.check, record.monoid, record.passed) == ("morphism", "iota_L_SSigma", False)
+    assert record.detail == {
+        "law": "product_intertwines",
+        "route": ["L", "SSigma"],
+        "split": [["v1"], ["v2", "v3"]],
+        "keys": ["v1", "v2<v3"],
+        "map_of_product": "v3|v2|v1",
+        "product_of_maps": "v1|v3|v2",
+    }
+
+
+def test_morphism_coproduct_witness(monkeypatch):
+    monkeypatch.setitem(MONOIDS, "Sigma", _SigmaDroppingT("Sigma", stable=False))
+    record = check_morphism("iota_SSigma_Sigma", _P3)
+    assert not record.passed
+    assert record.detail == {
+        "law": "coproduct_intertwines",
+        "route": ["SSigma", "Sigma"],
+        "split": [["v1"], ["v2", "v3"]],
+        "key": "v2,v3|v1",
+        "map_then_coproduct": "(q) v1 (x) v2,v3",
+        "coproduct_then_map": "(q*t) v1 (x) v2,v3",
+    }
+
+
+def test_diagram_witness(monkeypatch):
+    monkeypatch.setitem(MORPHISMS, "iota_L_SSigma", _reversed_order_inclusion())
+    record = check_diagram("order_composition_triangle", _P3)
+    assert (record.check, record.monoid, record.passed) == (
+        "diagram",
+        "order_composition_triangle",
+        False,
+    )
+    assert record.detail == {
+        "key": "v1<v2<v3",
+        "path": ["iota_L_SSigma", "iota_SSigma_Sigma"],
+        "other_path": ["_iota_L_Sigma"],
+        "via_path": "(1) v3|v2|v1",
+        "via_other_path": "(1) v1|v2|v3",
+    }
+
+
+class _LWithTCoproduct(type(MONOIDS["L"])):
+    """L, except that every coproduct coefficient gains a factor t."""
+
+    def coproduct_key(self, g, S, T, key):
+        left, right, coeff = super().coproduct_key(g, S, T, key)
+        return left, right, coeff * T_POLY
+
+
+class _LWithQBraiding(type(MONOIDS["L"])):
+    """L, except that its braiding is q on every split."""
+
+    def braiding(self, g, S, T):
+        return Q
+
+
+def test_functors_complete_t_free_witness(monkeypatch):
+    monkeypatch.setitem(MONOIDS, "L", _LWithTCoproduct())
+    record = check_functors("L", _K3)
+    assert (record.check, record.monoid, record.passed) == ("functors", "L", False)
+    assert record.detail == {
+        "law": "complete_t_free",
+        "where": "coproduct",
+        "split": [[], ["v1", "v2", "v3"]],
+        "key": "v1<v2<v3",
+        "coefficient": "t",
+    }
+
+
+def test_functors_discrete_q_free_witness(monkeypatch):
+    monkeypatch.setitem(MONOIDS, "L", _LWithQBraiding())
+    record = check_functors("L", _D3)
+    assert not record.passed
+    assert record.detail == {"law": "discrete_q_free", "where": "braiding", "coefficient": "q"}
+
+
+def test_functors_basis_count_witness(monkeypatch):
+    full = verify._basis_cached
+    monkeypatch.setattr(verify, "_basis_cached", lambda mid, g: full(mid, g)[:-1])
+    record = check_functors("AO", _K3)
+    assert not record.passed
+    assert record.detail == {"law": "basis_count", "expected": 6, "got": 5}
+
+
+def test_basis_change_witness(monkeypatch):
+    monkeypatch.setattr(monoids, "_partition_p_in_m", lambda p: ((p, 1),))
+    record = check_basis_change("Pi_m", _P3)
+    assert (record.check, record.monoid, record.passed) == ("basis_change", "Pi_m", False)
+    assert record.detail == {
+        "key": "v1,v2,v3",
+        "partner_basis": "Pi_p",
+        "round_trip": "(1) v1,v2,v3 + (1) v1,v2/v3 + (1) v1,v3/v2 + (1) v1/v2,v3 + "
+        "(1) v1/v2/v3",
+    }
+
+
+def test_stanley_witness(monkeypatch):
+    exact = verify.chromatic_value
+    monkeypatch.setattr(verify, "chromatic_value", lambda g, x: exact(g, x) + 1)
+    record = check_stanley(_P3)
+    assert (record.check, record.monoid, record.passed) == ("stanley", "AO", False)
+    assert record.detail == {"orientations": 2, "signed_chromatic": 1}
