@@ -258,8 +258,7 @@ class VertexPartition:
         )
 
     def union(self, other: "VertexPartition") -> "VertexPartition":
-        if self.ground() & other.ground():
-            raise InputError("ground sets overlap")
+        # the constructor refuses a label that both ground sets hold
         return VertexPartition(self.blocks + other.blocks)
 
     def __len__(self):

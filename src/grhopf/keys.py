@@ -2,9 +2,16 @@
 
 Each monoid draws its basis from one key kind: linear orders, acyclic
 orientations, set compositions, set partitions (m or p tag), flats or
-matchings (M or P tag), or the single unit key.  Keys store pure
-combinatorial payload; validity against a particular graph is checked by
-the structure catalog, not here.
+matchings (M or P tag), or the single unit key.
+
+A key is its class and one payload slot: `BasisKey` defines equality,
+hashing and repr from that pair once, and each key class only
+canonicalizes its payload in `__init__` and emits its literal.  The payload
+reads under its own name (`seq`, `arcs`, `blocks`, `partition`, `edges`).
+Constructors canonicalize but never check, because the structure maps build
+keys on every hot path; validity is checked once where keys enter the
+program: `parse_key` refuses malformed literals, and the structure
+catalog's `validate_key` refuses a key that is not a basis key of the graph.
 
 Canonical literals (also the CLI grammar)::
 
@@ -24,109 +31,78 @@ from .graphs import VertexPartition, edge_pair
 
 
 class BasisKey:
-    __slots__ = ()
+    """A canonical payload tagged by its key class; subclasses set
+    `_payload` and `_hash` in `__init__`."""
+
+    __slots__ = ("_payload", "_hash")
     kind: str = ""
 
     def literal(self) -> str:
         raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._payload == other._payload
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"<{self.kind} {self.literal()}>"
 
 
 class LinearOrder(BasisKey):
-    __slots__ = ("seq", "_hash")
+    __slots__ = ()
     kind = "order"
+    seq = BasisKey._payload
 
     def __init__(self, seq):
-        self.seq = tuple(seq)
-        if len(set(self.seq)) != len(self.seq):
-            raise InputError(f"repeated label in order {self.seq!r}")
-        self._hash = hash(("order", self.seq))
+        self.seq = seq = tuple(seq)
+        self._hash = hash(("order", seq))
 
     def literal(self):
         return "<".join(self.seq) if self.seq else "()"
 
-    def __eq__(self, other):
-        return isinstance(other, LinearOrder) and self.seq == other.seq
-
-    def __hash__(self):
-        return self._hash
-
 
 class AcyclicOrientation(BasisKey):
-    __slots__ = ("arcs", "_hash")
+    __slots__ = ()
     kind = "orientation"
+    arcs = BasisKey._payload  # (tail, head) pairs
 
     def __init__(self, arcs):
-        pairs = set()
-        for u, v in arcs:
-            if u == v:
-                raise InputError(f"loop arc at {u!r}")
-            pairs.add((u, v))
-        self.arcs = frozenset(pairs)
-        self._hash = hash(("orientation", self.arcs))
+        self.arcs = arcs = frozenset(arcs)
+        self._hash = hash(("orientation", arcs))
 
     def literal(self):
         if not self.arcs:
             return "()"
         return ",".join(f"{u}>{v}" for u, v in sorted(self.arcs))
 
-    def __eq__(self, other):
-        return isinstance(other, AcyclicOrientation) and self.arcs == other.arcs
-
-    def __hash__(self):
-        return self._hash
-
 
 class SetCompositionKey(BasisKey):
-    __slots__ = ("blocks", "_hash")
+    __slots__ = ()
     kind = "composition"
+    blocks = BasisKey._payload  # tuple of sorted label tuples
 
     def __init__(self, blocks):
-        canon = []
-        seen: set[str] = set()
-        for b in blocks:
-            bb = tuple(sorted(b))
-            if not bb:
-                raise InputError("empty block in composition")
-            for v in bb:
-                if v in seen:
-                    raise InputError(f"label {v!r} appears twice in composition")
-                seen.add(v)
-            canon.append(bb)
-        self.blocks = tuple(canon)
-        self._hash = hash(("composition", self.blocks))
+        self.blocks = blocks = tuple([tuple(sorted(b)) for b in blocks])
+        self._hash = hash(("composition", blocks))
 
     def literal(self):
         if not self.blocks:
             return "()"
         return "|".join(",".join(b) for b in self.blocks)
 
-    def __eq__(self, other):
-        return isinstance(other, SetCompositionKey) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return self._hash
-
 
 class _PartitionKey(BasisKey):
-    __slots__ = ("partition", "_hash")
+    __slots__ = ()
+    partition = BasisKey._payload
 
-    def __init__(self, partition):
-        if not isinstance(partition, VertexPartition):
-            partition = VertexPartition(partition)
+    def __init__(self, partition: VertexPartition):
         self.partition = partition
         self._hash = hash((self.kind, partition))
 
     def literal(self):
         return str(self.partition)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.partition == other.partition
-
-    def __hash__(self):
-        return self._hash
 
 
 class PartitionM(_PartitionKey):
@@ -140,20 +116,15 @@ class PartitionP(_PartitionKey):
 
 
 class _EdgeSetKey(BasisKey):
-    __slots__ = ("edges", "_hash")
+    __slots__ = ()
+    edges = BasisKey._payload  # frozenset of sorted endpoint pairs
 
     def __init__(self, edges):
-        self.edges = frozenset(edge_pair(u, v) for u, v in edges)
-        self._hash = hash((self.kind, self.edges))
+        self.edges = edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+        self._hash = hash((self.kind, edges))
 
     def literal(self):
         return _edges_literal(self.edges)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.edges == other.edges
-
-    def __hash__(self):
-        return self._hash
 
 
 def _edges_literal(edges) -> str:
@@ -182,20 +153,15 @@ class MatchingP(_EdgeSetKey):
 
 
 class UnitKey(BasisKey):
-    __slots__ = ("_hash",)
+    __slots__ = ()
     kind = "unit"
 
     def __init__(self):
+        self._payload = None
         self._hash = hash("unit-key")
 
     def literal(self):
         return "unit"
-
-    def __eq__(self, other):
-        return isinstance(other, UnitKey)
-
-    def __hash__(self):
-        return self._hash
 
 
 # ---------------------------------------------------------------- literals
@@ -241,7 +207,8 @@ def _parse_edge_token(tok):
 
 
 def parse_key(kind: str, text: str) -> BasisKey:
-    """Parse a canonical key literal of the given kind."""
+    """Parse a canonical key literal of the given kind, refusing repeated
+    labels and loops."""
     if kind not in _KIND_CLASSES:
         raise InputError(f"unknown key kind {kind!r}")
     text = text.strip()
@@ -252,7 +219,10 @@ def parse_key(kind: str, text: str) -> BasisKey:
     if text == "()":
         text = ""
     if kind == "order":
-        return LinearOrder(_split_labels(text, "<") if text else ())
+        key = LinearOrder(_split_labels(text, "<") if text else ())
+        if len(set(key.seq)) != len(key.seq):
+            raise InputError(f"repeated label in order {key.seq!r}")
+        return key
     if kind == "orientation":
         arcs = []
         if text:
@@ -262,14 +232,22 @@ def parse_key(kind: str, text: str) -> BasisKey:
                 if not u or not v:
                     raise InputError(f"cannot parse arc {tok!r}: use tail>head")
                 arcs.append((u, v))
+        loop = next((u for u, v in arcs if u == v), None)
+        if loop is not None:
+            raise InputError(f"loop arc at {loop!r}")
         return AcyclicOrientation(arcs)
     if kind == "composition":
         blocks = [_split_labels(b, ",") for b in _split_labels(text, "|")] if text else []
-        return SetCompositionKey(blocks)
+        key = SetCompositionKey(blocks)
+        seen: set[str] = set()
+        for v in (v for b in key.blocks for v in b):
+            if v in seen:
+                raise InputError(f"label {v!r} appears twice in composition")
+            seen.add(v)
+        return key
     if kind in ("partition_m", "partition_p"):
         blocks = [_split_labels(b, ",") for b in _split_labels(text, "/")] if text else []
         return _KIND_CLASSES[kind](VertexPartition(blocks))
     # flats and matchings
     edges = [_parse_edge_token(tok) for tok in _split_labels(text, ",")] if text else []
-    return _KIND_CLASSES[kind](edges)
-
+    return _KIND_CLASSES[kind]([edge_pair(u, v) for u, v in edges])

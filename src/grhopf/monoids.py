@@ -3,8 +3,10 @@
 Every structure exposes the same key-level interface: a finite basis per
 graph, a product component per ordered vertex bipartition (always a single
 key with coefficient one), and a coproduct component per bipartition (at
-most one key pair, with a monomial coefficient).  Element-level wrappers
-extend these linearly and validate their inputs.
+most one key pair, with a monomial coefficient).  Each structure names its
+key class; `validate_key` is where a key is checked against a graph (key
+constructors check nothing), and the element-level wrappers extend the
+key-level maps linearly after validating every term they are given.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -21,11 +23,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
+from operator import attrgetter
 
 from . import enumerators, keys
 from .elements import Element, TensorElement, _accumulate
 from .errors import InputError
-from .graphs import Graph, VertexPartition
+from .graphs import Graph
 from .keys import (
     AcyclicOrientation,
     BasisKey,
@@ -93,9 +96,13 @@ class MonoidSpec:
     """One bimonoid structure; subclasses fill in the key-level maps."""
 
     id: str = ""
-    key_kind: str = ""
+    key_cls: type[BasisKey] = BasisKey
     uses_q: bool = False
     uses_t: bool = False
+
+    @property
+    def key_kind(self) -> str:
+        return self.key_cls.kind
 
     # -- basis and validity
 
@@ -106,16 +113,13 @@ class MonoidSpec:
         raise NotImplementedError
 
     def empty_key(self) -> BasisKey:
-        raise NotImplementedError
+        return self.parse_key("()")
 
     def validate_key(self, g: Graph, key: BasisKey) -> None:
-        raise NotImplementedError
-
-    def _expect_kind(self, key, cls):
-        if not isinstance(key, cls):
-            raise InputError(
-                f"{self.id} expects {cls.kind} keys, got {key!r}"
-            )
+        """Refuse a key that is not a basis key of g.  This is the one check
+        of a key's payload; each subclass extends this kind check."""
+        if not isinstance(key, self.key_cls):
+            raise InputError(f"{self.id} expects {self.key_kind} keys, got {key!r}")
 
     # -- structure maps (key level)
 
@@ -139,18 +143,15 @@ class MonoidSpec:
 
 class _OrderMonoid(MonoidSpec):
     id = "L"
-    key_kind = "order"
+    key_cls = LinearOrder
     uses_q = True
     uses_t = True
 
     def _enumerate_basis(self, g):
         return enumerators.linear_orders(g.vertices)
 
-    def empty_key(self):
-        return LinearOrder(())
-
     def validate_key(self, g, key):
-        self._expect_kind(key, LinearOrder)
+        super().validate_key(g, key)
         if len(key.seq) != g.n or set(key.seq) != g.vertex_set:
             raise InputError(f"{key.literal()} is not an order of {sorted(g.vertex_set)}")
 
@@ -168,18 +169,15 @@ class _OrderMonoid(MonoidSpec):
 
 class _OrientationMonoid(MonoidSpec):
     id = "AO"
-    key_kind = "orientation"
+    key_cls = AcyclicOrientation
     uses_q = True
     uses_t = False
 
     def _enumerate_basis(self, g):
         return enumerators.acyclic_orientations(g)
 
-    def empty_key(self):
-        return AcyclicOrientation(())
-
     def validate_key(self, g, key):
-        self._expect_kind(key, AcyclicOrientation)
+        super().validate_key(g, key)
         undirected = frozenset(
             (u, v) if u < v else (v, u) for u, v in key.arcs
         )
@@ -205,7 +203,7 @@ class _OrientationMonoid(MonoidSpec):
 
 
 class _CompositionMonoid(MonoidSpec):
-    key_kind = "composition"
+    key_cls = SetCompositionKey
     uses_q = True
     uses_t = True
 
@@ -218,14 +216,13 @@ class _CompositionMonoid(MonoidSpec):
             return enumerators.stable_compositions(g)
         return enumerators.set_compositions(g.vertices)
 
-    def empty_key(self):
-        return SetCompositionKey(())
-
     def validate_key(self, g, key):
-        self._expect_kind(key, SetCompositionKey)
+        super().validate_key(g, key)
         ground = {v for b in key.blocks for v in b}
         if ground != g.vertex_set:
             raise InputError(f"{key.literal()} does not compose {sorted(g.vertex_set)}")
+        if not all(key.blocks) or sum(map(len, key.blocks)) != g.n:
+            raise InputError(f"{key.literal()} repeats a label or has an empty block")
         if self.stable:
             for b in key.blocks:
                 if not enumerators._independent(g, b):
@@ -253,7 +250,6 @@ class _PartitionMonoid(MonoidSpec):
         self.basis_tag = basis_tag
         self.stable = stable
         self.key_cls = PartitionM if basis_tag == "m" else PartitionP
-        self.key_kind = self.key_cls.kind
 
     def _enumerate_basis(self, g):
         parts = (
@@ -263,11 +259,8 @@ class _PartitionMonoid(MonoidSpec):
         )
         return [self.key_cls(p) for p in parts]
 
-    def empty_key(self):
-        return self.key_cls(VertexPartition(()))
-
     def validate_key(self, g, key):
-        self._expect_kind(key, self.key_cls)
+        super().validate_key(g, key)
         if key.partition.ground() != g.vertex_set:
             raise InputError(f"{key.literal()} does not partition {sorted(g.vertex_set)}")
         if self.stable:
@@ -301,17 +294,13 @@ class _FlatMonoid(MonoidSpec):
             self.key_cls = MatchingM if basis_tag == "M" else MatchingP
         else:
             self.key_cls = FlatM if basis_tag == "M" else FlatP
-        self.key_kind = self.key_cls.kind
 
     def _enumerate_basis(self, g):
         sets = enumerators.matchings(g) if self.matchings_only else enumerators.flats(g)
         return [self.key_cls(es) for es in sets]
 
-    def empty_key(self):
-        return self.key_cls(())
-
     def validate_key(self, g, key):
-        self._expect_kind(key, self.key_cls)
+        super().validate_key(g, key)
         if not key.edges <= g.edges:
             raise InputError(f"{key.literal()} uses edges outside the graph")
         if self.matchings_only:
@@ -333,16 +322,10 @@ class _FlatMonoid(MonoidSpec):
 
 class _UnitSpeciesMonoid(MonoidSpec):
     id = "E"
-    key_kind = "unit"
+    key_cls = UnitKey
 
     def _enumerate_basis(self, g):
         return [UnitKey()]
-
-    def empty_key(self):
-        return UnitKey()
-
-    def validate_key(self, g, key):
-        self._expect_kind(key, UnitKey)
 
     def product_key(self, g, S, T, x, y):
         return UnitKey()
@@ -420,6 +403,10 @@ def product(mid: str, g: Graph, S, T, x: Element, y: Element) -> Element:
         raise InputError("factors do not live on the induced subgraphs of the split")
     if x.monoid != mid or y.monoid != mid:
         raise InputError("factors belong to a different monoid")
+    for k in x.terms:
+        spec.validate_key(gs, k)
+    for k in y.terms:
+        spec.validate_key(gt, k)
     out = Element.zero(mid, g)
     _accumulate(
         out.terms,
@@ -438,6 +425,8 @@ def coproduct_component(mid: str, g: Graph, S, T, x: Element) -> TensorElement:
     s, t = _check_split(g, S, T)
     if x.monoid != mid or x.graph != g:
         raise InputError("element does not live on this graph/monoid")
+    for k in x.terms:
+        spec.validate_key(g, k)
     out = TensorElement.zero(mid, g.induced(s), g.induced(t))
     _accumulate(
         out.terms,
@@ -479,29 +468,23 @@ BASIS_PARTNER = {
 }
 
 
-@lru_cache(maxsize=None)
-def _partition_p_in_m(partition: VertexPartition) -> tuple[tuple[VertexPartition, int], ...]:
-    # p_pi = m_pi - sum of p_tau over strict refinements tau, recursively.
-    acc: dict[VertexPartition, int] = {partition: 1}
-    for tau in enumerators.partitions_refining(partition):
-        if tau != partition:
-            _accumulate(acc, ((sigma, -c) for sigma, c in _partition_p_in_m(tau)))
-    return tuple(sorted(acc.items(), key=lambda kv: str(kv[0])))
-
-
-def _flats_below(g: Graph, edge_set: frozenset) -> list[frozenset]:
-    # Flats of g contained in the flat F are exactly the flats of (V, F).
-    sub = Graph(g.vertices, edge_set)
-    return enumerators.flats(sub)
+def _flats_below(edges: frozenset) -> list[frozenset]:
+    # The flats of g inside its flat F are exactly the flats of the graph F
+    # spans, so they depend on F alone.
+    return enumerators.flats(Graph({v for e in edges for v in e}, edges))
 
 
 @lru_cache(maxsize=None)
-def _flat_p_in_m(g: Graph, edge_set: frozenset) -> tuple[tuple[frozenset, int], ...]:
-    acc: dict[frozenset, int] = {edge_set: 1}
-    for sub in _flats_below(g, edge_set):
-        if sub != edge_set:
-            _accumulate(acc, ((f, -c) for f, c in _flat_p_in_m(g, sub)))
-    return tuple(sorted(acc.items(), key=lambda kv: sorted(kv[0])))
+def _p_in_m(below, top) -> tuple[tuple[object, int], ...]:
+    """The p (or P) basis element at `top` in the m (or M) basis, as
+    (payload, coefficient) pairs: p_x = m_x minus the sum of p_y over every
+    y that `below(x)` lists other than x, recursively.  Neither lattice
+    depends on the graph, so neither does the table."""
+    acc = {top: 1}
+    for y in below(top):
+        if y != top:
+            _accumulate(acc, ((z, -c) for z, c in _p_in_m(below, y)))
+    return tuple(acc.items())
 
 
 def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
@@ -514,16 +497,18 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     dst = get_monoid(mid_to)
     for k in x.terms:
         src.validate_key(g, k)
+    if src.key_cls in (PartitionM, PartitionP):
+        below, payload = enumerators.partitions_refining, attrgetter("partition")
+    else:
+        below, payload = _flats_below, attrgetter("edges")
+    m_to_p = mid_from.endswith(("_m", "_M"))
 
     def images(k, c):
-        if isinstance(k, (PartitionM, PartitionP)):
-            if mid_from.endswith("_m"):
-                # m = sum of p over all refinements
-                return ((tau, c) for tau in enumerators.partitions_refining(k.partition))
-            return ((tau, c * n) for tau, n in _partition_p_in_m(k.partition))
-        if mid_from.endswith("_M"):
-            return ((f, c) for f in _flats_below(g, k.edges))
-        return ((f, c * n) for f, n in _flat_p_in_m(g, k.edges))
+        top = payload(k)
+        if m_to_p:
+            # m_x = sum of p_y over every y below x
+            return ((y, c) for y in below(top))
+        return ((y, c * n) for y, n in _p_in_m(below, top))
 
     out = Element.zero(mid_to, g)
     _accumulate(

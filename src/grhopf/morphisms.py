@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .elements import Element, _accumulate
 from .errors import InputError
-from .graphs import Graph, components_partition
+from .graphs import Graph, VertexPartition, components_partition
 from .keys import (
     AcyclicOrientation,
     FlatM,
@@ -85,7 +85,7 @@ def _to_unit(g, key):
 
 
 def _composition_to_partition(g, key):
-    return PartitionM(key.blocks)
+    return PartitionM(VertexPartition(key.blocks))
 
 
 def _flat_to_partition(g, key):

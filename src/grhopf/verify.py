@@ -536,13 +536,15 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                         closed_witness = witness
 
         # convolution: summing mu o (s (x) id) o Delta over all ordered
-        # bipartitions gives unit o counit (zero on every nonempty graph)
+        # bipartitions gives unit o counit (zero on every nonempty graph).
+        # Each law takes s from the other side's recursion: a recursion
+        # satisfies its own side's law by definition, whatever the maps.
         if g.n > 0:
             splits = _splits(g)
             for key in basis:
                 for law, cache, s_on_left in (
-                    ("convolution_left", left_cache, True),
-                    ("convolution_right", right_cache, False),
+                    ("convolution_left", right_cache, True),
+                    ("convolution_right", left_cache, False),
                 ):
                     leftover = Element.zero(mid, g)
                     for s_set, t_set, gs, gt in splits:

@@ -1,4 +1,5 @@
-"""Basis key literals: parsing, canonical emission, JSON round trips."""
+"""Basis key literals: parsing, canonical emission, round trips, and where
+malformed keys are refused."""
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from grhopf import (
     UnitKey,
     VertexPartition,
     get_monoid,
+    make_element,
     parse_key,
 )
 
@@ -32,6 +34,44 @@ def test_linear_order_literal():
 def test_linear_order_rejects_duplicates():
     with pytest.raises(InputError):
         parse_key("order", "a<b<a")
+
+
+@pytest.mark.parametrize(
+    "kind, literal, message",
+    [
+        ("order", "a<b<a", "repeated label in order ('a', 'b', 'a')"),
+        ("composition", "a,b|a", "label 'a' appears twice in composition"),
+        ("orientation", "a>a", "loop arc at 'a'"),
+        ("flat_m", "a-a", "loop at 'a'"),
+        ("partition_m", "a,b/a", "label 'a' appears in two blocks"),
+    ],
+)
+def test_parse_key_refuses_repeated_labels_and_loops(kind, literal, message):
+    with pytest.raises(InputError) as exc:
+        parse_key(kind, literal)
+    assert str(exc.value) == message
+
+
+# key constructors only canonicalize; a defective key built directly is
+# refused where it enters an element
+DIRECT_DEFECTS = {
+    "order": ("L", lambda: LinearOrder(("a", "b", "a"))),
+    "composition_repeat": ("Sigma", lambda: SetCompositionKey([("a",), ("a",)])),
+    "composition_empty_block": ("Sigma", lambda: SetCompositionKey([("a", "b"), ()])),
+    "orientation_loop": ("AO", lambda: AcyclicOrientation([("a", "a")])),
+    "flat_loop": ("FL_M", lambda: FlatM([("a", "a")])),
+    # a partition cannot even be built with a repeated label
+    "partition": ("Pi_m", lambda: PartitionM(VertexPartition([("a", "b"), ("a",)]))),
+}
+
+
+@pytest.mark.parametrize("mid, build", DIRECT_DEFECTS.values(), ids=DIRECT_DEFECTS)
+def test_make_element_refuses_directly_built_defects(mid, build):
+    # the labels of each defect cover the vertex set of one graph exactly,
+    # so only the key's own defect can refuse it there
+    for g in (Graph(["a"]), Graph(["a", "b"], [("a", "b")])):
+        with pytest.raises(InputError):
+            make_element(mid, g, build())
 
 
 def test_orientation_literal():

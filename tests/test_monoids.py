@@ -11,6 +11,7 @@ from grhopf import (
     Element,
     Graph,
     InputError,
+    LinearOrder,
     Q,
     QTPolynomial,
     T,
@@ -345,6 +346,20 @@ def test_product_validates_split_and_factors():
         product("L", g, {"a"}, {"b"}, x, y)  # split misses c
     with pytest.raises(InputError):
         product("L", g, {"a", "b"}, {"c"}, x, y)  # factors on wrong graphs
+
+
+def test_product_and_coproduct_validate_every_term():
+    g = p3()
+    gs, gt = g.induced({"a"}), g.induced({"b", "c"})
+    y = one_term("L", gt, "b<c")
+    stray = Element.of("L", gs, LinearOrder(("x",)))
+    with pytest.raises(InputError, match="is not an order of"):
+        product("L", g, {"a"}, {"b", "c"}, stray, y)
+    with pytest.raises(InputError, match="is not an order of"):
+        product("L", g, {"b", "c"}, {"a"}, y, stray)
+    short = Element.of("L", g, LinearOrder(("a", "x")))
+    with pytest.raises(InputError, match="is not an order of"):
+        coproduct_component("L", g, {"a"}, {"b", "c"}, short)
 
 
 def test_unit_species_collapses_everything():

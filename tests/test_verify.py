@@ -364,6 +364,33 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     assert verdict.detail["takeuchi"] == str(Element.of("Sigma", g, get_monoid("Sigma").basis(g)[0]))
 
 
+class _AOWithTunedCoproduct(type(MONOIDS["AO"])):
+    """AO with three coproduct coefficients changed.  On the edgeless graph
+    v1..v4 its left and right recursions disagree on the subgraph v1,v2,v3
+    but agree with each other, the alternating sum and the closed form on
+    the whole graph."""
+
+    SCALE = {
+        (frozenset({"v1"}), frozenset({"v2", "v3"})): 2,
+        (frozenset({"v4"}), frozenset({"v1", "v2", "v3"})): 2,
+        (frozenset({"v1", "v2", "v3"}), frozenset({"v4"})): -2,
+    }
+
+    def coproduct_key(self, g, S, T, key):
+        left, right, coeff = super().coproduct_key(g, S, T, key)
+        return left, right, coeff * self.SCALE.get((frozenset(S), frozenset(T)), 1)
+
+
+def test_convolution_laws_take_the_antipode_from_the_other_recursion(monkeypatch):
+    # each one-sided recursion satisfies its own side's law by definition,
+    # so only the crossed sums can see that these maps have no two-sided
+    # inverse
+    monkeypatch.setitem(MONOIDS, "AO", _AOWithTunedCoproduct())
+    (record,) = check_antipode("AO", Graph(["v1", "v2", "v3", "v4"]))
+    assert not record.passed
+    assert record.detail == {"law": "convolution_left", "key": "()", "got": "(4) ()"}
+
+
 # ---------------------------------------------------------------------------
 # pinned failure witnesses: each broken fixture must report exactly this
 # first counterexample
@@ -484,7 +511,7 @@ def test_functors_basis_count_witness(monkeypatch):
 
 
 def test_basis_change_witness(monkeypatch):
-    monkeypatch.setattr(monoids, "_partition_p_in_m", lambda p: ((p, 1),))
+    monkeypatch.setattr(monoids, "_p_in_m", lambda below, top: ((top, 1),))
     record = check_basis_change("Pi_m", _P3)
     assert (record.check, record.monoid, record.passed) == ("basis_change", "Pi_m", False)
     assert record.detail == {
