@@ -4,7 +4,7 @@ Run: python3 demos/01_graphs_and_polynomials.py
 Output is deterministic; every printed claim is asserted.
 """
 
-from grhopf import Graph, Q, T, QTPolynomial, VertexPartition, chromatic_polynomial
+from grhopf import Graph, Q, T, QTPolynomial, chromatic_polynomial
 
 # a labeled graph is a sorted vertex tuple plus an undirected edge set
 g = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")])
@@ -27,9 +27,9 @@ cross = g.crossing_edges({"a", "b"}, {"c", "d"})
 print("edges crossing ab|cd:", cross)
 assert cross == 2
 
-# quotient by a partition merges each block into its smallest label;
+# quotient by a partition's blocks merges each block into its smallest label;
 # parallel edges collapse
-merged = g.quotient(VertexPartition([("a", "c"), ("b",), ("d",)]))
+merged = g.quotient([("a", "c"), ("b",), ("d",)])
 print("quotient by a,c/b/d:", merged.vertices, sorted(merged.edges))
 assert merged.vertices == ("a", "b", "d")
 assert merged.edges == frozenset([("a", "b"), ("a", "d")])

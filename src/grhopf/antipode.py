@@ -135,9 +135,7 @@ def _takeuchi_terms(spec, g: Graph, key: BasisKey):
 def antipode_milnor_moore(mid: str, g: Graph, key: BasisKey, side: str = "left") -> Element:
     """One-sided recursion: peel a bipartition, recurse on the strictly
     smaller factor, memoized per induced subgraph and key."""
-    cache = AntipodeCache(mid, side)
-    cache.spec.validate_key(g, key)
-    return cache.of(g, key)
+    return AntipodeCache(mid, side).of(g, key)
 
 
 def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> Element:
@@ -189,6 +187,8 @@ class AntipodeCache:
         self._memo: dict = {}
 
     def of(self, g: Graph, key: BasisKey) -> Element:
+        """The antipode of key, refused unless it is a basis key of g."""
+        self.spec.validate_key(g, key)
         return _mm(self.spec, g, key, self.side, self._memo)
 
     def of_element(self, x: Element) -> Element:
@@ -233,7 +233,7 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
         return Element(mid, g, terms)
 
     if mid in ("Pi_p", "SPi_p"):
-        c = 1 if len(key.partition) % 2 == 0 else -1
+        c = 1 if len(key.blocks) % 2 == 0 else -1
         return Element.of(mid, g, key, c)
 
     if mid == "Pi_m":
@@ -243,7 +243,7 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
             "Pi_p",
             g,
             (
-                (k, c if len(k.partition) % 2 == 0 else c * -1)
+                (k, c if len(k.blocks) % 2 == 0 else c * -1)
                 for k, c in as_p.terms.items()
             ),
         )

@@ -117,7 +117,6 @@ def _cmd_coproduct(args) -> int:
 def _cmd_antipode(args) -> int:
     g = _load_graph(args.graph)
     key = get_monoid(args.monoid).parse_key(args.key)
-    make_element(args.monoid, g, key)
     if args.method != "all":
         print(antipode(args.monoid, g, key, args.method))
         return 0

@@ -12,8 +12,14 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import InputError
-from .graphs import Graph, VertexPartition, components_partition
-from .keys import AcyclicOrientation, LinearOrder, SetCompositionKey, _edges_literal
+from .graphs import Graph, _partition_blocks, components_partition
+from .keys import (
+    AcyclicOrientation,
+    LinearOrder,
+    SetCompositionKey,
+    _blocks_literal,
+    _edges_literal,
+)
 
 
 def _sorted_edges(g: Graph):
@@ -173,25 +179,30 @@ def _partitions_of(vs: tuple[str, ...]):
         yield ((first,),) + tail
 
 
-def set_partitions(labels) -> list[VertexPartition]:
-    out = [VertexPartition(blocks) for blocks in _partitions_of(tuple(sorted(labels)))]
-    out.sort(key=str)
+def _partition_literal(blocks) -> str:
+    return _blocks_literal(blocks, "/")
+
+
+def set_partitions(labels) -> list[tuple[tuple[str, ...], ...]]:
+    """All set partitions of labels, each as canonical blocks."""
+    out = [_partition_blocks(blocks) for blocks in _partitions_of(tuple(sorted(labels)))]
+    out.sort(key=_partition_literal)
     return out
 
 
-def stable_partitions(g: Graph) -> list[VertexPartition]:
-    return [
-        p for p in set_partitions(g.vertices) if all(_independent(g, b) for b in p.blocks)
+def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
+    return [p for p in set_partitions(g.vertices) if all(_independent(g, b) for b in p)]
+
+
+def partitions_refining(blocks) -> list[tuple[tuple[str, ...], ...]]:
+    """All partitions below the partition with these blocks: each block
+    partitioned independently."""
+    per_block = [set_partitions(b) for b in blocks]
+    out = [
+        _partition_blocks(b for piece in choice for b in piece)
+        for choice in product(*per_block)
     ]
-
-
-def partitions_refining(p: VertexPartition) -> list[VertexPartition]:
-    """All partitions below p: each block partitioned independently."""
-    per_block = [[q.blocks for q in set_partitions(b)] for b in p.blocks]
-    out = []
-    for choice in product(*per_block):
-        out.append(VertexPartition([b for piece in choice for b in piece]))
-    out.sort(key=str)
+    out.sort(key=_partition_literal)
     return out
 
 
@@ -205,7 +216,7 @@ def is_flat(g: Graph, edges) -> bool:
     if not es <= g.edges:
         raise InputError("not a subset of the graph's edges")
     comp = components_partition(g.vertices, es)
-    where = {v: i for i, b in enumerate(comp.blocks) for v in b}
+    where = {v: i for i, b in enumerate(comp) for v in b}
     return all(e in es for e in g.edges if where[e[0]] == where[e[1]])
 
 

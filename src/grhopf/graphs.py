@@ -3,7 +3,8 @@
 Vertices are distinct nonempty strings kept in declaration order; edges are
 unordered pairs stored as lexicographically sorted 2-tuples.  All derived
 canonical forms (blocks, serializations) use lexicographic label order, so
-equal graphs serialize identically.  A quotient keeps each block's smallest
+equal graphs serialize identically.  A set partition is a sorted tuple of
+sorted label tuples, its blocks.  A quotient keeps each block's smallest
 label, which no other block can hold.
 
 The text format, one declaration per line::
@@ -112,15 +113,24 @@ class Graph:
     def complement(self) -> "Graph":
         return _complement(self)
 
-    def quotient(self, partition: "VertexPartition") -> "Graph":
+    def quotient(self, blocks) -> "Graph":
         """Merge each block to one vertex labeled by its smallest label.
 
-        Blocks are disjoint, so two merged vertices never share a label.
-        Edges are set-semantic: parallel edges collapse, internal edges drop.
+        The blocks must partition the vertex set, so two merged vertices
+        never share a label.  Edges are set-semantic: parallel edges
+        collapse, internal edges drop.
         """
-        if partition.ground() != self._vset:
+        label = {}
+        for b in blocks:
+            bb = sorted(b)
+            if not bb:
+                raise InputError("empty block")
+            for v in bb:
+                if v in label:
+                    raise InputError(f"label {v!r} appears in two blocks")
+                label[v] = bb[0]
+        if label.keys() != self._vset:
             raise InputError("partition does not cover the vertex set")
-        label = {v: block[0] for block in partition.blocks for v in block}
         new_vertices = sorted({label[v] for v in self.vertices})
         new_edges = set()
         for u, v in self.edges:
@@ -227,58 +237,13 @@ def discrete_graph(labels) -> Graph:
 # ---------------------------------------------------------------- partitions
 
 
-class VertexPartition:
-    """Set partition of a label set: sorted blocks of sorted labels."""
-
-    __slots__ = ("blocks", "_hash")
-
-    def __init__(self, blocks):
-        seen: set[str] = set()
-        canon = []
-        for b in blocks:
-            bb = tuple(sorted(b))
-            if not bb:
-                raise InputError("empty block")
-            for v in bb:
-                if v in seen:
-                    raise InputError(f"label {v!r} appears in two blocks")
-                seen.add(v)
-            canon.append(bb)
-        canon.sort()
-        self.blocks = tuple(canon)
-        self._hash = hash(self.blocks)
-
-    def ground(self) -> frozenset:
-        return frozenset(v for b in self.blocks for v in b)
-
-    def restrict(self, subset) -> "VertexPartition":
-        s = frozenset(subset)
-        return VertexPartition(
-            [bb for b in self.blocks if (bb := tuple(v for v in b if v in s))]
-        )
-
-    def union(self, other: "VertexPartition") -> "VertexPartition":
-        # the constructor refuses a label that both ground sets hold
-        return VertexPartition(self.blocks + other.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, VertexPartition) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        return "/".join(",".join(b) for b in self.blocks) if self.blocks else "()"
-
-    def __repr__(self):
-        return f"VertexPartition({self})"
+def _partition_blocks(blocks) -> tuple[tuple[str, ...], ...]:
+    """The canonical form of a set partition: sorted blocks of sorted labels."""
+    return tuple(sorted([tuple(sorted(b)) for b in blocks]))
 
 
-def components_partition(vertices, edges) -> VertexPartition:
-    """Connected components of (vertices, edges) as a partition."""
+def components_partition(vertices, edges) -> tuple[tuple[str, ...], ...]:
+    """Connected components of (vertices, edges) as canonical blocks."""
     vs = list(vertices)
     vset = set(vs)
     parent = {v: v for v in vs}
@@ -298,7 +263,7 @@ def components_partition(vertices, edges) -> VertexPartition:
     groups: dict[str, list[str]] = {}
     for v in vs:
         groups.setdefault(find(v), []).append(v)
-    return VertexPartition(groups.values())
+    return _partition_blocks(groups.values())
 
 
 # ---------------------------------------------------------------- chromatic
@@ -315,9 +280,7 @@ def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
         return (0,) * g.n + (1,)
     e = min(g.edges)
     deleted = Graph(g.vertices, g.edges - {e})
-    merged = g.quotient(
-        VertexPartition([set(e)] + [(v,) for v in g.vertices if v not in e])
-    )
+    merged = g.quotient([e] + [(v,) for v in g.vertices if v not in e])
     a = chromatic_polynomial(deleted)
     b = chromatic_polynomial(merged)
     size = max(len(a), len(b))

@@ -7,7 +7,9 @@ matchings (M or P tag), or the single unit key.
 A key is its class and one payload slot: `BasisKey` defines equality,
 hashing and repr from that pair once, and each key class only
 canonicalizes its payload in `__init__` and emits its literal.  The payload
-reads under its own name (`seq`, `arcs`, `blocks`, `partition`, `edges`).
+reads under its own name (`seq`, `arcs`, `blocks`, `edges`).  A set
+composition and a set partition are the same data, a tuple of sorted label
+tuples; a partition's blocks are sorted too.
 Constructors canonicalize but never check, because the structure maps build
 keys on every hot path; validity is checked once where keys enter the
 program: `parse_key` refuses malformed literals, and the structure
@@ -27,7 +29,7 @@ Canonical literals (also the CLI grammar)::
 from __future__ import annotations
 
 from .errors import InputError
-from .graphs import VertexPartition, edge_pair
+from .graphs import _partition_blocks, edge_pair
 
 
 class BasisKey:
@@ -88,21 +90,24 @@ class SetCompositionKey(BasisKey):
         self._hash = hash(("composition", blocks))
 
     def literal(self):
-        if not self.blocks:
-            return "()"
-        return "|".join(",".join(b) for b in self.blocks)
+        return _blocks_literal(self.blocks, "|")
 
 
 class _PartitionKey(BasisKey):
     __slots__ = ()
-    partition = BasisKey._payload
+    blocks = BasisKey._payload  # sorted tuple of sorted label tuples
 
-    def __init__(self, partition: VertexPartition):
-        self.partition = partition
-        self._hash = hash((self.kind, partition))
+    def __init__(self, blocks):
+        self.blocks = blocks = _partition_blocks(blocks)
+        self._hash = hash((self.kind, blocks))
 
     def literal(self):
-        return str(self.partition)
+        return _blocks_literal(self.blocks, "/")
+
+
+def _blocks_literal(blocks, sep: str) -> str:
+    """The literal of the composition ("|") or partition ("/") on blocks."""
+    return sep.join(",".join(b) for b in blocks) if blocks else "()"
 
 
 class PartitionM(_PartitionKey):
@@ -236,18 +241,18 @@ def parse_key(kind: str, text: str) -> BasisKey:
         if loop is not None:
             raise InputError(f"loop arc at {loop!r}")
         return AcyclicOrientation(arcs)
-    if kind == "composition":
-        blocks = [_split_labels(b, ",") for b in _split_labels(text, "|")] if text else []
-        key = SetCompositionKey(blocks)
+    if kind in ("composition", "partition_m", "partition_p"):
+        composition = kind == "composition"
+        parts = _split_labels(text, "|" if composition else "/") if text else []
+        blocks = [sorted(_split_labels(b, ",")) for b in parts]
+        # report the first repeat in the literal's own block order
         seen: set[str] = set()
-        for v in (v for b in key.blocks for v in b):
+        for v in (v for b in blocks for v in b):
             if v in seen:
-                raise InputError(f"label {v!r} appears twice in composition")
+                where = "twice in composition" if composition else "in two blocks"
+                raise InputError(f"label {v!r} appears {where}")
             seen.add(v)
-        return key
-    if kind in ("partition_m", "partition_p"):
-        blocks = [_split_labels(b, ",") for b in _split_labels(text, "/")] if text else []
-        return _KIND_CLASSES[kind](VertexPartition(blocks))
+        return _KIND_CLASSES[kind](blocks)
     # flats and matchings
     edges = [_parse_edge_token(tok) for tok in _split_labels(text, ",")] if text else []
     return _KIND_CLASSES[kind]([edge_pair(u, v) for u, v in edges])

@@ -202,6 +202,20 @@ class _OrientationMonoid(MonoidSpec):
         return left, right, QTPolynomial.monomial(qe, 0)
 
 
+def _validate_blocks(g: Graph, key, verb: str, stable: bool) -> None:
+    """Refuse blocks that do not cover g exactly once without an empty
+    block, or (when stable) that hold an edge of g."""
+    ground = {v for b in key.blocks for v in b}
+    if ground != g.vertex_set:
+        raise InputError(f"{key.literal()} does not {verb} {sorted(g.vertex_set)}")
+    if not all(key.blocks) or sum(map(len, key.blocks)) != g.n:
+        raise InputError(f"{key.literal()} repeats a label or has an empty block")
+    if stable:
+        for b in key.blocks:
+            if not enumerators._independent(g, b):
+                raise InputError(f"block {','.join(b)} is not independent")
+
+
 class _CompositionMonoid(MonoidSpec):
     key_cls = SetCompositionKey
     uses_q = True
@@ -218,15 +232,7 @@ class _CompositionMonoid(MonoidSpec):
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
-        ground = {v for b in key.blocks for v in b}
-        if ground != g.vertex_set:
-            raise InputError(f"{key.literal()} does not compose {sorted(g.vertex_set)}")
-        if not all(key.blocks) or sum(map(len, key.blocks)) != g.n:
-            raise InputError(f"{key.literal()} repeats a label or has an empty block")
-        if self.stable:
-            for b in key.blocks:
-                if not enumerators._independent(g, b):
-                    raise InputError(f"block {','.join(b)} is not independent")
+        _validate_blocks(g, key, "compose", self.stable)
 
     def product_key(self, g, S, T, x, y):
         return SetCompositionKey(x.blocks + y.blocks)
@@ -261,28 +267,22 @@ class _PartitionMonoid(MonoidSpec):
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
-        if key.partition.ground() != g.vertex_set:
-            raise InputError(f"{key.literal()} does not partition {sorted(g.vertex_set)}")
-        if self.stable:
-            for b in key.partition.blocks:
-                if not enumerators._independent(g, b):
-                    raise InputError(f"block {','.join(b)} is not independent")
+        _validate_blocks(g, key, "partition", self.stable)
 
     def product_key(self, g, S, T, x, y):
-        return self.key_cls(x.partition.union(y.partition))
+        return self.key_cls(x.blocks + y.blocks)
 
     def coproduct_key(self, g, S, T, key):
         if self.basis_tag == "p":
-            for b in key.partition.blocks:
+            for b in key.blocks:
                 hit_s = any(v in S for v in b)
                 hit_t = any(v in T for v in b)
                 if hit_s and hit_t:
                     return None
-        return (
-            self.key_cls(key.partition.restrict(S)),
-            self.key_cls(key.partition.restrict(T)),
-            QTPolynomial.one(),
-        )
+        key_cls = self.key_cls
+        left = key_cls(bb for b in key.blocks if (bb := tuple(v for v in b if v in S)))
+        right = key_cls(bb for b in key.blocks if (bb := tuple(v for v in b if v in T)))
+        return left, right, QTPolynomial.one()
 
 
 class _FlatMonoid(MonoidSpec):
@@ -498,7 +498,7 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     for k in x.terms:
         src.validate_key(g, k)
     if src.key_cls in (PartitionM, PartitionP):
-        below, payload = enumerators.partitions_refining, attrgetter("partition")
+        below, payload = enumerators.partitions_refining, attrgetter("blocks")
     else:
         below, payload = _flats_below, attrgetter("edges")
     m_to_p = mid_from.endswith(("_m", "_M"))

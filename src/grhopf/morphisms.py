@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .elements import Element, _accumulate
 from .errors import InputError
-from .graphs import Graph, VertexPartition, components_partition
+from .graphs import Graph, components_partition
 from .keys import (
     AcyclicOrientation,
     FlatM,
@@ -85,7 +85,7 @@ def _to_unit(g, key):
 
 
 def _composition_to_partition(g, key):
-    return PartitionM(VertexPartition(key.blocks))
+    return PartitionM(key.blocks)
 
 
 def _flat_to_partition(g, key):
@@ -93,7 +93,7 @@ def _flat_to_partition(g, key):
 
 
 def _partition_to_flat(g, key):
-    where = {v: i for i, b in enumerate(key.partition.blocks) for v in b}
+    where = {v: i for i, b in enumerate(key.blocks) for v in b}
     return FlatM(e for e in g.edges if where[e[0]] == where[e[1]])
 
 
@@ -169,8 +169,8 @@ def morphism_apply(name: str, g: Graph, x: Element) -> Element:
     return out
 
 
-def apply_path(path: tuple[str, ...], mid_from: str, g: Graph, x: Element) -> Element:
-    """Compose morphisms left to right along a route starting at mid_from."""
+def apply_path(path: tuple[str, ...], g: Graph, x: Element) -> Element:
+    """Compose morphisms left to right along a route starting at x's monoid."""
     cur = x
     for name in path:
         cur = morphism_apply(name, g, cur)

@@ -9,8 +9,8 @@ orientation-count/chromatic-polynomial identity, and basis-change round trips.
 `check_bimonoid` and `check_commutativity` evaluate the same key-level
 structure map on the same (graph, split, keys) arguments many times over
 (each `y` coproduct once per `x`, each first-level split once per
-tripartition sharing it).  Each call wraps its monoid in a private
-`_KeyMaps` memo that lives for that one call; the maps are pure, so the
+tripartition sharing it).  Each call works on a private `_memoized` copy
+of its monoid that lives for that one call; the maps are pure, so the
 records are exactly those of the unmemoized maps.
 
 Each check looks for a witness, its first counterexample, and `_record`
@@ -31,7 +31,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import attrgetter
 
 from .antipode import (
@@ -262,48 +262,14 @@ def _splits(g: Graph) -> list[tuple[frozenset, frozenset, Graph, Graph]]:
 # bimonoid axioms
 
 
-_NOT_COMPUTED = object()
-
-
-class _KeyMaps:
-    """A monoid whose `product_key` and `coproduct_key` remember every
-    result by its full argument tuple; every other attribute is the
-    monoid's own.  Made per check call and dropped when the call returns.
-
-    The remembered results share one instance per distinct key: a check
-    sees a few hundred distinct keys across thousands of results, and a
-    copy per result about triples the memory the memo holds."""
-
-    __slots__ = ("_spec", "_products", "_coproducts", "_keys")
-
-    def __init__(self, spec):
-        self._spec = spec
-        self._products: dict = {}
-        self._coproducts: dict = {}
-        self._keys: dict = {}
-
-    def __getattr__(self, name):
-        return getattr(self._spec, name)
-
-    def product_key(self, g: Graph, S, T, x, y):
-        args = (g, S, T, x, y)
-        out = self._products.get(args)
-        if out is None:
-            out = self._spec.product_key(g, S, T, x, y)
-            out = self._products[args] = self._keys.setdefault(out, out)
-        return out
-
-    def coproduct_key(self, g: Graph, S, T, key):
-        args = (g, S, T, key)
-        out = self._coproducts.get(args, _NOT_COMPUTED)
-        if out is _NOT_COMPUTED:
-            out = self._spec.coproduct_key(g, S, T, key)
-            if out is not None:
-                left, right, coeff = out
-                keys = self._keys
-                out = (keys.setdefault(left, left), keys.setdefault(right, right), coeff)
-            self._coproducts[args] = out
-        return out
+def _memoized(spec):
+    """A copy of the monoid whose `product_key` and `coproduct_key` remember
+    every result by its full argument tuple.  Made per check call and
+    dropped when the call returns."""
+    memo = copy.copy(spec)
+    memo.product_key = cache(spec.product_key)
+    memo.coproduct_key = cache(spec.coproduct_key)
+    return memo
 
 
 def _tensor_str(t) -> str:
@@ -468,7 +434,7 @@ def check_bimonoid(mid: str, g: Graph, key_cap: int | None = None) -> CheckRecor
     """Associativity, coassociativity, (co)unit laws, braided compatibility,
     and (for sub-monoids) closure, on one graph.  One record; the detail
     carries the first failing axiom's counterexample."""
-    spec = _KeyMaps(get_monoid(mid))
+    spec = _memoized(get_monoid(mid))
     axioms = [
         _assoc_witness,
         _coassoc_witness,
@@ -595,7 +561,7 @@ def check_commutativity(
     Returns {flavor: (holds, witness-or-None)}.  Interpretation against the
     per-monoid expectation tables happens in the suite driver, which also
     aggregates corpus-wide witnesses for the must-fail flavors."""
-    spec = _KeyMaps(get_monoid(mid))
+    spec = _memoized(get_monoid(mid))
     # flavor -> its first witness; built only when some flavor first fails
     found: dict[str, dict] = {}
 
@@ -732,8 +698,8 @@ def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> Ch
         raise InputError(f"unknown diagram {diagram_name!r}")
     for key in _capped_basis(dom_id, g, key_cap):
         x = Element.of(dom_id, g, key)
-        via_a = apply_path(path_a, dom_id, g, x)
-        via_b = apply_path(path_b, dom_id, g, x)
+        via_a = apply_path(path_a, g, x)
+        via_b = apply_path(path_b, g, x)
         if via_a != via_b:
             return _record(
                 "diagram",

@@ -17,6 +17,7 @@ from grhopf import (
     Element,
     Graph,
     InputError,
+    LinearOrder,
     Q,
     QTPolynomial,
     SetCompositionKey,
@@ -361,6 +362,19 @@ def test_antipode_element_is_linear():
     want = elem("L", g, "b<a", Q * 3) + elem("L", g, "a<b", Q * Q)
     assert y == want
     assert antipode_element("L", g, Element.zero("L", g)).is_zero
+
+
+def test_cache_refuses_a_key_that_is_not_a_basis_key_of_the_graph():
+    # an order of three labels is no basis key of the path a-b; the cache
+    # answers like every other antipode route: it refuses
+    g = Graph(["a", "b"], [("a", "b")])
+    bad = LinearOrder("abc")
+    with pytest.raises(InputError) as route:
+        antipode("L", g, bad, "milnor-moore-left")
+    for side in ("left", "right"):
+        with pytest.raises(InputError) as exc:
+            AntipodeCache("L", side).of(g, bad)
+        assert str(exc.value) == str(route.value)
 
 
 def test_cache_sides_and_table():

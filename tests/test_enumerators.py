@@ -9,8 +9,8 @@ from grhopf import (
     MONOID_IDS,
     FlatM,
     Graph,
+    PartitionM,
     SetCompositionKey,
-    VertexPartition,
     acyclic_orientations,
     bell_number,
     chromatic_value,
@@ -102,8 +102,13 @@ def test_set_compositions_count_is_fubini():
 def test_set_partitions_count_is_bell():
     for n, labels in [(0, ""), (1, "a"), (2, "ab"), (3, "abc"), (4, "abcd"), (5, "abcde")]:
         assert len(set_partitions(labels)) == bell_number(n)
-    refs = partitions_refining(VertexPartition([("a", "b", "c")]))
+    refs = partitions_refining((("a", "b", "c"),))
     assert len(refs) == bell_number(3)
+    # canonical blocks in literal order: "a,b/c" before "a/b/c"
+    assert partitions_refining((("a", "b"), ("c",))) == [
+        (("a", "b"), ("c",)),
+        (("a",), ("b",), ("c",)),
+    ]
 
 
 def test_stable_structures_on_path():
@@ -140,10 +145,10 @@ def test_every_basis_and_enumerator_is_sorted_by_literal():
             set_compositions=[k.literal() for k in set_compositions(g.vertices)],
             stable_compositions=[k.literal() for k in stable_compositions(g)],
             compositions_refining=[k.literal() for k in compositions_refining(coarse)],
-            set_partitions=[str(p) for p in set_partitions(g.vertices)],
-            stable_partitions=[str(p) for p in stable_partitions(g)],
+            set_partitions=[PartitionM(p).literal() for p in set_partitions(g.vertices)],
+            stable_partitions=[PartitionM(p).literal() for p in stable_partitions(g)],
             partitions_refining=[
-                str(p) for p in partitions_refining(VertexPartition([g.vertices]))
+                PartitionM(p).literal() for p in partitions_refining([g.vertices])
             ],
             flats=[FlatM(es).literal() for es in flats(g)],
             matchings=[FlatM(es).literal() for es in matchings(g)],
@@ -206,7 +211,7 @@ def test_stable_partitions_are_partitions_with_independent_blocks(mask):
     stable = stable_partitions(g)
     assert set(stable) <= set(set_partitions(names))
     for p in stable:
-        for block in p.blocks:
+        for block in p:
             for i, u in enumerate(block):
                 for v in block[i + 1 :]:
                     assert not g.has_edge(u, v)

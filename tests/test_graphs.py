@@ -8,7 +8,6 @@ from grhopf import (
     Graph,
     GraphParseError,
     InputError,
-    VertexPartition,
     chromatic_polynomial,
     chromatic_value,
     complete_graph,
@@ -104,20 +103,34 @@ def test_crossing_edges():
 
 def test_quotient_merges_blocks():
     g = path3()
-    q = g.quotient(VertexPartition([("a", "b"), ("c",)]))
+    q = g.quotient([("a", "b"), ("c",)])
     assert q == Graph(["a", "c"], [("a", "c")])
-    # parallel edges collapse
+    # parallel edges collapse; blocks come in any order and any iterable
     g2 = Graph(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("a", "d")])
-    q2 = g2.quotient(VertexPartition([("a", "b"), ("c",), ("d",)]))
+    q2 = g2.quotient(iter([{"d"}, ("b", "a"), ("c",)]))
     assert q2 == Graph(["a", "c", "d"], [("a", "c"), ("a", "d")])
-    with pytest.raises(InputError):
-        g.quotient(VertexPartition([("a", "b")]))
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([("a", "b")], "partition does not cover the vertex set"),
+        ([("a", "b"), ("c", "z")], "partition does not cover the vertex set"),
+        ([("a", "b"), (), ("c",)], "empty block"),
+        ([("b", "c"), ("a", "b")], "label 'b' appears in two blocks"),
+        ([("a",), ("b", "c"), ("a", "b", "c")], "label 'a' appears in two blocks"),
+    ],
+)
+def test_quotient_refuses_blocks_that_do_not_partition(blocks, message):
+    with pytest.raises(InputError) as exc:
+        path3().quotient(blocks)
+    assert str(exc.value) == message
 
 
 def test_quotient_label_cannot_collide_with_a_vertex():
     # merging a and b must not produce a second vertex named "ab"
     g = Graph(["a", "b", "ab"], [("a", "b"), ("b", "ab")])
-    q = g.quotient(VertexPartition([("a", "b"), ("ab",)]))
+    q = g.quotient([("a", "b"), ("ab",)])
     assert q == Graph(["a", "ab"], [("a", "ab")])
     assert chromatic_polynomial(g) == (0, 1, -2, 1)
 
@@ -176,32 +189,13 @@ def test_reserved_label_character_parse_error_has_its_position():
     assert "reserved character '|'" in str(exc.value)
 
 
-def test_vertex_partition_canonical_and_ops():
-    p = VertexPartition([("c",), ("a", "b")])
-    assert str(p) == "a,b/c"
-    assert p == VertexPartition([("b", "a"), ("c",)])
-    assert len(p) == 2
-    assert p.ground() == frozenset("abc")
-    assert p.restrict({"a", "c"}) == VertexPartition([("a",), ("c",)])
-    q = VertexPartition([("d", "e")])
-    assert str(p.union(q)) == "a,b/c/d,e"
-    with pytest.raises(InputError):
-        p.union(VertexPartition([("a",)]))
-    with pytest.raises(InputError):
-        VertexPartition([(), ("a",)])
-    with pytest.raises(InputError):
-        VertexPartition([("a",), ("a", "b")])
-
-
 def test_components_partition():
+    # canonical blocks: sorted labels in each block, blocks sorted
     g = fun_graph()
-    assert components_partition(g.vertices, g.edges) == VertexPartition(
-        [tuple(sorted(FUN_VERTICES))]
-    )
-    assert components_partition("abc", [("a", "b")]) == VertexPartition(
-        [("a", "b"), ("c",)]
-    )
-    assert components_partition([], []) == VertexPartition([])
+    assert components_partition(g.vertices, g.edges) == (tuple(sorted(FUN_VERTICES)),)
+    assert components_partition("cba", [("c", "b")]) == (("a",), ("b", "c"))
+    assert components_partition("dcba", [("d", "a")]) == (("a", "d"), ("b",), ("c",))
+    assert components_partition([], []) == ()
 
 
 def test_chromatic_hand_values():

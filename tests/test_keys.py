@@ -16,7 +16,6 @@ from grhopf import (
     PartitionM,
     SetCompositionKey,
     UnitKey,
-    VertexPartition,
     get_monoid,
     make_element,
     parse_key,
@@ -60,8 +59,8 @@ DIRECT_DEFECTS = {
     "composition_empty_block": ("Sigma", lambda: SetCompositionKey([("a", "b"), ()])),
     "orientation_loop": ("AO", lambda: AcyclicOrientation([("a", "a")])),
     "flat_loop": ("FL_M", lambda: FlatM([("a", "a")])),
-    # a partition cannot even be built with a repeated label
-    "partition": ("Pi_m", lambda: PartitionM(VertexPartition([("a", "b"), ("a",)]))),
+    "partition": ("Pi_m", lambda: PartitionM([("a", "b"), ("a",)])),
+    "partition_empty_block": ("Pi_m", lambda: PartitionM([("a", "b"), ()])),
 }
 
 
@@ -91,10 +90,13 @@ def test_composition_literal():
 
 
 def test_partition_literals():
-    k = parse_key("partition_m", "c/a,b")
+    k = parse_key("partition_m", "c/b,a")
     assert isinstance(k, PartitionM)
     assert k.literal() == "a,b/c"
-    assert k.partition == VertexPartition([("a", "b"), ("c",)])
+    # the payload is the canonical blocks, whatever order they came in
+    assert k.blocks == (("a", "b"), ("c",))
+    assert k == PartitionM([("c",), ("b", "a")])
+    assert parse_key("partition_m", "()").blocks == ()
     kp = parse_key("partition_p", "a/b")
     assert kp.literal() == "a/b"
     assert kp != k  # different basis kinds never compare equal

@@ -230,6 +230,23 @@ def test_partition_m_coproduct_restricts_unconditionally():
     }
 
 
+def test_partition_maps_give_canonical_blocks():
+    # restricting a,d/b,c to {c,d} leaves the blocks d then c, and the
+    # product of c with a,b lists c first: both come out sorted
+    spec = get_monoid("Pi_m")
+    g = discrete_graph("abcd")
+    left, right, coeff = spec.coproduct_key(
+        g, {"c", "d"}, {"a", "b"}, key("Pi_m", "a,d/b,c")
+    )
+    assert (left.blocks, right.blocks, coeff) == (
+        (("c",), ("d",)),
+        (("a",), ("b",)),
+        QTPolynomial.one(),
+    )
+    x, y = key("Pi_m", "c"), key("Pi_m", "a,b")
+    assert spec.product_key(g, {"c"}, {"a", "b"}, x, y).blocks == (("a", "b"), ("c",))
+
+
 def test_partition_p_coproduct_vanishes_on_split_blocks():
     g = p3()
     x = one_term("Pi_p", g, "a,b/c")

@@ -143,7 +143,7 @@ def test_morphism_apply_validates():
 def test_apply_path_composes():
     g = p3()
     x = make_element("L", g, key("L", "a<b<c"))
-    via = apply_path(("iota_L_SSigma", "pi_arrow_SSigma", "pi_AO_E"), "L", g, x)
+    via = apply_path(("iota_L_SSigma", "pi_arrow_SSigma", "pi_AO_E"), g, x)
     assert via == make_element("E", g, key("E", "unit"))
 
 

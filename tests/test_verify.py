@@ -39,7 +39,7 @@ from grhopf.verify import (
     _assoc_witness,
     _coassoc_witness,
     _compat_witness,
-    _KeyMaps,
+    _memoized,
     _unit_counit_witness,
 )
 
@@ -285,7 +285,7 @@ def test_key_maps_equal_the_raw_maps():
     for mid in MONOID_IDS:
         spec = get_monoid(mid)
         for g in corpus(3):
-            maps = _KeyMaps(spec)
+            maps = _memoized(spec)
             assert maps.id == mid and maps.empty_key() == spec.empty_key()
             for s, t in ordered_bipartitions(g.vertices):
                 assert maps.braiding(g, s, t) == spec.braiding(g, s, t)
@@ -325,7 +325,7 @@ def test_memoized_checks_report_the_raw_witnesses(monkeypatch):
 
     flavors = check_commutativity("Sigma", g)
     assert not flavors["cocommutative_exact"][0]
-    monkeypatch.setattr(verify, "_KeyMaps", lambda spec: spec)
+    monkeypatch.setattr(verify, "_memoized", lambda spec: spec)
     assert check_commutativity("Sigma", g) == flavors
     assert check_bimonoid("Sigma", g) == record
 
