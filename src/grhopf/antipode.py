@@ -189,6 +189,11 @@ class AntipodeCache:
     def of(self, g: Graph, key: BasisKey) -> Element:
         """The antipode of key, refused unless it is a basis key of g."""
         self.spec.validate_key(g, key)
+        return self._of(g, key)
+
+    def _of(self, g: Graph, key: BasisKey) -> Element:
+        """`of` for a key the caller knows to be a basis key of g, such as a
+        factor of a basis key's coproduct."""
         return _mm(self.spec, g, key, self.side, self._memo)
 
     def of_element(self, x: Element) -> Element:
@@ -212,7 +217,7 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
     if mid == "L":
         qe, te = _crossing_exponents({v: i for i, v in enumerate(key.seq)}, g.edges)
         coeff = QTPolynomial.monomial(qe, te, sign)
-        return Element.of(mid, g, LinearOrder(reversed(key.seq)), coeff)
+        return Element.of(mid, g, LinearOrder._of(key.masks[::-1]), coeff)
 
     if mid == "AO":
         coeff = QTPolynomial.monomial(len(g.edges), 0, sign)
@@ -225,15 +230,15 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
             {v: i for i, b in enumerate(key.blocks) for v in b}, g.edges
         )
         prefactor = QTPolynomial.monomial(qe, te)
-        reverse = SetCompositionKey(reversed(key.blocks))
+        reverse = SetCompositionKey._of(key.masks[::-1])
         terms = []
         for ref in compositions_refining(reverse):
-            c = prefactor if len(ref.blocks) % 2 == 0 else -prefactor
+            c = prefactor if len(ref.masks) % 2 == 0 else -prefactor
             terms.append((ref, c))
         return Element(mid, g, terms)
 
     if mid in ("Pi_p", "SPi_p"):
-        c = 1 if len(key.blocks) % 2 == 0 else -1
+        c = 1 if len(key.masks) % 2 == 0 else -1
         return Element.of(mid, g, key, c)
 
     if mid == "Pi_m":
@@ -243,7 +248,7 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
             "Pi_p",
             g,
             (
-                (k, c if len(k.blocks) % 2 == 0 else c * -1)
+                (k, c if len(k.masks) % 2 == 0 else c * -1)
                 for k, c in as_p.terms.items()
             ),
         )

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import InputError
-from .graphs import Graph, _partition_blocks, components_partition
+from .graphs import Graph, _mask_of, _partition_blocks, components_partition
 from .keys import (
     AcyclicOrientation,
     LinearOrder,
@@ -114,52 +114,39 @@ def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
 def set_compositions(labels) -> list[SetCompositionKey]:
     """All set compositions into nonempty blocks (one empty composition for
     the empty label set)."""
-    out = [
-        SetCompositionKey(blocks)
-        for blocks in _ordered_block_sequences(frozenset(labels))
-    ]
+    out = [SetCompositionKey._of(c) for c in _block_sequences(_mask_of(labels))]
     out.sort(key=lambda k: k.literal())
     return out
 
 
-def _ordered_block_sequences(labels: frozenset):
-    if not labels:
+def _block_sequences(mask: int):
+    """Every sequence of nonempty disjoint block masks covering mask."""
+    if not mask:
         yield ()
         return
-    vs = sorted(labels)
-    n = len(vs)
-    # Choose the first block as any nonempty subset, recurse on the rest.
-    for mask in range(1, 1 << n):
-        first = tuple(v for i, v in enumerate(vs) if mask >> i & 1)
-        rest = frozenset(v for i, v in enumerate(vs) if not mask >> i & 1)
-        for tail in _ordered_block_sequences(rest):
+    # Choose the first block as any nonempty submask, recurse on the rest.
+    first = mask
+    while first:
+        for tail in _block_sequences(mask ^ first):
             yield (first,) + tail
+        first = (first - 1) & mask
 
 
 def stable_compositions(g: Graph) -> list[SetCompositionKey]:
     """Compositions all of whose blocks are independent sets of g."""
     return [
-        c
-        for c in set_compositions(g.vertices)
-        if all(_independent(g, b) for b in c.blocks)
+        c for c in set_compositions(g.vertices) if all(map(g._independent, c.masks))
     ]
-
-
-def _independent(g: Graph, block) -> bool:
-    bs = set(block)
-    return not any(u in bs and v in bs for u, v in g.edges)
 
 
 def compositions_refining(coarse: SetCompositionKey) -> list[SetCompositionKey]:
     """All compositions below coarse: each block split into its own
     composition, concatenated in block order."""
-    per_block = [
-        list(_ordered_block_sequences(frozenset(b))) for b in coarse.blocks
+    per_block = [list(_block_sequences(b)) for b in coarse.masks]
+    out = [
+        SetCompositionKey._of(tuple(b for piece in choice for b in piece))
+        for choice in product(*per_block)
     ]
-    out = []
-    for choice in product(*per_block):
-        blocks = tuple(b for piece in choice for b in piece)
-        out.append(SetCompositionKey(blocks))
     out.sort(key=lambda k: k.literal())
     return out
 
@@ -191,7 +178,11 @@ def set_partitions(labels) -> list[tuple[tuple[str, ...], ...]]:
 
 
 def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
-    return [p for p in set_partitions(g.vertices) if all(_independent(g, b) for b in p)]
+    return [
+        p
+        for p in set_partitions(g.vertices)
+        if all(g._independent(_mask_of(b)) for b in p)
+    ]
 
 
 def partitions_refining(blocks) -> list[tuple[tuple[str, ...], ...]]:

@@ -1,11 +1,20 @@
-"""Finite simple graphs with labeled vertices, and set partitions of labels.
+"""Finite simple graphs with labeled vertices, set partitions of labels, and
+the vertex bits that vertex-set keys are made of.
 
-Vertices are distinct nonempty strings kept in declaration order; edges are
-unordered pairs stored as lexicographically sorted 2-tuples.  All derived
-canonical forms (blocks, serializations) use lexicographic label order, so
-equal graphs serialize identically.  A set partition is a sorted tuple of
-sorted label tuples, its blocks.  A quotient keeps each block's smallest
-label, which no other block can hold.
+Vertices are distinct nonempty strings, kept sorted; edges are unordered
+pairs stored as lexicographically sorted 2-tuples.  All derived canonical
+forms (blocks, serializations) use lexicographic label order, so equal
+graphs serialize identically.  A set partition is a sorted tuple of sorted
+label tuples, its blocks.  A quotient keeps each block's smallest label,
+which no other block can hold.
+
+One process-wide label map gives every label the program meets its own bit,
+in the order labels are first seen (a graph registers its vertices in the
+order they are declared), so a vertex set is an int mask and has the same
+mask on every graph that holds it.  The map only grows and never remaps a
+bit, so a mask stays valid for the life of the process; bit order is not
+label order, so every listing and literal decodes masks back to sorted
+labels.  Masks never leave the process: graphs and keys pickle by labels.
 
 The text format, one declaration per line::
 
@@ -46,11 +55,67 @@ def edge_pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u < v else (v, u)
 
 
+# ---------------------------------------------------------------- vertex bits
+
+_BIT: dict[str, int] = {}  # label -> its single-bit mask
+_LABEL: dict[int, str] = {}  # single-bit mask -> label
+_SET_MASKS: dict[frozenset, int] = {}
+_MASK_LABELS: dict[int, tuple[str, ...]] = {}
+
+
+def _label_bit(v: str) -> int:
+    """The bit of a label, registering the label on first sight."""
+    bit = _BIT.get(v)
+    if bit is None:
+        bit = _BIT[v] = 1 << len(_LABEL)
+        _LABEL[bit] = v
+    return bit
+
+
+def _mask_of(labels) -> int:
+    """The mask of some labels, registering new ones."""
+    mask = 0
+    for v in labels:
+        mask |= _label_bit(v)
+    return mask
+
+
+def _set_mask(labels) -> int:
+    """The mask of a label set, remembered per frozenset: the splits of the
+    structure maps are interned frozensets, so each costs one lookup."""
+    if type(labels) is not frozenset:
+        return _mask_of(labels)
+    mask = _SET_MASKS.get(labels)
+    if mask is None:
+        mask = _SET_MASKS[labels] = _mask_of(labels)
+    return mask
+
+
+def _bit_labels(bits) -> tuple[str, ...]:
+    """The label of each single-bit mask, in order."""
+    return tuple(map(_LABEL.__getitem__, bits))
+
+
+def _labels_of(mask: int) -> tuple[str, ...]:
+    """The sorted labels of a mask."""
+    labels = _MASK_LABELS.get(mask)
+    if labels is None:
+        out = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out.append(_LABEL[low])
+            rest ^= low
+        labels = _MASK_LABELS[mask] = tuple(sorted(out))
+    return labels
+
+
 class Graph:
-    __slots__ = ("vertices", "edges", "_vset", "_hash")
+    __slots__ = ("vertices", "edges", "mask", "_vset", "_hash", "_adj")
 
     def __init__(self, vertices, edges=()):
         vset = set()
+        mask = 0
         for v in vertices:
             if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
                 raise InputError(f"bad vertex label {v!r}")
@@ -62,6 +127,7 @@ class Graph:
             if v in vset:
                 raise InputError(f"duplicate vertex {v!r}")
             vset.add(v)
+            mask |= _label_bit(v)
         es = set()
         for e in edges:
             u, v = e
@@ -72,8 +138,36 @@ class Graph:
         # vertices arrived is presentation only, so canonicalize it away
         self.vertices = tuple(sorted(vset))
         self.edges = frozenset(es)
+        self.mask = mask
         self._vset = frozenset(vset)
         self._hash = hash((self.vertices, self.edges))
+        self._adj = None
+
+    def __reduce__(self):
+        # by labels: the receiving process has its own bits and string hashes
+        return Graph, (self.vertices, self.edges)
+
+    def _adjacency(self) -> dict[int, int]:
+        """Vertex bit -> mask of its neighbours, built on first use."""
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = {_BIT[v]: 0 for v in self.vertices}
+            for u, v in self.edges:
+                bu, bv = _BIT[u], _BIT[v]
+                adj[bu] |= bv
+                adj[bv] |= bu
+        return adj
+
+    def _independent(self, mask: int) -> bool:
+        """Whether the vertices of mask span no edge."""
+        adj = self._adjacency()
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if adj[low] & mask:
+                return False
+            rest ^= low
+        return True
 
     # ------------------------------------------------------------ basics
 

@@ -6,10 +6,19 @@ matchings (M or P tag), or the single unit key.
 
 A key is its class and one payload slot: `BasisKey` defines equality,
 hashing and repr from that pair once, and each key class only
-canonicalizes its payload in `__init__` and emits its literal.  The payload
-reads under its own name (`seq`, `arcs`, `blocks`, `edges`).  A set
-composition and a set partition are the same data, a tuple of sorted label
-tuples; a partition's blocks are sorted too.
+canonicalizes its payload in `__init__` and emits its literal.
+
+The vertex-set keys (orders, compositions, partitions) hold vertex masks
+over the process-wide label map of `graphs`, under the name `masks`: an
+order is the tuple of its single-bit masks, a composition the tuple of its
+block masks, and a partition the sorted tuple of its block masks.  Their
+public constructors take labels; the structure maps build keys from masks
+through `BasisKey._of`, which skips `__init__`.  Labels come back only at
+the boundary: literals, the `seq` and `blocks` label views, and pickles
+all decode the masks.  A block that repeats a label has no mask, so it
+stays its sorted label tuple, which no graph accepts.  The edge-set keys
+(`arcs`, `edges`) still hold label pairs.
+
 Constructors canonicalize but never check, because the structure maps build
 keys on every hot path; validity is checked once where keys enter the
 program: `parse_key` refuses malformed literals, and the structure
@@ -29,7 +38,7 @@ Canonical literals (also the CLI grammar)::
 from __future__ import annotations
 
 from .errors import InputError
-from .graphs import _partition_blocks, edge_pair
+from .graphs import _bit_labels, _label_bit, _labels_of, edge_pair
 
 
 class BasisKey:
@@ -38,6 +47,15 @@ class BasisKey:
 
     __slots__ = ("_payload", "_hash")
     kind: str = ""
+
+    @classmethod
+    def _of(cls, payload):
+        """The key on an already canonical payload, without `__init__`: how
+        the structure maps build keys from masks."""
+        key = object.__new__(cls)
+        key._payload = payload
+        key._hash = hash((cls.kind, payload))
+        return key
 
     def literal(self) -> str:
         raise NotImplementedError
@@ -55,14 +73,21 @@ class BasisKey:
 class LinearOrder(BasisKey):
     __slots__ = ()
     kind = "order"
-    seq = BasisKey._payload
+    masks = BasisKey._payload  # the single-bit mask of each position
 
     def __init__(self, seq):
-        self.seq = seq = tuple(seq)
-        self._hash = hash(("order", seq))
+        self.masks = masks = tuple([_label_bit(v) for v in seq])
+        self._hash = hash(("order", masks))
+
+    @property
+    def seq(self) -> tuple[str, ...]:
+        return _bit_labels(self.masks)
+
+    def __reduce__(self):
+        return LinearOrder, (self.seq,)
 
     def literal(self):
-        return "<".join(self.seq) if self.seq else "()"
+        return "<".join(self.seq) if self.masks else "()"
 
 
 class AcyclicOrientation(BasisKey):
@@ -80,26 +105,65 @@ class AcyclicOrientation(BasisKey):
         return ",".join(f"{u}>{v}" for u, v in sorted(self.arcs))
 
 
-class SetCompositionKey(BasisKey):
+def _block_mask(block):
+    """The mask of a block of labels; a block that repeats a label stays its
+    sorted label tuple (see the module docstring)."""
+    mask = size = 0
+    for v in block:
+        mask |= _label_bit(v)
+        size += 1
+    return mask if mask.bit_count() == size else tuple(sorted(block))
+
+
+def _block_labels(block) -> tuple[str, ...]:
+    """The sorted labels of a block mask, or of a block kept as labels."""
+    return block if type(block) is tuple else _labels_of(block)
+
+
+class _BlocksKey(BasisKey):
+    """A key on a tuple of block masks: a composition or a partition."""
+
+    __slots__ = ()
+
+    @property
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        """The blocks as sorted label tuples, in the literal's order."""
+        # _block_labels inlined: literals decode every block
+        return tuple([b if type(b) is tuple else _labels_of(b) for b in self.masks])
+
+    def __reduce__(self):
+        return type(self), (self.blocks,)
+
+
+class SetCompositionKey(_BlocksKey):
     __slots__ = ()
     kind = "composition"
-    blocks = BasisKey._payload  # tuple of sorted label tuples
+    masks = BasisKey._payload  # block masks in composition order
 
     def __init__(self, blocks):
-        self.blocks = blocks = tuple([tuple(sorted(b)) for b in blocks])
-        self._hash = hash(("composition", blocks))
+        self.masks = masks = tuple([_block_mask(b) for b in blocks])
+        self._hash = hash(("composition", masks))
 
     def literal(self):
         return _blocks_literal(self.blocks, "|")
 
 
-class _PartitionKey(BasisKey):
+class _PartitionKey(_BlocksKey):
     __slots__ = ()
-    blocks = BasisKey._payload  # sorted tuple of sorted label tuples
+    masks = BasisKey._payload  # sorted block masks
 
     def __init__(self, blocks):
-        self.blocks = blocks = _partition_blocks(blocks)
-        self._hash = hash((self.kind, blocks))
+        masks = [_block_mask(b) for b in blocks]
+        try:
+            masks.sort()
+        except TypeError:  # a block that repeats a label: order by labels
+            masks.sort(key=_block_labels)
+        self.masks = masks = tuple(masks)
+        self._hash = hash((self.kind, masks))
+
+    @property
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(sorted(super().blocks))
 
     def literal(self):
         return _blocks_literal(self.blocks, "/")
@@ -224,10 +288,10 @@ def parse_key(kind: str, text: str) -> BasisKey:
     if text == "()":
         text = ""
     if kind == "order":
-        key = LinearOrder(_split_labels(text, "<") if text else ())
-        if len(set(key.seq)) != len(key.seq):
-            raise InputError(f"repeated label in order {key.seq!r}")
-        return key
+        seq = tuple(_split_labels(text, "<")) if text else ()
+        if len(set(seq)) != len(seq):
+            raise InputError(f"repeated label in order {seq!r}")
+        return LinearOrder(seq)
     if kind == "orientation":
         arcs = []
         if text:

@@ -20,15 +20,14 @@ Match_M, Match_P, E.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, reduce
+from operator import attrgetter, or_
 
 from . import enumerators, keys
 from .elements import Element, TensorElement, _accumulate
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _mask_of, _set_mask
 from .keys import (
     AcyclicOrientation,
     BasisKey,
@@ -49,28 +48,36 @@ EMPTY_GRAPH = Graph(())
 
 # ---------------------------------------------------------------- statistics
 
-# Both take a rank map, vertex -> int: a linear order ranks each vertex by
-# its position, a set composition by the index of its block, so an order is
-# the composition into singletons.  The crossing count is not derived from
-# the inversion count, so the closed forms (which use the first) stay a
-# route independent of the alternating sum (which uses the second).
+# A linear order is the set composition into singletons, so one mask kernel
+# splits both.  The closed forms count with `_crossing_exponents` on a label
+# rank map instead, so they stay a route independent of the alternating sum
+# and the recursions, which count with the kernel.
 
 
-def _inversion_exponents(rank, edges, S, T) -> tuple[int, int]:
-    """(qe, te): the crossing edges, and the crossing non-edges, that join a
-    vertex of S to a strictly lower-ranked vertex of T."""
-    qe = 0
-    for a, b in edges:
-        if a in S:
-            if b in T and rank[a] > rank[b]:
-                qe += 1
-        elif b in S and a in T and rank[b] > rank[a]:
-            qe += 1
-    t_ranks = sorted([rank[v] for v in T])
-    pairs = 0
-    for s in S:
-        pairs += bisect_left(t_ranks, rank[s])
-    return qe, pairs - qe
+def _split_blocks(g: Graph, S, T, masks) -> tuple[tuple, tuple, int, int]:
+    """The (S, T) split of a sequence of block masks: the nonempty S parts
+    and T parts in block order, and (qe, te), the crossing edges and the
+    crossing non-edges that join a vertex of S to a vertex of T in a
+    strictly earlier block."""
+    s, t = _set_mask(S), _set_mask(T)
+    adj = g._adjacency()
+    left, right = [], []
+    lower_t = qe = pairs = 0  # lower_t: the T vertices of earlier blocks
+    for b in masks:
+        bs = b & s
+        if bs:
+            left.append(bs)
+            if lower_t:
+                pairs += bs.bit_count() * lower_t.bit_count()
+                while bs:
+                    low = bs & -bs
+                    qe += (adj[low] & lower_t).bit_count()
+                    bs ^= low
+        bt = b & t
+        if bt:
+            right.append(bt)
+            lower_t |= bt
+    return tuple(left), tuple(right), qe, pairs - qe
 
 
 def _crossing_exponents(rank, edges) -> tuple[int, int]:
@@ -141,30 +148,34 @@ class MonoidSpec:
         return keys.parse_key(self.key_kind, text)
 
 
-class _OrderMonoid(MonoidSpec):
-    id = "L"
-    key_cls = LinearOrder
+class _BlockSequenceMonoid(MonoidSpec):
+    """Orders and set compositions: a key is a sequence of vertex blocks,
+    the product concatenates two sequences and the coproduct splits one
+    with `_split_blocks`."""
+
     uses_q = True
     uses_t = True
+
+    def product_key(self, g, S, T, x, y):
+        return self.key_cls._of(x.masks + y.masks)
+
+    def coproduct_key(self, g, S, T, key):
+        left, right, qe, te = _split_blocks(g, S, T, key.masks)
+        key_of = self.key_cls._of
+        return key_of(left), key_of(right), QTPolynomial.monomial(qe, te)
+
+
+class _OrderMonoid(_BlockSequenceMonoid):
+    id = "L"
+    key_cls = LinearOrder
 
     def _enumerate_basis(self, g):
         return enumerators.linear_orders(g.vertices)
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
-        if len(key.seq) != g.n or set(key.seq) != g.vertex_set:
+        if len(key.masks) != g.n or reduce(or_, key.masks, 0) != g.mask:
             raise InputError(f"{key.literal()} is not an order of {sorted(g.vertex_set)}")
-
-    def product_key(self, g, S, T, x, y):
-        return LinearOrder(x.seq + y.seq)
-
-    def coproduct_key(self, g, S, T, key):
-        qe, te = _inversion_exponents(
-            {v: i for i, v in enumerate(key.seq)}, g.edges, S, T
-        )
-        left = LinearOrder(v for v in key.seq if v in S)
-        right = LinearOrder(v for v in key.seq if v in T)
-        return left, right, QTPolynomial.monomial(qe, te)
 
 
 class _OrientationMonoid(MonoidSpec):
@@ -205,21 +216,26 @@ class _OrientationMonoid(MonoidSpec):
 def _validate_blocks(g: Graph, key, verb: str, stable: bool) -> None:
     """Refuse blocks that do not cover g exactly once without an empty
     block, or (when stable) that hold an edge of g."""
-    ground = {v for b in key.blocks for v in b}
-    if ground != g.vertex_set:
+    ground = size = 0
+    for b in key.masks:
+        if type(b) is tuple:  # a block that repeats a label: its labels
+            ground |= _mask_of(b)
+            size += len(b)
+        else:
+            ground |= b
+            size += b.bit_count()
+    if ground != g.mask:
         raise InputError(f"{key.literal()} does not {verb} {sorted(g.vertex_set)}")
-    if not all(key.blocks) or sum(map(len, key.blocks)) != g.n:
+    if not all(key.masks) or size != g.n:
         raise InputError(f"{key.literal()} repeats a label or has an empty block")
-    if stable:
-        for b in key.blocks:
-            if not enumerators._independent(g, b):
-                raise InputError(f"block {','.join(b)} is not independent")
+    if stable and not all(map(g._independent, key.masks)):
+        # name the first dependent block in the literal's order
+        b = next(b for b in key.blocks if not g._independent(_mask_of(b)))
+        raise InputError(f"block {','.join(b)} is not independent")
 
 
-class _CompositionMonoid(MonoidSpec):
+class _CompositionMonoid(_BlockSequenceMonoid):
     key_cls = SetCompositionKey
-    uses_q = True
-    uses_t = True
 
     def __init__(self, mid: str, stable: bool):
         self.id = mid
@@ -233,21 +249,6 @@ class _CompositionMonoid(MonoidSpec):
     def validate_key(self, g, key):
         super().validate_key(g, key)
         _validate_blocks(g, key, "compose", self.stable)
-
-    def product_key(self, g, S, T, x, y):
-        return SetCompositionKey(x.blocks + y.blocks)
-
-    def coproduct_key(self, g, S, T, key):
-        qe, te = _inversion_exponents(
-            {v: i for i, b in enumerate(key.blocks) for v in b}, g.edges, S, T
-        )
-        left = SetCompositionKey(
-            bb for b in key.blocks if (bb := tuple(v for v in b if v in S))
-        )
-        right = SetCompositionKey(
-            bb for b in key.blocks if (bb := tuple(v for v in b if v in T))
-        )
-        return left, right, QTPolynomial.monomial(qe, te)
 
 
 class _PartitionMonoid(MonoidSpec):
@@ -270,18 +271,16 @@ class _PartitionMonoid(MonoidSpec):
         _validate_blocks(g, key, "partition", self.stable)
 
     def product_key(self, g, S, T, x, y):
-        return self.key_cls(x.blocks + y.blocks)
+        return self.key_cls._of(tuple(sorted(x.masks + y.masks)))
 
     def coproduct_key(self, g, S, T, key):
-        if self.basis_tag == "p":
-            for b in key.blocks:
-                hit_s = any(v in S for v in b)
-                hit_t = any(v in T for v in b)
-                if hit_s and hit_t:
-                    return None
-        key_cls = self.key_cls
-        left = key_cls(bb for b in key.blocks if (bb := tuple(v for v in b if v in S)))
-        right = key_cls(bb for b in key.blocks if (bb := tuple(v for v in b if v in T)))
+        s, t = _set_mask(S), _set_mask(T)
+        masks = key.masks
+        if self.basis_tag == "p" and any(b & s and b & t for b in masks):
+            return None
+        key_of = self.key_cls._of
+        left = key_of(tuple(sorted([bs for b in masks if (bs := b & s)])))
+        right = key_of(tuple(sorted([bt for b in masks if (bt := b & t)])))
         return left, right, QTPolynomial.one()
 
 

@@ -54,7 +54,8 @@ class Morphism:
 
 
 def _order_to_composition(g, key):
-    return SetCompositionKey((v,) for v in key.seq)
+    # an order's single-bit masks are the blocks of its singleton composition
+    return SetCompositionKey._of(key.masks)
 
 
 def _identity(g, key):
@@ -85,7 +86,7 @@ def _to_unit(g, key):
 
 
 def _composition_to_partition(g, key):
-    return PartitionM(key.blocks)
+    return PartitionM._of(tuple(sorted(key.masks)))
 
 
 def _flat_to_partition(g, key):

@@ -31,7 +31,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import attrgetter
 
 from .antipode import (
@@ -41,7 +41,7 @@ from .antipode import (
     antipode_closed_form,
     antipode_takeuchi,
 )
-from .elements import Element, _accumulate
+from .elements import Element, _accumulate, linear_extend
 from .enumerators import (
     _ordered_bipartitions,
     acyclic_orientations,
@@ -505,6 +505,9 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # bipartitions gives unit o counit (zero on every nonempty graph).
         # Each law takes s from the other side's recursion: a recursion
         # satisfies its own side's law by definition, whatever the maps.
+        # These laws and the involution below ask the caches unchecked:
+        # their keys are coproduct factors of basis keys and products of
+        # such factors, whose closure `_closure_witness` checks.
         if g.n > 0:
             splits = _splits(g)
             for key in basis:
@@ -521,12 +524,12 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                         if s_on_left:
                             pairs = (
                                 (spec.product_key(g, s_set, t_set, sk, rk), coeff * sc)
-                                for sk, sc in cache.of(gs, lk).terms.items()
+                                for sk, sc in cache._of(gs, lk).terms.items()
                             )
                         else:
                             pairs = (
                                 (spec.product_key(g, s_set, t_set, lk, sk), coeff * sc)
-                                for sk, sc in cache.of(gt, rk).terms.items()
+                                for sk, sc in cache._of(gt, rk).terms.items()
                             )
                         _accumulate(leftover.terms, pairs)
                     if leftover:
@@ -534,7 +537,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
 
         if mid in COMMUTATIVE_FAMILY:
             for key in basis:
-                twice = left_cache.of_element(tables[key])
+                twice = linear_extend(partial(left_cache._of, g), tables[key])
                 if twice != Element.of(mid, g, key):
                     return {
                         "law": "involution",

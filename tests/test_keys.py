@@ -1,6 +1,12 @@
 """Basis key literals: parsing, canonical emission, round trips, and where
 malformed keys are refused."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +20,7 @@ from grhopf import (
     LinearOrder,
     MatchingP,
     PartitionM,
+    PartitionP,
     SetCompositionKey,
     UnitKey,
     get_monoid,
@@ -61,6 +68,10 @@ DIRECT_DEFECTS = {
     "flat_loop": ("FL_M", lambda: FlatM([("a", "a")])),
     "partition": ("Pi_m", lambda: PartitionM([("a", "b"), ("a",)])),
     "partition_empty_block": ("Pi_m", lambda: PartitionM([("a", "b"), ()])),
+    # a block's mask cannot hold a label twice, so these must not collapse
+    # into the valid keys a and a/b
+    "composition_block_repeat": ("Sigma", lambda: SetCompositionKey([("a", "a")])),
+    "partition_block_repeat": ("Pi_m", lambda: PartitionM([("a", "a"), ("b",)])),
 }
 
 
@@ -71,6 +82,80 @@ def test_make_element_refuses_directly_built_defects(mid, build):
     for g in (Graph(["a"]), Graph(["a", "b"], [("a", "b")])):
         with pytest.raises(InputError):
             make_element(mid, g, build())
+
+
+@pytest.mark.parametrize(
+    "mid, build, on_a, on_ab",
+    [
+        (
+            "Sigma",
+            DIRECT_DEFECTS["composition_block_repeat"][1],
+            "a,a repeats a label or has an empty block",
+            "a,a does not compose ['a', 'b']",
+        ),
+        (
+            "Pi_m",
+            DIRECT_DEFECTS["partition_block_repeat"][1],
+            "a,a/b does not partition ['a']",
+            "a,a/b repeats a label or has an empty block",
+        ),
+    ],
+)
+def test_a_block_repeating_a_label_keeps_its_label_level_refusal(mid, build, on_a, on_ab):
+    key = build()
+    assert key == build() and key.blocks[0] == ("a", "a")
+    assert key != get_monoid(mid).parse_key("a" if mid == "Sigma" else "a/b")
+    for g, message in ((Graph(["a"]), on_a), (Graph(["a", "b"], [("a", "b")]), on_ab)):
+        with pytest.raises(InputError) as exc:
+            make_element(mid, g, key)
+        assert str(exc.value) == message
+
+
+def test_vertex_set_keys_pickle_by_labels():
+    # the fresh interpreter meets other labels first, so its bits differ
+    # from this process's; an unpickled key must still read and compare as
+    # the key its literal names there
+    keys = [
+        LinearOrder(["pk_c", "pk_a", "pk_b"]),
+        SetCompositionKey([("pk_b",), ("pk_c", "pk_a")]),
+        PartitionM([("pk_c",), ("pk_b", "pk_a")]),
+        PartitionP([("pk_a", "pk_c"), ("pk_b",)]),
+        SetCompositionKey([("pk_a", "pk_a")]),
+        Graph(["pk_c", "pk_a", "pk_b"], [("pk_a", "pk_c")]),
+    ]
+    script = (
+        "import pickle, sys\n"
+        "from grhopf import Graph, InputError, parse_key\n"
+        "Graph(['other_z', 'pk_b', 'other_y', 'pk_c'])\n"
+        "for obj in pickle.loads(sys.stdin.buffer.read()):\n"
+        "    if isinstance(obj, Graph):\n"
+        "        same = obj.mask == Graph(obj.vertices, obj.edges).mask\n"
+        "        print(obj.to_text().replace(chr(10), ';'), same)\n"
+        "        continue\n"
+        "    try:\n"
+        "        print(obj.literal(), obj == parse_key(obj.kind, obj.literal()))\n"
+        "    except InputError as exc:\n"
+        "        print(obj.literal(), exc)\n"
+    )
+    src = str(Path(sys.modules["grhopf"].__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(keys),
+        capture_output=True,
+        env=env,
+        check=True,
+        timeout=60,
+    ).stdout.decode().splitlines()
+    assert out == [
+        "pk_c<pk_a<pk_b True",
+        "pk_b|pk_a,pk_c True",
+        "pk_a,pk_b/pk_c True",
+        "pk_a,pk_c/pk_b True",
+        # a block repeating a label stays that defect
+        "pk_a,pk_a label 'pk_a' appears twice in composition",
+        "v pk_a;v pk_b;v pk_c;e pk_a pk_c; True",
+    ]
 
 
 def test_orientation_literal():

@@ -1,8 +1,11 @@
 """Monoid structure maps: braiding weights, products, coproducts, bases."""
 
 import math
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grhopf import (
     EMPTY_GRAPH,
@@ -30,7 +33,8 @@ from grhopf import (
     product,
     unit_element,
 )
-from grhopf.monoids import _crossing_exponents, _inversion_exponents
+from grhopf.graphs import _BIT
+from grhopf.monoids import _crossing_exponents, _split_blocks
 
 from .test_graphs import fun_graph
 
@@ -218,7 +222,63 @@ def test_exponent_helpers_count_by_their_definitions():
         for s, t in ordered_bipartitions(g.vertices):
             inverted = [(u, v) for u in s for v in t if rank[u] > rank[v]]
             qe = sum(1 for u, v in inverted if g.has_edge(u, v))
-            assert _inversion_exponents(rank, g.edges, s, t) == (qe, len(inverted) - qe)
+            assert _split_blocks(g, s, t, k.masks)[2:] == (qe, len(inverted) - qe)
+
+
+# labels no other test uses, registered in reverse order, so that their
+# bits run against their sorted order
+KERNEL_LABELS = ("kz", "ky", "kx", "kw")
+Graph(KERNEL_LABELS)
+
+
+@st.composite
+def kernel_graphs(draw):
+    labels = draw(st.lists(st.sampled_from(KERNEL_LABELS), unique=True))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(labels, edges)
+
+
+def _coproduct_by_labels(mid, g, s, t, key):
+    """The coproduct counted at label level: restricted label views, None
+    where a p-partition block meets both sides, and the crossing edges and
+    non-edges from an S vertex to a T vertex of strictly lower rank."""
+    if mid == "L":
+        rank = {v: i for i, v in enumerate(key.seq)}
+        left = tuple(v for v in key.seq if v in s)
+        right = tuple(v for v in key.seq if v in t)
+    elif mid in ("Pi_p", "SPi_p"):
+        if any(set(b) & s and set(b) & t for b in key.blocks):
+            return None
+        left = tuple(b for b in key.blocks if set(b) <= s)
+        right = tuple(b for b in key.blocks if set(b) <= t)
+        return left, right, 0, 0
+    else:
+        rank = {v: i for i, b in enumerate(key.blocks) for v in b}
+        left = tuple(bb for b in key.blocks if (bb := tuple(v for v in b if v in s)))
+        right = tuple(bb for b in key.blocks if (bb := tuple(v for v in b if v in t)))
+    lower = [(u, v) for u in s for v in t if rank[u] > rank[v]]
+    qe = sum(1 for u, v in lower if g.has_edge(u, v))
+    return left, right, qe, len(lower) - qe
+
+
+@settings(max_examples=25, deadline=None)
+@given(kernel_graphs())
+def test_mask_kernel_agrees_with_label_level_counts(g):
+    assert [_BIT[v] for v in KERNEL_LABELS] == sorted(_BIT[v] for v in KERNEL_LABELS)
+    for mid in ("L", "Sigma", "SSigma", "Pi_p", "SPi_p"):
+        spec = get_monoid(mid)
+        view = attrgetter("seq" if mid == "L" else "blocks")
+        for k in spec.basis(g):
+            for s, t in ordered_bipartitions(g.vertices):
+                want = _coproduct_by_labels(mid, g, s, t, k)
+                got = spec.coproduct_key(g, s, t, k)
+                if want is None or got is None:
+                    assert got is want, (mid, g, k, s)
+                    continue
+                lk, rk, c = got
+                assert (view(lk), view(rk)) == want[:2], (mid, g, k, s)
+                assert c == QTPolynomial.monomial(*want[2:]), (mid, g, k, s)
 
 
 def test_partition_m_coproduct_restricts_unconditionally():
