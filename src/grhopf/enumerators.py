@@ -4,6 +4,12 @@ Every enumerator returns a list sorted by the canonical literal of the
 produced object, so listings, iteration orders, and reports are
 deterministic across runs and platforms.  These are desk-scale algorithms:
 subset filters and straightforward recursion, exact and exhaustive.
+
+Compositions and partitions come from two kernels on vertex masks, each
+with a block predicate `keep` that prunes a block as soon as it is chosen:
+`_block_sequences` yields compositions and `_block_sets` partitions.  The
+stable bases keep independent blocks, the others every block (`bool`, as
+blocks are nonempty).  The public partition functions decode to labels.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import InputError
-from .graphs import Graph, _mask_of, _partition_blocks, components_partition
+from .graphs import Graph, _mask_of, components_partition
 from .keys import (
     AcyclicOrientation,
     LinearOrder,
+    PartitionM,
     SetCompositionKey,
-    _blocks_literal,
     _edges_literal,
 )
 
@@ -111,90 +117,96 @@ def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
 # ---------------------------------------------------------------- compositions
 
 
-def set_compositions(labels) -> list[SetCompositionKey]:
-    """All set compositions into nonempty blocks (one empty composition for
-    the empty label set)."""
-    out = [SetCompositionKey._of(c) for c in _block_sequences(_mask_of(labels))]
-    out.sort(key=lambda k: k.literal())
+def _keys_by_literal(cls, payloads) -> list:
+    """The keys of cls on these payloads, sorted by literal."""
+    out = [cls._of(p) for p in payloads]
+    out.sort(key=cls.literal)
     return out
 
 
-def _block_sequences(mask: int):
-    """Every sequence of nonempty disjoint block masks covering mask."""
+def _block_sequences(mask: int, keep):
+    """Every sequence of disjoint blocks covering mask, each a nonempty
+    submask that passes keep."""
     if not mask:
         yield ()
         return
     # Choose the first block as any nonempty submask, recurse on the rest.
     first = mask
     while first:
-        for tail in _block_sequences(mask ^ first):
-            yield (first,) + tail
+        if keep(first):
+            for tail in _block_sequences(mask ^ first, keep):
+                yield (first,) + tail
         first = (first - 1) & mask
+
+
+def set_compositions(labels) -> list[SetCompositionKey]:
+    """All set compositions into nonempty blocks (one empty composition for
+    the empty label set)."""
+    return _keys_by_literal(SetCompositionKey, _block_sequences(_mask_of(labels), bool))
 
 
 def stable_compositions(g: Graph) -> list[SetCompositionKey]:
     """Compositions all of whose blocks are independent sets of g."""
-    return [
-        c for c in set_compositions(g.vertices) if all(map(g._independent, c.masks))
-    ]
+    return _keys_by_literal(SetCompositionKey, _block_sequences(g.mask, g._independent))
 
 
 def compositions_refining(coarse: SetCompositionKey) -> list[SetCompositionKey]:
     """All compositions below coarse: each block split into its own
     composition, concatenated in block order."""
-    per_block = [list(_block_sequences(b)) for b in coarse.masks]
-    out = [
-        SetCompositionKey._of(tuple(b for piece in choice for b in piece))
-        for choice in product(*per_block)
-    ]
-    out.sort(key=lambda k: k.literal())
-    return out
+    per_block = [list(_block_sequences(b, bool)) for b in coarse.masks]
+    return _keys_by_literal(
+        SetCompositionKey,
+        (tuple(b for piece in choice for b in piece) for choice in product(*per_block)),
+    )
 
 
 # ---------------------------------------------------------------- partitions
 
 
-def _partitions_of(vs: tuple[str, ...]):
-    if not vs:
+def _block_sets(mask: int, keep):
+    """Every set of disjoint blocks covering mask, each passing keep: the
+    first block is the lowest bit plus any submask of the rest."""
+    if not mask:
         yield ()
         return
-    first, rest = vs[0], vs[1:]
-    for tail in _partitions_of(rest):
-        # first joins an existing block or starts its own
-        for i in range(len(tail)):
-            yield tail[:i] + ((first,) + tail[i],) + tail[i + 1 :]
-        yield ((first,),) + tail
+    low = mask & -mask
+    rest = sub = mask ^ low
+    while True:
+        if keep(low | sub):
+            for tail in _block_sets(rest ^ sub, keep):
+                yield (low | sub,) + tail
+        if not sub:
+            return
+        sub = (sub - 1) & rest
 
 
-def _partition_literal(blocks) -> str:
-    return _blocks_literal(blocks, "/")
+def _partition_keys(cls, mask: int, keep) -> list:
+    """The keys of cls on the partitions of mask into blocks that pass
+    keep, sorted by literal."""
+    return _keys_by_literal(cls, (tuple(sorted(p)) for p in _block_sets(mask, keep)))
+
+
+def _refinements(masks) -> list[tuple[int, ...]]:
+    """The payloads of all partitions below the partition with these block
+    masks, in literal order: each block partitioned independently."""
+    per_block = [list(_block_sets(b, bool)) for b in masks]
+    choices = (sorted([b for piece in c for b in piece]) for c in product(*per_block))
+    return [k.masks for k in _keys_by_literal(PartitionM, map(tuple, choices))]
 
 
 def set_partitions(labels) -> list[tuple[tuple[str, ...], ...]]:
     """All set partitions of labels, each as canonical blocks."""
-    out = [_partition_blocks(blocks) for blocks in _partitions_of(tuple(sorted(labels)))]
-    out.sort(key=_partition_literal)
-    return out
+    return [k.blocks for k in _partition_keys(PartitionM, _mask_of(labels), bool)]
 
 
 def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
-    return [
-        p
-        for p in set_partitions(g.vertices)
-        if all(g._independent(_mask_of(b)) for b in p)
-    ]
+    return [k.blocks for k in _partition_keys(PartitionM, g.mask, g._independent)]
 
 
 def partitions_refining(blocks) -> list[tuple[tuple[str, ...], ...]]:
     """All partitions below the partition with these blocks: each block
     partitioned independently."""
-    per_block = [set_partitions(b) for b in blocks]
-    out = [
-        _partition_blocks(b for piece in choice for b in piece)
-        for choice in product(*per_block)
-    ]
-    out.sort(key=_partition_literal)
-    return out
+    return [PartitionM._of(p).blocks for p in _refinements(map(_mask_of, blocks))]
 
 
 # ---------------------------------------------------------------- flats

@@ -331,11 +331,6 @@ def discrete_graph(labels) -> Graph:
 # ---------------------------------------------------------------- partitions
 
 
-def _partition_blocks(blocks) -> tuple[tuple[str, ...], ...]:
-    """The canonical form of a set partition: sorted blocks of sorted labels."""
-    return tuple(sorted([tuple(sorted(b)) for b in blocks]))
-
-
 def components_partition(vertices, edges) -> tuple[tuple[str, ...], ...]:
     """Connected components of (vertices, edges) as canonical blocks."""
     vs = list(vertices)
@@ -357,7 +352,7 @@ def components_partition(vertices, edges) -> tuple[tuple[str, ...], ...]:
     groups: dict[str, list[str]] = {}
     for v in vs:
         groups.setdefault(find(v), []).append(v)
-    return _partition_blocks(groups.values())
+    return tuple(sorted([tuple(sorted(b)) for b in groups.values()]))
 
 
 # ---------------------------------------------------------------- chromatic

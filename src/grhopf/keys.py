@@ -5,24 +5,26 @@ orientations, set compositions, set partitions (m or p tag), flats or
 matchings (M or P tag), or the single unit key.
 
 A key is its class and one payload slot: `BasisKey` defines equality,
-hashing and repr from that pair once, and each key class only
-canonicalizes its payload in `__init__` and emits its literal.
+hashing and repr from that pair once, and each key class only builds its
+payload in `__init__` and emits its literal.
 
 The vertex-set keys (orders, compositions, partitions) hold vertex masks
 over the process-wide label map of `graphs`, under the name `masks`: an
 order is the tuple of its single-bit masks, a composition the tuple of its
-block masks, and a partition the sorted tuple of its block masks.  Their
-public constructors take labels; the structure maps build keys from masks
-through `BasisKey._of`, which skips `__init__`.  Labels come back only at
-the boundary: literals, the `seq` and `blocks` label views, and pickles
-all decode the masks.  A block that repeats a label has no mask, so it
-stays its sorted label tuple, which no graph accepts.  The edge-set keys
-(`arcs`, `edges`) still hold label pairs.
+block masks, and a partition the sorted tuple of its block masks.  The
+enumerators and structure maps build them from masks through
+`BasisKey._of`, which skips `__init__`.  Labels come back only at the
+boundary: literals, the `seq` and `blocks` label views, and pickles all
+decode the masks.  The edge-set keys (`arcs`, `edges`) still hold label
+pairs.
 
-Constructors canonicalize but never check, because the structure maps build
-keys on every hot path; validity is checked once where keys enter the
-program: `parse_key` refuses malformed literals, and the structure
-catalog's `validate_key` refuses a key that is not a basis key of the graph.
+A mask cannot hold a label twice, so the label constructors of the
+vertex-set keys refuse a repeated label themselves, with `parse_key`'s
+messages, naming the first repeat in the order given; no hot path calls
+them.  The other constructors canonicalize but never check.  The rest is
+checked once where keys enter the program: `parse_key` refuses malformed
+literals and loops, and the structure catalog's `validate_key` refuses a
+key that is not a basis key of the graph, such as one with an empty block.
 
 Canonical literals (also the CLI grammar)::
 
@@ -76,7 +78,10 @@ class LinearOrder(BasisKey):
     masks = BasisKey._payload  # the single-bit mask of each position
 
     def __init__(self, seq):
+        seq = tuple(seq)
         self.masks = masks = tuple([_label_bit(v) for v in seq])
+        if len(set(masks)) != len(masks):
+            raise InputError(f"repeated label in order {seq!r}")
         self._hash = hash(("order", masks))
 
     @property
@@ -105,19 +110,20 @@ class AcyclicOrientation(BasisKey):
         return ",".join(f"{u}>{v}" for u, v in sorted(self.arcs))
 
 
-def _block_mask(block):
-    """The mask of a block of labels; a block that repeats a label stays its
-    sorted label tuple (see the module docstring)."""
-    mask = size = 0
-    for v in block:
-        mask |= _label_bit(v)
-        size += 1
-    return mask if mask.bit_count() == size else tuple(sorted(block))
-
-
-def _block_labels(block) -> tuple[str, ...]:
-    """The sorted labels of a block mask, or of a block kept as labels."""
-    return block if type(block) is tuple else _labels_of(block)
+def _block_masks(blocks, where: str) -> list[int]:
+    """The mask of each block of labels, refusing the first label met twice
+    ("label 'a' appears <where>")."""
+    masks = []
+    seen = 0
+    for b in blocks:
+        before = seen
+        for v in b:
+            bit = _label_bit(v)
+            if seen & bit:
+                raise InputError(f"label {v!r} appears {where}")
+            seen |= bit
+        masks.append(seen ^ before)
+    return masks
 
 
 class _BlocksKey(BasisKey):
@@ -128,8 +134,7 @@ class _BlocksKey(BasisKey):
     @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
         """The blocks as sorted label tuples, in the literal's order."""
-        # _block_labels inlined: literals decode every block
-        return tuple([b if type(b) is tuple else _labels_of(b) for b in self.masks])
+        return tuple(map(_labels_of, self.masks))
 
     def __reduce__(self):
         return type(self), (self.blocks,)
@@ -141,7 +146,7 @@ class SetCompositionKey(_BlocksKey):
     masks = BasisKey._payload  # block masks in composition order
 
     def __init__(self, blocks):
-        self.masks = masks = tuple([_block_mask(b) for b in blocks])
+        self.masks = masks = tuple(_block_masks(blocks, "twice in composition"))
         self._hash = hash(("composition", masks))
 
     def literal(self):
@@ -153,12 +158,7 @@ class _PartitionKey(_BlocksKey):
     masks = BasisKey._payload  # sorted block masks
 
     def __init__(self, blocks):
-        masks = [_block_mask(b) for b in blocks]
-        try:
-            masks.sort()
-        except TypeError:  # a block that repeats a label: order by labels
-            masks.sort(key=_block_labels)
-        self.masks = masks = tuple(masks)
+        self.masks = masks = tuple(sorted(_block_masks(blocks, "in two blocks")))
         self._hash = hash((self.kind, masks))
 
     @property
@@ -288,10 +288,7 @@ def parse_key(kind: str, text: str) -> BasisKey:
     if text == "()":
         text = ""
     if kind == "order":
-        seq = tuple(_split_labels(text, "<")) if text else ()
-        if len(set(seq)) != len(seq):
-            raise InputError(f"repeated label in order {seq!r}")
-        return LinearOrder(seq)
+        return LinearOrder(_split_labels(text, "<") if text else ())
     if kind == "orientation":
         arcs = []
         if text:
@@ -306,17 +303,10 @@ def parse_key(kind: str, text: str) -> BasisKey:
             raise InputError(f"loop arc at {loop!r}")
         return AcyclicOrientation(arcs)
     if kind in ("composition", "partition_m", "partition_p"):
-        composition = kind == "composition"
-        parts = _split_labels(text, "|" if composition else "/") if text else []
-        blocks = [sorted(_split_labels(b, ",")) for b in parts]
-        # report the first repeat in the literal's own block order
-        seen: set[str] = set()
-        for v in (v for b in blocks for v in b):
-            if v in seen:
-                where = "twice in composition" if composition else "in two blocks"
-                raise InputError(f"label {v!r} appears {where}")
-            seen.add(v)
-        return _KIND_CLASSES[kind](blocks)
+        parts = _split_labels(text, "|" if kind == "composition" else "/") if text else []
+        # sorted blocks: the constructor names the first repeat in the
+        # literal's own block order
+        return _KIND_CLASSES[kind]([sorted(_split_labels(b, ",")) for b in parts])
     # flats and matchings
     edges = [_parse_edge_token(tok) for tok in _split_labels(text, ",")] if text else []
     return _KIND_CLASSES[kind]([edge_pair(u, v) for u, v in edges])

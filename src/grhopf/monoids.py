@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from operator import attrgetter, or_
+from operator import or_
 
 from . import enumerators, keys
 from .elements import Element, TensorElement, _accumulate
@@ -218,12 +218,8 @@ def _validate_blocks(g: Graph, key, verb: str, stable: bool) -> None:
     block, or (when stable) that hold an edge of g."""
     ground = size = 0
     for b in key.masks:
-        if type(b) is tuple:  # a block that repeats a label: its labels
-            ground |= _mask_of(b)
-            size += len(b)
-        else:
-            ground |= b
-            size += b.bit_count()
+        ground |= b
+        size += b.bit_count()
     if ground != g.mask:
         raise InputError(f"{key.literal()} does not {verb} {sorted(g.vertex_set)}")
     if not all(key.masks) or size != g.n:
@@ -259,12 +255,8 @@ class _PartitionMonoid(MonoidSpec):
         self.key_cls = PartitionM if basis_tag == "m" else PartitionP
 
     def _enumerate_basis(self, g):
-        parts = (
-            enumerators.stable_partitions(g)
-            if self.stable
-            else enumerators.set_partitions(g.vertices)
-        )
-        return [self.key_cls(p) for p in parts]
+        keep = g._independent if self.stable else bool
+        return enumerators._partition_keys(self.key_cls, g.mask, keep)
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
@@ -386,8 +378,11 @@ def make_element(mid: str, g: Graph, key_or_terms, coeff=1) -> Element:
     spec = get_monoid(mid)
     if isinstance(key_or_terms, BasisKey):
         terms = [(key_or_terms, coeff)]
+    elif isinstance(key_or_terms, dict):
+        terms = list(key_or_terms.items())
     else:
         terms = list(key_or_terms)
+    # before Element merges the terms, so a key whose terms cancel is checked
     for k, _c in terms:
         spec.validate_key(g, k)
     return Element(mid, g, terms)
@@ -478,7 +473,8 @@ def _p_in_m(below, top) -> tuple[tuple[object, int], ...]:
     """The p (or P) basis element at `top` in the m (or M) basis, as
     (payload, coefficient) pairs: p_x = m_x minus the sum of p_y over every
     y that `below(x)` lists other than x, recursively.  Neither lattice
-    depends on the graph, so neither does the table."""
+    depends on the graph (partition masks are process-wide), so neither
+    does the table."""
     acc = {top: 1}
     for y in below(top):
         if y != top:
@@ -496,14 +492,13 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     dst = get_monoid(mid_to)
     for k in x.terms:
         src.validate_key(g, k)
-    if src.key_cls in (PartitionM, PartitionP):
-        below, payload = enumerators.partitions_refining, attrgetter("blocks")
-    else:
-        below, payload = _flats_below, attrgetter("edges")
+    partitions = src.key_cls in (PartitionM, PartitionP)
+    below = enumerators._refinements if partitions else _flats_below
     m_to_p = mid_from.endswith(("_m", "_M"))
+    key_of = dst.key_cls._of
 
     def images(k, c):
-        top = payload(k)
+        top = k._payload
         if m_to_p:
             # m_x = sum of p_y over every y below x
             return ((y, c) for y in below(top))
@@ -513,7 +508,7 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     _accumulate(
         out.terms,
         (
-            (dst.key_cls(y), cy)
+            (key_of(y), cy)
             for k, c in x.terms.items()
             for y, cy in images(k, c)
         ),

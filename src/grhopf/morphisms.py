@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .elements import Element, _accumulate
 from .errors import InputError
-from .graphs import Graph, components_partition
+from .graphs import Graph, _mask_of, components_partition
 from .keys import (
     AcyclicOrientation,
     FlatM,
@@ -90,7 +90,8 @@ def _composition_to_partition(g, key):
 
 
 def _flat_to_partition(g, key):
-    return PartitionP(components_partition(g.vertices, key.edges))
+    comp = components_partition(g.vertices, key.edges)
+    return PartitionP._of(tuple(sorted(map(_mask_of, comp))))
 
 
 def _partition_to_flat(g, key):

@@ -1,8 +1,9 @@
 """Structure enumeration: counts against independent formulas, order tests."""
 
 import math
+from itertools import permutations, product
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grhopf import (
@@ -32,6 +33,7 @@ from grhopf import (
     stable_compositions,
     stable_partitions,
 )
+from grhopf.graphs import _BIT
 
 
 def path3():
@@ -226,3 +228,57 @@ def test_flats_closed_under_component_closure(mask):
         assert is_flat(g, f)
     for m in matchings(g):
         assert is_matching(m) and is_flat(g, m)
+
+
+# registered against their sorted order, so the mask kernels meet labels
+# whose bit order is the reverse of their literal order
+ORACLE_LABELS = ("ov5", "ov4", "ov3", "ov2", "ov1")
+Graph(ORACLE_LABELS)
+
+
+def _partitions_by_labels(vs):
+    """Every set partition of the labels vs, recursively: the first label
+    joins a block of a partition of the rest, or starts its own."""
+    if not vs:
+        yield ()
+        return
+    first, rest = vs[0], vs[1:]
+    for tail in _partitions_by_labels(rest):
+        for i in range(len(tail)):
+            yield tail[:i] + ((first,) + tail[i],) + tail[i + 1 :]
+        yield ((first,),) + tail
+
+
+def _canonical(blocks):
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def _by_literal(structures, sep):
+    return sorted(structures, key=lambda blocks: sep.join(",".join(b) for b in blocks))
+
+
+@st.composite
+def oracle_graphs(draw):
+    labels = draw(st.lists(st.sampled_from(ORACLE_LABELS), unique=True))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(labels, edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(oracle_graphs())
+def test_mask_kernels_agree_with_label_level_brute_force(g):
+    assert [_BIT[v] for v in ORACLE_LABELS] == sorted(_BIT[v] for v in ORACLE_LABELS)
+
+    def independent(block):
+        return not any(g.has_edge(u, v) for i, u in enumerate(block) for v in block[i + 1 :])
+
+    every = _by_literal(map(_canonical, _partitions_by_labels(g.vertices)), "/")
+    assert set_partitions(g.vertices) == every
+    assert stable_partitions(g) == [p for p in every if all(map(independent, p))]
+    for coarse in every:
+        per_block = [list(_partitions_by_labels(b)) for b in coarse]
+        below = {_canonical(b for piece in choice for b in piece) for choice in product(*per_block)}
+        assert partitions_refining(coarse) == _by_literal(below, "/"), coarse
+    compositions = [c for p in every for c in permutations(p) if all(map(independent, c))]
+    assert [k.blocks for k in stable_compositions(g)] == _by_literal(compositions, "|")

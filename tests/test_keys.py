@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from grhopf import (
     MONOID_IDS,
     AcyclicOrientation,
+    Element,
     FlatM,
     Graph,
     InputError,
@@ -58,20 +59,13 @@ def test_parse_key_refuses_repeated_labels_and_loops(kind, literal, message):
     assert str(exc.value) == message
 
 
-# key constructors only canonicalize; a defective key built directly is
+# defects that no key constructor can see: a key built directly with one is
 # refused where it enters an element
 DIRECT_DEFECTS = {
-    "order": ("L", lambda: LinearOrder(("a", "b", "a"))),
-    "composition_repeat": ("Sigma", lambda: SetCompositionKey([("a",), ("a",)])),
     "composition_empty_block": ("Sigma", lambda: SetCompositionKey([("a", "b"), ()])),
     "orientation_loop": ("AO", lambda: AcyclicOrientation([("a", "a")])),
     "flat_loop": ("FL_M", lambda: FlatM([("a", "a")])),
-    "partition": ("Pi_m", lambda: PartitionM([("a", "b"), ("a",)])),
     "partition_empty_block": ("Pi_m", lambda: PartitionM([("a", "b"), ()])),
-    # a block's mask cannot hold a label twice, so these must not collapse
-    # into the valid keys a and a/b
-    "composition_block_repeat": ("Sigma", lambda: SetCompositionKey([("a", "a")])),
-    "partition_block_repeat": ("Pi_m", lambda: PartitionM([("a", "a"), ("b",)])),
 }
 
 
@@ -84,31 +78,63 @@ def test_make_element_refuses_directly_built_defects(mid, build):
             make_element(mid, g, build())
 
 
+# a mask cannot hold a label twice, so the label constructors refuse a
+# repeat themselves, with parse_key's messages and the first repeat in the
+# order given
+CONSTRUCTOR_REFUSALS = {
+    "order": (
+        lambda: LinearOrder(("a", "b", "a")),
+        "repeated label in order ('a', 'b', 'a')",
+    ),
+    "order_generator": (
+        lambda: LinearOrder(v for v in ("a", "b", "a")),
+        "repeated label in order ('a', 'b', 'a')",
+    ),
+    "composition_repeat": (
+        lambda: SetCompositionKey([("a",), ("a",)]),
+        "label 'a' appears twice in composition",
+    ),
+    "composition_block_repeat": (
+        lambda: SetCompositionKey([("a", "a")]),
+        "label 'a' appears twice in composition",
+    ),
+    "composition_first_repeat": (
+        lambda: SetCompositionKey([("c", "d"), ("d", "c")]),
+        "label 'd' appears twice in composition",
+    ),
+    "partition": (
+        lambda: PartitionM([("a", "b"), ("a",)]),
+        "label 'a' appears in two blocks",
+    ),
+    "partition_block_repeat": (
+        lambda: PartitionP([("a", "a"), ("b",)]),
+        "label 'a' appears in two blocks",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "mid, build, on_a, on_ab",
-    [
-        (
-            "Sigma",
-            DIRECT_DEFECTS["composition_block_repeat"][1],
-            "a,a repeats a label or has an empty block",
-            "a,a does not compose ['a', 'b']",
-        ),
-        (
-            "Pi_m",
-            DIRECT_DEFECTS["partition_block_repeat"][1],
-            "a,a/b does not partition ['a']",
-            "a,a/b repeats a label or has an empty block",
-        ),
-    ],
+    "build, message", CONSTRUCTOR_REFUSALS.values(), ids=CONSTRUCTOR_REFUSALS
 )
-def test_a_block_repeating_a_label_keeps_its_label_level_refusal(mid, build, on_a, on_ab):
-    key = build()
-    assert key == build() and key.blocks[0] == ("a", "a")
-    assert key != get_monoid(mid).parse_key("a" if mid == "Sigma" else "a/b")
-    for g, message in ((Graph(["a"]), on_a), (Graph(["a", "b"], [("a", "b")]), on_ab)):
+def test_key_constructors_refuse_repeated_labels(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_make_element_takes_the_term_forms_of_element():
+    g = Graph(["a", "b"])
+    ab = parse_key("order", "a<b")
+    want = Element("L", g, {ab: 2})
+    assert str(want) == "(2) a<b"
+    for terms in ({ab: 2}, [(ab, 2)], ((k, c) for k, c in [(ab, 2)])):
+        assert make_element("L", g, terms) == want
+    # every key is checked, also where its terms cancel
+    stray = parse_key("order", "a<c")
+    for terms in ({stray: 0}, [(stray, 1), (stray, -1)]):
         with pytest.raises(InputError) as exc:
-            make_element(mid, g, key)
-        assert str(exc.value) == message
+            make_element("L", g, terms)
+        assert str(exc.value) == "a<c is not an order of ['a', 'b']"
 
 
 def test_vertex_set_keys_pickle_by_labels():
@@ -120,22 +146,18 @@ def test_vertex_set_keys_pickle_by_labels():
         SetCompositionKey([("pk_b",), ("pk_c", "pk_a")]),
         PartitionM([("pk_c",), ("pk_b", "pk_a")]),
         PartitionP([("pk_a", "pk_c"), ("pk_b",)]),
-        SetCompositionKey([("pk_a", "pk_a")]),
         Graph(["pk_c", "pk_a", "pk_b"], [("pk_a", "pk_c")]),
     ]
     script = (
         "import pickle, sys\n"
-        "from grhopf import Graph, InputError, parse_key\n"
+        "from grhopf import Graph, parse_key\n"
         "Graph(['other_z', 'pk_b', 'other_y', 'pk_c'])\n"
         "for obj in pickle.loads(sys.stdin.buffer.read()):\n"
         "    if isinstance(obj, Graph):\n"
         "        same = obj.mask == Graph(obj.vertices, obj.edges).mask\n"
         "        print(obj.to_text().replace(chr(10), ';'), same)\n"
         "        continue\n"
-        "    try:\n"
-        "        print(obj.literal(), obj == parse_key(obj.kind, obj.literal()))\n"
-        "    except InputError as exc:\n"
-        "        print(obj.literal(), exc)\n"
+        "    print(obj.literal(), obj == parse_key(obj.kind, obj.literal()))\n"
     )
     src = str(Path(sys.modules["grhopf"].__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -152,8 +174,6 @@ def test_vertex_set_keys_pickle_by_labels():
         "pk_b|pk_a,pk_c True",
         "pk_a,pk_b/pk_c True",
         "pk_a,pk_c/pk_b True",
-        # a block repeating a label stays that defect
-        "pk_a,pk_a label 'pk_a' appears twice in composition",
         "v pk_a;v pk_b;v pk_c;e pk_a pk_c; True",
     ]
 
