@@ -205,8 +205,8 @@ def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
 
 def partitions_refining(blocks) -> list[tuple[tuple[str, ...], ...]]:
     """All partitions below the partition with these blocks: each block
-    partitioned independently."""
-    return [PartitionM._of(p).blocks for p in _refinements(map(_mask_of, blocks))]
+    partitioned independently.  Blocks that share a label are refused."""
+    return [PartitionM._of(p).blocks for p in _refinements(PartitionM(blocks).masks)]
 
 
 # ---------------------------------------------------------------- flats

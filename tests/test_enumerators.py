@@ -3,6 +3,7 @@
 import math
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from grhopf import (
     MONOID_IDS,
     FlatM,
     Graph,
+    InputError,
     PartitionM,
     SetCompositionKey,
     acyclic_orientations,
@@ -111,6 +113,9 @@ def test_set_partitions_count_is_bell():
         (("a", "b"), ("c",)),
         (("a",), ("b",), ("c",)),
     ]
+    # overlapping blocks are no partition to refine
+    with pytest.raises(InputError, match="label 'a' appears in two blocks"):
+        partitions_refining((("a", "b"), ("a",)))
 
 
 def test_stable_structures_on_path():
