@@ -68,8 +68,19 @@ DIRECT_DEFECTS = {
     "partition_empty_block": ("Pi_m", lambda: PartitionM([("a", "b"), ()])),
 }
 
+# a block repeating a label is refused by its constructor, so it never
+# reaches make_element as the valid key a or a/b
+BLOCK_REPEATS = {
+    "composition_block_repeat": ("Sigma", lambda: SetCompositionKey([("a", "a")])),
+    "partition_block_repeat": ("Pi_m", lambda: PartitionM([("a", "a"), ("b",)])),
+}
 
-@pytest.mark.parametrize("mid, build", DIRECT_DEFECTS.values(), ids=DIRECT_DEFECTS)
+
+@pytest.mark.parametrize(
+    "mid, build",
+    [*DIRECT_DEFECTS.values(), *BLOCK_REPEATS.values()],
+    ids=[*DIRECT_DEFECTS, *BLOCK_REPEATS],
+)
 def test_make_element_refuses_directly_built_defects(mid, build):
     # the labels of each defect cover the vertex set of one graph exactly,
     # so only the key's own defect can refuse it there
@@ -120,6 +131,36 @@ def test_key_constructors_refuse_repeated_labels(build, message):
     with pytest.raises(InputError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "mid, build, case, collapsed, message",
+    [
+        (
+            "Sigma",
+            BLOCK_REPEATS["composition_block_repeat"][1],
+            "a,a repeats a label inside one block",
+            "a",
+            "label 'a' appears twice in composition",
+        ),
+        (
+            "Pi_m",
+            BLOCK_REPEATS["partition_block_repeat"][1],
+            "a,a/b does not collapse into a/b",
+            "a/b",
+            "label 'a' appears in two blocks",
+        ),
+    ],
+)
+def test_a_block_repeating_a_label_keeps_its_label_level_refusal(
+    mid, build, case, collapsed, message
+):
+    # the repeat is refused on labels, before a mask could drop it and
+    # leave the valid key it would collapse into
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message, case
+    assert get_monoid(mid).parse_key(collapsed).literal() == collapsed
 
 
 def test_make_element_takes_the_term_forms_of_element():
