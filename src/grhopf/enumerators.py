@@ -3,13 +3,15 @@
 Every enumerator returns a list sorted by the canonical literal of the
 produced object, so listings, iteration orders, and reports are
 deterministic across runs and platforms.  These are desk-scale algorithms:
-subset filters and straightforward recursion, exact and exhaustive.
+exact, exhaustive, and pruned as soon as a branch fails.
 
 Compositions and partitions come from two kernels on vertex masks, each
 with a block predicate `keep` that prunes a block as soon as it is chosen:
 `_block_sequences` yields compositions and `_block_sets` partitions.  The
 stable bases keep independent blocks, the others every block (`bool`, as
-blocks are nonempty).  The public partition functions decode to labels.
+blocks are nonempty).  A flat is the edges inside the blocks of a partition
+into connected blocks, a matching those of a partition into vertices and
+edges.  Labels are decoded at the boundary, where a repeated one is refused.
 """
 
 from __future__ import annotations
@@ -24,12 +26,16 @@ from .keys import (
     LinearOrder,
     PartitionM,
     SetCompositionKey,
+    _block_masks,
     _edges_literal,
 )
 
 
-def _sorted_edges(g: Graph):
-    return sorted(g.edges)
+def _keys_by_literal(cls, payloads) -> list:
+    """The keys of cls on these payloads, sorted by literal."""
+    out = [cls._of(p) for p in payloads]
+    out.sort(key=cls.literal)
+    return out
 
 
 # ---------------------------------------------------------------- splits
@@ -47,6 +53,7 @@ _LABEL_SETS: dict[frozenset, frozenset] = {}
 
 @lru_cache(maxsize=None)
 def _ordered_bipartitions(vs: tuple) -> tuple[tuple[frozenset, frozenset], ...]:
+    _block_masks([vs], "twice in split")
     out = []
     for mask in range(1 << len(vs)):
         s = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
@@ -57,16 +64,14 @@ def _ordered_bipartitions(vs: tuple) -> tuple[tuple[frozenset, frozenset], ...]:
 
 
 def ordered_tripartitions(labels) -> list[tuple[frozenset, frozenset, frozenset]]:
-    """All 3^n ordered triples of disjoint (possibly empty) covering parts."""
-    vs = sorted(labels)
-    out = []
-    for assign in product(range(3), repeat=len(vs)):
-        parts = [[], [], []]
-        for v, a in zip(vs, assign):
-            parts[a].append(v)
-        out.append(tuple(frozenset(p) for p in parts))
-    out.sort(key=lambda abc: tuple(sorted(p) for p in abc))
-    return out
+    """All 3^n ordered triples (A, B, C) of disjoint (possibly empty) parts
+    covering labels: each split (A, rest) with rest split again, which
+    lists them in (sorted A, sorted B) order."""
+    return [
+        (a, b, c)
+        for a, rest in _ordered_bipartitions(tuple(sorted(labels)))
+        for b, c in _ordered_bipartitions(tuple(sorted(rest)))
+    ]
 
 
 # ---------------------------------------------------------------- orders
@@ -101,27 +106,20 @@ def _is_acyclic(arcs) -> bool:
 
 
 def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
-    edges = _sorted_edges(g)
-    out = []
-    for mask in range(1 << len(edges)):
-        arcs = tuple(
-            (u, v) if mask >> i & 1 == 0 else (v, u)
-            for i, (u, v) in enumerate(edges)
-        )
-        if _is_acyclic(arcs):
-            out.append(AcyclicOrientation(arcs))
-    out.sort(key=lambda k: k.literal())
-    return out
+    """The sorted edges are oriented one at a time, each both ways, and an
+    arc set is dropped as soon as it holds a directed cycle."""
+    partial = [()]
+    for u, v in sorted(g.edges):
+        partial = [
+            grown
+            for arcs in partial
+            for grown in (arcs + ((u, v),), arcs + ((v, u),))
+            if _is_acyclic(grown)
+        ]
+    return _keys_by_literal(AcyclicOrientation, map(frozenset, partial))
 
 
 # ---------------------------------------------------------------- compositions
-
-
-def _keys_by_literal(cls, payloads) -> list:
-    """The keys of cls on these payloads, sorted by literal."""
-    out = [cls._of(p) for p in payloads]
-    out.sort(key=cls.literal)
-    return out
 
 
 def _block_sequences(mask: int, keep):
@@ -142,7 +140,8 @@ def _block_sequences(mask: int, keep):
 def set_compositions(labels) -> list[SetCompositionKey]:
     """All set compositions into nonempty blocks (one empty composition for
     the empty label set)."""
-    return _keys_by_literal(SetCompositionKey, _block_sequences(_mask_of(labels), bool))
+    (mask,) = _block_masks([labels], "twice in composition")
+    return _keys_by_literal(SetCompositionKey, _block_sequences(mask, bool))
 
 
 def stable_compositions(g: Graph) -> list[SetCompositionKey]:
@@ -196,7 +195,8 @@ def _refinements(masks) -> list[tuple[int, ...]]:
 
 def set_partitions(labels) -> list[tuple[tuple[str, ...], ...]]:
     """All set partitions of labels, each as canonical blocks."""
-    return [k.blocks for k in _partition_keys(PartitionM, _mask_of(labels), bool)]
+    (mask,) = _block_masks([labels], "twice in partition")
+    return [k.blocks for k in _partition_keys(PartitionM, mask, bool)]
 
 
 def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
@@ -219,8 +219,7 @@ def is_flat(g: Graph, edges) -> bool:
     if not es <= g.edges:
         raise InputError("not a subset of the graph's edges")
     comp = components_partition(g.vertices, es)
-    where = {v: i for i, b in enumerate(comp) for v in b}
-    return all(e in es for e in g.edges if where[e[0]] == where[e[1]])
+    return g._edges_inside([_mask_of(b) for b in comp]) == es
 
 
 def is_matching(edges) -> bool:
@@ -233,28 +232,24 @@ def is_matching(edges) -> bool:
     return True
 
 
-def _edge_subsets(g: Graph):
-    edges = _sorted_edges(g)
-    for mask in range(1 << len(edges)):
-        yield frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-
-
-@lru_cache(maxsize=None)
-def _flat_sets(g: Graph) -> tuple[frozenset, ...]:
-    out = [es for es in _edge_subsets(g) if is_flat(g, es)]
+def _edge_sets(g: Graph, keep) -> list[frozenset]:
+    """The edges inside the blocks of each partition of g into blocks that
+    pass keep, sorted by literal."""
+    out = [g._edges_inside(p) for p in _block_sets(g.mask, keep)]
     out.sort(key=_edges_literal)
-    return tuple(out)
+    return out
 
 
 def flats(g: Graph) -> list[frozenset]:
-    """All flats of g as edge sets."""
-    return list(_flat_sets(g))
+    """All flats of g as edge sets: the edges inside the blocks of each
+    partition of g into connected blocks."""
+    return _edge_sets(g, g._connected)
 
 
 def matchings(g: Graph) -> list[frozenset]:
-    out = [es for es in _edge_subsets(g) if is_matching(es)]
-    out.sort(key=_edges_literal)
-    return out
+    """All matchings of g as edge sets: the edges inside the blocks of each
+    partition of g into single vertices and edges."""
+    return _edge_sets(g, lambda b: b.bit_count() <= 2 and g._connected(b))
 
 
 # ---------------------------------------------------------------- counting

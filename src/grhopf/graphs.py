@@ -169,6 +169,24 @@ class Graph:
             rest ^= low
         return True
 
+    def _connected(self, mask: int) -> bool:
+        """Whether the vertices of the nonempty mask span a connected
+        subgraph: everything reached from its lowest bit inside mask."""
+        adj = self._adjacency()
+        seen = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            new = adj[low] & mask & ~seen
+            seen |= new
+            todo = (todo ^ low) | new
+        return seen == mask
+
+    def _edges_inside(self, masks) -> frozenset:
+        """The edges with both ends in one of the blocks masks."""
+        return frozenset(
+            e for e in self.edges if any(_BIT[e[0]] & b and _BIT[e[1]] & b for b in masks)
+        )
+
     # ------------------------------------------------------------ basics
 
     @property

@@ -288,7 +288,7 @@ class _FlatMonoid(MonoidSpec):
 
     def _enumerate_basis(self, g):
         sets = enumerators.matchings(g) if self.matchings_only else enumerators.flats(g)
-        return [self.key_cls(es) for es in sets]
+        return [self.key_cls._of(es) for es in sets]
 
     def validate_key(self, g, key):
         super().validate_key(g, key)

@@ -95,8 +95,7 @@ def _flat_to_partition(g, key):
 
 
 def _partition_to_flat(g, key):
-    where = {v: i for i, b in enumerate(key.blocks) for v in b}
-    return FlatM(e for e in g.edges if where[e[0]] == where[e[1]])
+    return FlatM._of(g._edges_inside(key.masks))
 
 
 def _unit_to_flat(g, key):

@@ -1,11 +1,13 @@
 """Command line surface: subcommands, exit codes, deterministic bytes."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from grhopf.cli import main
+from grhopf.monoids import BASIS_PARTNER, MONOID_IDS
 
 P3_TEXT = "v a\nv b\nv c\ne a b\ne b c\n"
 
@@ -280,3 +282,69 @@ def test_split_tolerates_spaces(capsys, p3_path):
     )
     assert code == 0
     assert "(x)" in out
+
+
+# ---------------------------------------------------------------- transcript
+
+# Two graphs whose declaration order is not label order, so bits do not
+# follow literals: a triangle a-b-c with a tail c-d-e, and the 4-cycle
+# y-x2-x10-x1.  The second graph spells the transcript's literals through
+# TRANSCRIPT_LABELS, so "e" names a label outside it.
+TRANSCRIPT_GRAPHS = (
+    "v d\nv b\nv e\nv a\nv c\ne a b\ne b c\ne a c\ne c d\ne d e\n",
+    "v y\nv x2\nv x10\nv x1\ne y x2\ne x2 x10\ne x10 x1\ne x1 y\n",
+)
+TRANSCRIPT_LABELS = ({}, {"a": "x1", "b": "x10", "c": "x2", "d": "y", "e": "z"})
+# malformed or refused literals, each sent to every monoid: repeated labels,
+# empty labels and blocks, non-covers, dependent blocks, loops, edges outside
+# the graph, a non-flat and a non-matching
+REFUSED_LITERALS = (
+    "a<b<a", "a<b", "b<a<c<d<e<a", "a>b,b>a", "a>a", "a,a|b", "a,a", "a|a",
+    "a||b", "a|b,a|c,d,e", "b,a,b|c,d,e", "a/a", "a,a/b", "a,b/a", "a//b",
+    "a,b//c", "a,,b/c,d,e", "b,a/a,b/c,d,e", "a,b/c", "a,b/c/d/e", "a,b|c|d|e",
+    "a-a", "abc", "a-e", "a-b,b-c", "a-b,a-c", "a-b,c-d,a-b", "unit,a",
+)
+# (calls, sha256 of the transcript)
+TRANSCRIPT_DIGEST = (1779, "564abefd6ca64516edb03d69305c69f2b0c419c02a565eb0c5f26f2fc1efe5cf")
+
+
+def _transcript(capsys, graph_path, labels):
+    """Every call of the sweep on one graph, with its exit code, stdout and
+    stderr; basis keys are read from the sweep's own listings."""
+    lines = []
+
+    def call(*argv):
+        code, out, err = run(capsys, list(argv))
+        lines.append(f"$ {' '.join(argv)}\n{code}\n{out}{err}")
+        return out.splitlines()
+
+    def spell(literal):
+        return "".join(labels.get(ch, ch) for ch in literal) if labels else literal
+
+    g = ("--graph", graph_path)
+    listings = {mid: call("enumerate", "--monoid", mid, *g, "--list") for mid in MONOID_IDS}
+    for mid in ("FL_M", "FL_P", "Match_M", "Match_P"):
+        for key in listings[mid]:
+            call("basis-change", "--monoid", mid, "--to", BASIS_PARTNER[mid], *g, "--key", key)
+            call("antipode", "--monoid", mid, *g, "--key", key, "--method", "all")
+    for name, mid in (("iota_FL_Pi", "FL_P"), ("phi_Pi_FL", "Pi_m"), ("iota_E_FL", "E")):
+        for key in listings[mid]:
+            call("morphism", "--name", name, "--monoid", mid, *g, "--key", key)
+    # the antipode routes validate their key, basis-change goes through
+    # make_element as coproduct and morphism do
+    for literal in map(spell, REFUSED_LITERALS):
+        for mid in MONOID_IDS:
+            call("antipode", "--monoid", mid, *g, "--key", literal, "--method", "all")
+            call("basis-change", "--monoid", mid, "--to", BASIS_PARTNER.get(mid, "E"),
+                 *g, "--key", literal)
+    return lines
+
+
+def test_cli_transcript_is_unchanged(capsys, tmp_path):
+    lines = []
+    for i, (text, labels) in enumerate(zip(TRANSCRIPT_GRAPHS, TRANSCRIPT_LABELS)):
+        path = tmp_path / f"g{i}.graph"
+        path.write_text(text, encoding="utf-8")
+        lines += [line.replace(str(path), f"g{i}") for line in _transcript(capsys, str(path), labels)]
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == TRANSCRIPT_DIGEST

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grhopf import (
     MONOID_IDS,
+    AcyclicOrientation,
     FlatM,
     Graph,
     InputError,
@@ -17,8 +18,11 @@ from grhopf import (
     acyclic_orientations,
     bell_number,
     chromatic_value,
+    chromatic_polynomial,
     complete_graph,
+    components_partition,
     compositions_refining,
+    corpus,
     discrete_graph,
     flats,
     get_monoid,
@@ -36,6 +40,7 @@ from grhopf import (
     stable_partitions,
 )
 from grhopf.graphs import _BIT
+from grhopf.monoids import _flats_below, _p_in_m
 
 
 def path3():
@@ -73,6 +78,20 @@ def test_ordered_tripartitions_count():
         assert not (a & b) and not (a & c) and not (b & c)
 
 
+@pytest.mark.parametrize(
+    "enumerate_labels, where",
+    [
+        (set_partitions, "twice in partition"),
+        (set_compositions, "twice in composition"),
+        (ordered_bipartitions, "twice in split"),
+        (ordered_tripartitions, "twice in split"),
+    ],
+)
+def test_label_enumerators_refuse_a_repeated_label(enumerate_labels, where):
+    with pytest.raises(InputError, match=f"^label 'b' appears {where}$"):
+        enumerate_labels("bab")
+
+
 def test_linear_orders_count():
     assert len(linear_orders("abcd")) == math.factorial(4)
     assert len(linear_orders([])) == 1
@@ -87,6 +106,8 @@ def test_acyclic_orientations_counts():
     # 4-cycle: 2^4 - 2 cyclic = 14
     c4 = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     assert len(acyclic_orientations(c4)) == 14
+    # K7: one acyclic orientation per linear order
+    assert len(acyclic_orientations(complete_graph("abcdefg"))) == math.factorial(7)
 
 
 def test_acyclic_orientations_are_acyclic_and_cover():
@@ -173,6 +194,10 @@ def test_flats_and_matchings_on_small_graphs():
     k4 = complete_graph("abcd")
     assert len(flats(k4)) == bell_number(4)
     assert len(matchings(k4)) == 10  # empty + 6 single edges + 3 perfect
+    k7 = complete_graph("abcdefg")
+    assert len(flats(k7)) == bell_number(7) == 877
+    # 1 + C(7,2) + C(7,4)*3 + C(7,6)*15 matchings of 0, 1, 2, 3 edges
+    assert len(matchings(k7)) == 232
 
 
 def test_is_flat_closure_condition():
@@ -287,3 +312,72 @@ def test_mask_kernels_agree_with_label_level_brute_force(g):
         assert partitions_refining(coarse) == _by_literal(below, "/"), coarse
     compositions = [c for p in every for c in permutations(p) if all(map(independent, c))]
     assert [k.blocks for k in stable_compositions(g)] == _by_literal(compositions, "|")
+
+    # the edge-subset filters and the label-product loop the kernels replaced
+    edges = sorted(g.edges)
+    subsets = [
+        frozenset(e for i, e in enumerate(edges) if m >> i & 1) for m in range(1 << len(edges))
+    ]
+
+    def closed(es):
+        where = {v: i for i, b in enumerate(components_partition(g.vertices, es)) for v in b}
+        return all(e in es for e in edges if where[e[0]] == where[e[1]])
+
+    def edge_literal(es):
+        return FlatM(es).literal()
+
+    assert flats(g) == sorted(filter(closed, subsets), key=edge_literal)
+    assert matchings(g) == sorted(filter(is_matching, subsets), key=edge_literal)
+    # an orientation is acyclic when some order of the vertices agrees with it
+    orders = [{v: i for i, v in enumerate(p)} for p in permutations(g.vertices)]
+    acyclic = [
+        AcyclicOrientation(arcs).literal()
+        for arcs in product(*[((u, v), (v, u)) for u, v in edges])
+        if any(all(pos[u] < pos[v] for u, v in arcs) for pos in orders)
+    ]
+    assert [k.literal() for k in acyclic_orientations(g)] == sorted(acyclic)
+    triples = []
+    for assign in product(range(3), repeat=g.n):
+        parts = [[], [], []]
+        for v, a in zip(g.vertices, assign):
+            parts[a].append(v)
+        triples.append(tuple(frozenset(p) for p in parts))
+    triples.sort(key=lambda abc: tuple(sorted(p) for p in abc))
+    assert ordered_tripartitions(g.vertices) == triples
+
+
+# ---------------------------------------------------------------- identities
+
+# Whitney 1932; Rota 1964; Stanley, Enumerative Combinatorics 1, ch. 3.  The
+# chromatic polynomial comes from deletion-contraction, independent of every
+# basis enumerator it is compared with.
+
+
+def _falling(x, k):
+    return math.prod(x - i for i in range(k))
+
+
+def test_chromatic_polynomial_sums_over_the_stable_and_flat_bases():
+    for g in corpus(5):
+        spi, ssigma = get_monoid("SPi_m").basis(g), get_monoid("SSigma").basis(g)
+        bond_lattice = [
+            (dict(_p_in_m(_flats_below, f))[frozenset()], len(components_partition(g.vertices, f)))
+            for f in flats(g)
+        ]
+        # n + 1 points fix a polynomial of degree n
+        for x in range(g.n + 1):
+            chi = sum(c * x**i for i, c in enumerate(chromatic_polynomial(g)))
+            # a proper colouring is a stable partition with distinct block
+            # colours, or a stable composition with increasing ones
+            assert sum(_falling(x, len(k.masks)) for k in spi) == chi, (g, x)
+            assert sum(math.comb(x, len(k.masks)) for k in ssigma) == chi, (g, x)
+            # Whitney-Rota: mu(empty, F) x^c(F) over the flats F
+            assert sum(mu * x**c for mu, c in bond_lattice) == chi, (g, x)
+
+
+def test_matchings_count_by_deleting_an_edge_or_its_ends():
+    for g in corpus(5):
+        for e in g.edges:
+            without_e = Graph(g.vertices, g.edges - {e})
+            without_ends = g.induced(g.vertex_set - set(e))
+            assert len(matchings(g)) == len(matchings(without_e)) + len(matchings(without_ends)), (g, e)
