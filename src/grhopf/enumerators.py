@@ -53,7 +53,7 @@ _LABEL_SETS: dict[frozenset, frozenset] = {}
 
 @lru_cache(maxsize=None)
 def _ordered_bipartitions(vs: tuple) -> tuple[tuple[frozenset, frozenset], ...]:
-    _block_masks([vs], "twice in split")
+    _block_masks([vs], "twice in split")  # refuses a repeated label
     out = []
     for mask in range(1 << len(vs)):
         s = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
@@ -106,8 +106,9 @@ def _is_acyclic(arcs) -> bool:
 
 
 def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
-    """The sorted edges are oriented one at a time, each both ways, and an
-    arc set is dropped as soon as it holds a directed cycle."""
+    """All acyclic orientations of g: its sorted edges are oriented one at a
+    time, each both ways, and an arc set is dropped as soon as it holds a
+    directed cycle."""
     partial = [()]
     for u, v in sorted(g.edges):
         partial = [

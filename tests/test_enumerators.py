@@ -17,8 +17,8 @@ from grhopf import (
     SetCompositionKey,
     acyclic_orientations,
     bell_number,
-    chromatic_value,
     chromatic_polynomial,
+    chromatic_value,
     complete_graph,
     components_partition,
     compositions_refining,
