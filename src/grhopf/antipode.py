@@ -106,17 +106,17 @@ def _takeuchi_terms(spec, g: Graph, key: BasisKey):
     Nothing is remembered across branches (see the module docstring).
     """
     product_key, coproduct_key = spec.product_key, spec.coproduct_key
-    # (rest graph, its key, placed set, product key of the placed blocks
-    # or None, coefficient, whether the node's own composition has an odd
-    # number of blocks)
-    stack = [(g, key, frozenset(), None, QTPolynomial.one(), True)]
+    # (rest graph, its key, mask of the placed vertices, product key of the
+    # placed blocks or None, coefficient, whether the node's own composition
+    # has an odd number of blocks)
+    stack = [(g, key, 0, None, QTPolynomial.one(), True)]
     while stack:
         rest_g, rest_key, placed, pk, coeff, odd = stack.pop()
         last = rest_key if pk is None else product_key(
-            g, placed, rest_g.vertex_set, pk, rest_key
+            g, placed, rest_g.mask, pk, rest_key
         )
         yield last, -coeff if odd else coeff
-        for s, t in _ordered_bipartitions(rest_g.vertices):
+        for s, t in _ordered_bipartitions(rest_g.mask):
             if not s or not t:
                 continue
             res = coproduct_key(rest_g, s, t, rest_key)
@@ -125,8 +125,8 @@ def _takeuchi_terms(spec, g: Graph, key: BasisKey):
             lk, rk, c = res
             done = placed | s
             if pk is not None:
-                lk = product_key(g.induced(done), placed, s, pk, lk)
-            stack.append((rest_g.induced(t), rk, done, lk, coeff * c, not odd))
+                lk = product_key(g._induced(done), placed, s, pk, lk)
+            stack.append((rest_g._induced(t), rk, done, lk, coeff * c, not odd))
 
 
 # ---------------------------------------------------------------- recursions
@@ -156,7 +156,7 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
     (product key, -(c * c')) pair per term c' of the recursed factor's
     antipode, multiplied back with the other factor's key."""
     left = side == "left"
-    for s, t in _ordered_bipartitions(g.vertices):
+    for s, t in _ordered_bipartitions(g.mask):
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
             continue
@@ -164,7 +164,7 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
         if res is None:
             continue
         lk, rk, c = res
-        rec = _mm(spec, g.induced(s if left else t), lk if left else rk, side, memo)
+        rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo)
         for k2, c2 in rec.terms.items():
             x, y = (k2, rk) if left else (lk, k2)
             yield spec.product_key(g, s, t, x, y), -(c * c2)
@@ -221,9 +221,8 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
 
     if mid == "AO":
         coeff = QTPolynomial.monomial(len(g.edges), 0, sign)
-        return Element.of(
-            mid, g, AcyclicOrientation((v, u) for u, v in key.arcs), coeff
-        )
+        reverse = AcyclicOrientation._of(frozenset((v, u) for u, v in key.arcs))
+        return Element.of(mid, g, reverse, coeff)
 
     if mid in ("Sigma", "SSigma"):
         qe, te = _crossing_exponents(
@@ -263,7 +262,7 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
             merged = sub.quotient(comp)
             o_hf = len(acyclic_orientations(merged))
             coeff = o_hf if c_h % 2 == 0 else -o_hf
-            terms.append((type(key)(h), coeff))
+            terms.append((type(key)._of(h), coeff))
         return Element(mid, g, terms)
 
     if mid in ("FL_P", "Match_P"):

@@ -12,6 +12,11 @@ stable bases keep independent blocks, the others every block (`bool`, as
 blocks are nonempty).  A flat is the edges inside the blocks of a partition
 into connected blocks, a matching those of a partition into vertices and
 edges.  Labels are decoded at the boundary, where a repeated one is refused.
+
+A split is a pair of submasks.  `_ordered_bipartitions(mask)` lists them
+sorted by (labels of S, labels of T), the order that every split loop, and
+so every witness, follows; `ordered_bipartitions` and
+`ordered_tripartitions` decode the same lists to label sets.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import InputError
-from .graphs import Graph, _mask_of, components_partition
+from .graphs import Graph, _labels_of, _mask_of, components_partition
 from .keys import (
     AcyclicOrientation,
     LinearOrder,
@@ -43,35 +48,43 @@ def _keys_by_literal(cls, payloads) -> list:
 
 def ordered_bipartitions(labels) -> list[tuple[frozenset, frozenset]]:
     """All 2^n ordered pairs (S, T) with S disjoint-union T = labels."""
-    return list(_ordered_bipartitions(tuple(sorted(labels))))
-
-
-# one frozenset per distinct label set in the cached splits: the splits of
-# all subsets of n labels share 2^n sets instead of holding 2 * 3^n
-_LABEL_SETS: dict[frozenset, frozenset] = {}
+    (mask,) = _block_masks([labels], "twice in split")
+    return [tuple(map(_label_set, st)) for st in _ordered_bipartitions(mask)]
 
 
 @lru_cache(maxsize=None)
-def _ordered_bipartitions(vs: tuple) -> tuple[tuple[frozenset, frozenset], ...]:
-    _block_masks([vs], "twice in split")  # refuses a repeated label
+def _ordered_bipartitions(mask: int) -> tuple[tuple[int, int], ...]:
+    """The (S, T) submask pairs of mask in (labels of S, labels of T) order."""
     out = []
-    for mask in range(1 << len(vs)):
-        s = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-        t = frozenset(vs) - s
-        out.append((_LABEL_SETS.setdefault(s, s), _LABEL_SETS.setdefault(t, t)))
-    out.sort(key=lambda st: (sorted(st[0]), sorted(st[1])))
+    s = mask
+    while True:
+        out.append((s, mask ^ s))
+        if not s:
+            break
+        s = (s - 1) & mask
+    out.sort(key=lambda st: (_labels_of(st[0]), _labels_of(st[1])))
     return tuple(out)
 
 
 def ordered_tripartitions(labels) -> list[tuple[frozenset, frozenset, frozenset]]:
     """All 3^n ordered triples (A, B, C) of disjoint (possibly empty) parts
-    covering labels: each split (A, rest) with rest split again, which
-    lists them in (sorted A, sorted B) order."""
+    covering labels, in (sorted A, sorted B) order."""
+    (mask,) = _block_masks([labels], "twice in split")
+    return [tuple(map(_label_set, abc)) for abc in _ordered_tripartitions(mask)]
+
+
+def _ordered_tripartitions(mask: int) -> list[tuple[int, int, int]]:
+    """The (A, B, C) submask triples of mask: each split (A, rest) with rest
+    split again, which lists them in (labels of A, labels of B) order."""
     return [
         (a, b, c)
-        for a, rest in _ordered_bipartitions(tuple(sorted(labels)))
-        for b, c in _ordered_bipartitions(tuple(sorted(rest)))
+        for a, rest in _ordered_bipartitions(mask)
+        for b, c in _ordered_bipartitions(rest)
     ]
+
+
+def _label_set(mask: int) -> frozenset:
+    return frozenset(_labels_of(mask))
 
 
 # ---------------------------------------------------------------- orders

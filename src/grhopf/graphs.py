@@ -15,6 +15,9 @@ mask on every graph that holds it.  The map only grows and never remaps a
 bit, so a mask stays valid for the life of the process; bit order is not
 label order, so every listing and literal decodes masks back to sorted
 labels.  Masks never leave the process: graphs and keys pickle by labels.
+A split of a graph's vertices is a pair of masks inside the program: the
+private `Graph._induced` and `Graph._crossing` take masks, while the public
+`induced` and `crossing_edges` take labels, check them and convert them.
 
 The text format, one declaration per line::
 
@@ -59,7 +62,6 @@ def edge_pair(u: str, v: str) -> tuple[str, str]:
 
 _BIT: dict[str, int] = {}  # label -> its single-bit mask
 _LABEL: dict[int, str] = {}  # single-bit mask -> label
-_SET_MASKS: dict[frozenset, int] = {}
 _MASK_LABELS: dict[int, tuple[str, ...]] = {}
 
 
@@ -77,17 +79,6 @@ def _mask_of(labels) -> int:
     mask = 0
     for v in labels:
         mask |= _label_bit(v)
-    return mask
-
-
-def _set_mask(labels) -> int:
-    """The mask of a label set, remembered per frozenset: the splits of the
-    structure maps are interned frozensets, so each costs one lookup."""
-    if type(labels) is not frozenset:
-        return _mask_of(labels)
-    mask = _SET_MASKS.get(labels)
-    if mask is None:
-        mask = _SET_MASKS[labels] = _mask_of(labels)
     return mask
 
 
@@ -111,7 +102,7 @@ def _labels_of(mask: int) -> tuple[str, ...]:
 
 
 class Graph:
-    __slots__ = ("vertices", "edges", "mask", "_vset", "_hash", "_adj")
+    __slots__ = ("vertices", "edges", "mask", "_vset", "_hash", "_adj", "_root")
 
     def __init__(self, vertices, edges=()):
         vset = set()
@@ -142,6 +133,7 @@ class Graph:
         self._vset = frozenset(vset)
         self._hash = hash((self.vertices, self.edges))
         self._adj = None
+        self._root = self  # the graph this one was induced from
 
     def __reduce__(self):
         # by labels: the receiving process has its own bits and string hashes
@@ -180,6 +172,22 @@ class Graph:
             seen |= new
             todo = (todo ^ low) | new
         return seen == mask
+
+    def _crossing(self, s: int, t: int) -> int:
+        """The number of edges joining the disjoint submasks s and t."""
+        adj = self._adjacency()
+        count = 0
+        while s:
+            low = s & -s
+            count += (adj[low] & t).bit_count()
+            s ^= low
+        return count
+
+    def _induced(self, mask: int) -> "Graph":
+        """The subgraph induced on the submask mask: g itself for its own
+        mask, else one object per mask of the graph g was induced from, so
+        memo lookups keyed on subgraphs compare by identity."""
+        return self if mask == self.mask else _subgraph(self._root, mask)
 
     def _edges_inside(self, masks) -> frozenset:
         """The edges with both ends in one of the blocks masks."""
@@ -220,7 +228,7 @@ class Graph:
         s = frozenset(subset)
         if not s <= self._vset:
             raise InputError(f"not vertices of this graph: {sorted(s - self._vset)}")
-        return _induced(self, s)
+        return self._induced(_mask_of(s))
 
     def complement(self) -> "Graph":
         return _complement(self)
@@ -237,9 +245,11 @@ class Graph:
             bb = sorted(b)
             if not bb:
                 raise InputError("empty block")
-            for v in bb:
+            for i, v in enumerate(bb):
                 if v in label:
-                    raise InputError(f"label {v!r} appears in two blocks")
+                    # sorted, so a repeat inside this block follows itself
+                    where = "twice in one block" if i and bb[i - 1] == v else "in two blocks"
+                    raise InputError(f"label {v!r} appears {where}")
                 label[v] = bb[0]
         if label.keys() != self._vset:
             raise InputError("partition does not cover the vertex set")
@@ -258,11 +268,7 @@ class Graph:
         bad = (s | t) - self._vset
         if bad:
             raise InputError(f"not vertices of this graph: {sorted(bad)}")
-        count = 0
-        for u, v in self.edges:
-            if (u in s and v in t) or (v in s and u in t):
-                count += 1
-        return count
+        return self._crossing(_mask_of(s), _mask_of(t))
 
     # ------------------------------------------------------------ text format
 
@@ -317,11 +323,13 @@ class Graph:
 
 
 @lru_cache(maxsize=None)
-def _induced(g: Graph, s: frozenset) -> Graph:
-    return Graph(
-        (v for v in g.vertices if v in s),
-        (e for e in g.edges if e[0] in s and e[1] in s),
+def _subgraph(g: Graph, mask: int) -> Graph:
+    sub = Graph(
+        (v for v in g.vertices if _BIT[v] & mask),
+        (e for e in g.edges if _BIT[e[0]] & mask and _BIT[e[1]] & mask),
     )
+    sub._root = g
+    return sub
 
 
 def _complement(g: Graph) -> Graph:

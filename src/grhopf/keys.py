@@ -20,8 +20,11 @@ pairs.
 
 A mask cannot hold a label twice, so the label constructors of the
 vertex-set keys refuse a repeated label themselves, with `parse_key`'s
-messages, naming the first repeat in the order given; no hot path calls
-them.  The other constructors canonicalize but never check.  The rest is
+messages, naming the first repeat in the order given.  The orientation and
+edge-set constructors likewise refuse a repeated arc or edge, an edge
+counted after `b-a` becomes `a-b`, so a literal never collapses into a
+smaller key.  No hot path calls a constructor: the structure maps build
+keys through `_of`.  The unit constructor checks nothing.  The rest is
 checked once where keys enter the program: `parse_key` refuses malformed
 literals and loops, and the structure catalog's `validate_key` refuses a
 key that is not a basis key of the graph, such as one with an empty block.
@@ -101,7 +104,7 @@ class AcyclicOrientation(BasisKey):
     arcs = BasisKey._payload  # (tail, head) pairs
 
     def __init__(self, arcs):
-        self.arcs = arcs = frozenset(arcs)
+        self.arcs = arcs = _distinct(arcs, "arc {}>{} appears twice in orientation")
         self._hash = hash(("orientation", arcs))
 
     def literal(self):
@@ -110,9 +113,21 @@ class AcyclicOrientation(BasisKey):
         return ",".join(f"{u}>{v}" for u, v in sorted(self.arcs))
 
 
-def _block_masks(blocks, where: str) -> list[int]:
+def _distinct(pairs, message: str) -> frozenset:
+    """The set of the arcs or edges in pairs, refusing the first one met
+    twice with message formatted with its two ends."""
+    seen = set()
+    for p in pairs:
+        if p in seen:
+            raise InputError(message.format(*p))
+        seen.add(p)
+    return frozenset(seen)
+
+
+def _block_masks(blocks, where: str, inside: str = "") -> list[int]:
     """The mask of each block of labels, refusing the first label met twice
-    ("label 'a' appears <where>")."""
+    ("label 'a' appears <where>", or "... <inside>" if given and the repeat
+    is inside one block)."""
     masks = []
     seen = 0
     for b in blocks:
@@ -120,7 +135,9 @@ def _block_masks(blocks, where: str) -> list[int]:
         for v in b:
             bit = _label_bit(v)
             if seen & bit:
-                raise InputError(f"label {v!r} appears {where}")
+                raise InputError(
+                    f"label {v!r} appears {inside if inside and not before & bit else where}"
+                )
             seen |= bit
         masks.append(seen ^ before)
     return masks
@@ -158,7 +175,8 @@ class _PartitionKey(_BlocksKey):
     masks = BasisKey._payload  # sorted block masks
 
     def __init__(self, blocks):
-        self.masks = masks = tuple(sorted(_block_masks(blocks, "in two blocks")))
+        masks = _block_masks(blocks, "in two blocks", "twice in one block")
+        self.masks = masks = tuple(sorted(masks))
         self._hash = hash((self.kind, masks))
 
     @property
@@ -189,7 +207,11 @@ class _EdgeSetKey(BasisKey):
     edges = BasisKey._payload  # frozenset of sorted endpoint pairs
 
     def __init__(self, edges):
-        self.edges = edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+        noun = self.kind.partition("_")[0]  # flat or matching
+        self.edges = edges = _distinct(
+            ((u, v) if u < v else (v, u) for u, v in edges),
+            f"edge {{}}-{{}} appears twice in {noun}",
+        )
         self._hash = hash((self.kind, edges))
 
     def literal(self):

@@ -4,9 +4,14 @@ Every structure exposes the same key-level interface: a finite basis per
 graph, a product component per ordered vertex bipartition (always a single
 key with coefficient one), and a coproduct component per bipartition (at
 most one key pair, with a monomial coefficient).  Each structure names its
-key class; `validate_key` is where a key is checked against a graph (key
-constructors check nothing), and the element-level wrappers extend the
-key-level maps linearly after validating every term they are given.
+key class; `validate_key` is where a key is checked against a graph (a key
+constructor only refuses a repeat), and the element-level wrappers extend
+the key-level maps linearly after validating every term they are given.
+
+A split (S, T) is a pair of vertex masks at the key level (`product_key`,
+`coproduct_key`, `braiding`) and a pair of label sets at the element level
+(`product`, `coproduct_component`, `braiding_coeff`), which checks the
+labels and converts them once.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -27,7 +32,7 @@ from operator import or_
 from . import enumerators, keys
 from .elements import Element, TensorElement, _accumulate
 from .errors import InputError
-from .graphs import Graph, _mask_of, _set_mask
+from .graphs import _BIT, Graph, _mask_of
 from .keys import (
     AcyclicOrientation,
     BasisKey,
@@ -54,12 +59,11 @@ EMPTY_GRAPH = Graph(())
 # and the recursions, which count with the kernel.
 
 
-def _split_blocks(g: Graph, S, T, masks) -> tuple[tuple, tuple, int, int]:
-    """The (S, T) split of a sequence of block masks: the nonempty S parts
-    and T parts in block order, and (qe, te), the crossing edges and the
-    crossing non-edges that join a vertex of S to a vertex of T in a
+def _split_blocks(g: Graph, s: int, t: int, masks) -> tuple[tuple, tuple, int, int]:
+    """The (s, t) split of a sequence of block masks: the nonempty s parts
+    and t parts in block order, and (qe, te), the crossing edges and the
+    crossing non-edges that join a vertex of s to a vertex of t in a
     strictly earlier block."""
-    s, t = _set_mask(S), _set_mask(T)
     adj = g._adjacency()
     left, right = [], []
     lower_t = qe = pairs = 0  # lower_t: the T vertices of earlier blocks
@@ -96,6 +100,12 @@ def braiding_coeff(g: Graph, S, T) -> QTPolynomial:
     return QTPolynomial.monomial(cross, len(s) * len(t) - cross)
 
 
+def _braiding(g: Graph, s: int, t: int) -> QTPolynomial:
+    """`braiding_coeff` on the masks of a split."""
+    cross = g._crossing(s, t)
+    return QTPolynomial.monomial(cross, s.bit_count() * t.bit_count() - cross)
+
+
 # ---------------------------------------------------------------- catalog
 
 
@@ -130,19 +140,19 @@ class MonoidSpec:
 
     # -- structure maps (key level)
 
-    def product_key(self, g: Graph, S, T, x: BasisKey, y: BasisKey) -> BasisKey:
+    def product_key(self, g: Graph, s: int, t: int, x: BasisKey, y: BasisKey) -> BasisKey:
         raise NotImplementedError
 
-    def coproduct_key(self, g: Graph, S, T, key: BasisKey):
+    def coproduct_key(self, g: Graph, s: int, t: int, key: BasisKey):
         """None, or (left_key, right_key, coefficient)."""
         raise NotImplementedError
 
-    def braiding(self, g: Graph, S, T) -> QTPolynomial:
-        """The structure's own braiding weight on the (S, T) crossing: the
+    def braiding(self, g: Graph, s: int, t: int) -> QTPolynomial:
+        """The structure's own braiding weight on the (s, t) crossing: the
         graph braiding with the parameters it does not deform set to one."""
         if not (self.uses_q or self.uses_t):
             return QTPolynomial.one()
-        return braiding_coeff(g, S, T).specialize(not self.uses_q, not self.uses_t)
+        return _braiding(g, s, t).specialize(not self.uses_q, not self.uses_t)
 
     def parse_key(self, text: str) -> BasisKey:
         return keys.parse_key(self.key_kind, text)
@@ -156,11 +166,11 @@ class _BlockSequenceMonoid(MonoidSpec):
     uses_q = True
     uses_t = True
 
-    def product_key(self, g, S, T, x, y):
+    def product_key(self, g, s, t, x, y):
         return self.key_cls._of(x.masks + y.masks)
 
-    def coproduct_key(self, g, S, T, key):
-        left, right, qe, te = _split_blocks(g, S, T, key.masks)
+    def coproduct_key(self, g, s, t, key):
+        left, right, qe, te = _split_blocks(g, s, t, key.masks)
         key_of = self.key_cls._of
         return key_of(left), key_of(right), QTPolynomial.monomial(qe, te)
 
@@ -197,20 +207,26 @@ class _OrientationMonoid(MonoidSpec):
         if not enumerators._is_acyclic(key.arcs):
             raise InputError(f"{key.literal()} has a directed cycle")
 
-    def product_key(self, g, S, T, x, y):
+    def product_key(self, g, s, t, x, y):
+        # every crossing edge points from the s side to the t side
         cross = []
         for a, b in g.edges:
-            if a in S and b in T:
+            if _BIT[a] & s and _BIT[b] & t:
                 cross.append((a, b))
-            elif b in S and a in T:
+            elif _BIT[b] & s and _BIT[a] & t:
                 cross.append((b, a))
-        return AcyclicOrientation(tuple(x.arcs) + tuple(y.arcs) + tuple(cross))
+        return AcyclicOrientation._of(x.arcs | y.arcs | frozenset(cross))
 
-    def coproduct_key(self, g, S, T, key):
-        qe = sum(1 for u, v in key.arcs if u in T and v in S)
-        left = AcyclicOrientation((u, v) for u, v in key.arcs if u in S and v in S)
-        right = AcyclicOrientation((u, v) for u, v in key.arcs if u in T and v in T)
-        return left, right, QTPolynomial.monomial(qe, 0)
+    def coproduct_key(self, g, s, t, key):
+        qe = sum(1 for u, v in key.arcs if _BIT[u] & t and _BIT[v] & s)
+        left, right = _pairs_inside(key.arcs, s), _pairs_inside(key.arcs, t)
+        key_of = AcyclicOrientation._of
+        return key_of(left), key_of(right), QTPolynomial.monomial(qe, 0)
+
+
+def _pairs_inside(pairs, mask: int) -> frozenset:
+    """The arcs or edges with both ends in mask."""
+    return frozenset(p for p in pairs if _BIT[p[0]] & mask and _BIT[p[1]] & mask)
 
 
 def _validate_blocks(g: Graph, key, verb: str, stable: bool) -> None:
@@ -262,11 +278,10 @@ class _PartitionMonoid(MonoidSpec):
         super().validate_key(g, key)
         _validate_blocks(g, key, "partition", self.stable)
 
-    def product_key(self, g, S, T, x, y):
+    def product_key(self, g, s, t, x, y):
         return self.key_cls._of(tuple(sorted(x.masks + y.masks)))
 
-    def coproduct_key(self, g, S, T, key):
-        s, t = _set_mask(S), _set_mask(T)
+    def coproduct_key(self, g, s, t, key):
         masks = key.masks
         if self.basis_tag == "p" and any(b & s and b & t for b in masks):
             return None
@@ -300,15 +315,15 @@ class _FlatMonoid(MonoidSpec):
         elif not enumerators.is_flat(g, key.edges):
             raise InputError(f"{key.literal()} is not a flat")
 
-    def product_key(self, g, S, T, x, y):
-        return self.key_cls(x.edges | y.edges)
+    def product_key(self, g, s, t, x, y):
+        return self.key_cls._of(x.edges | y.edges)
 
-    def coproduct_key(self, g, S, T, key):
-        left = frozenset(e for e in key.edges if e[0] in S and e[1] in S)
-        right = frozenset(e for e in key.edges if e[0] in T and e[1] in T)
+    def coproduct_key(self, g, s, t, key):
+        left, right = _pairs_inside(key.edges, s), _pairs_inside(key.edges, t)
         if self.basis_tag == "P" and left | right != key.edges:
             return None
-        return self.key_cls(left), self.key_cls(right), QTPolynomial.one()
+        key_of = self.key_cls._of
+        return key_of(left), key_of(right), QTPolynomial.one()
 
 
 class _UnitSpeciesMonoid(MonoidSpec):
@@ -318,10 +333,10 @@ class _UnitSpeciesMonoid(MonoidSpec):
     def _enumerate_basis(self, g):
         return [UnitKey()]
 
-    def product_key(self, g, S, T, x, y):
+    def product_key(self, g, s, t, x, y):
         return UnitKey()
 
-    def coproduct_key(self, g, S, T, key):
+    def coproduct_key(self, g, s, t, key):
         return UnitKey(), UnitKey(), QTPolynomial.one()
 
 
@@ -364,13 +379,14 @@ def _basis_cached(mid: str, g: Graph) -> tuple[BasisKey, ...]:
 # ---------------------------------------------------------------- wrappers
 
 
-def _check_split(g: Graph, S, T):
+def _check_split(g: Graph, S, T) -> tuple[int, int]:
+    """The masks of the label sets S and T, refused unless they split g."""
     s, t = frozenset(S), frozenset(T)
     if s & t:
         raise InputError("S and T overlap")
     if s | t != g.vertex_set:
         raise InputError("S and T do not cover the vertex set")
-    return s, t
+    return _mask_of(s), _mask_of(t)
 
 
 def make_element(mid: str, g: Graph, key_or_terms, coeff=1) -> Element:
@@ -392,7 +408,7 @@ def product(mid: str, g: Graph, S, T, x: Element, y: Element) -> Element:
     """The (S, T) product component applied to elements on G_S and G_T."""
     spec = get_monoid(mid)
     s, t = _check_split(g, S, T)
-    gs, gt = g.induced(s), g.induced(t)
+    gs, gt = g._induced(s), g._induced(t)
     if x.graph != gs or y.graph != gt:
         raise InputError("factors do not live on the induced subgraphs of the split")
     if x.monoid != mid or y.monoid != mid:
@@ -421,7 +437,7 @@ def coproduct_component(mid: str, g: Graph, S, T, x: Element) -> TensorElement:
         raise InputError("element does not live on this graph/monoid")
     for k in x.terms:
         spec.validate_key(g, k)
-    out = TensorElement.zero(mid, g.induced(s), g.induced(t))
+    out = TensorElement.zero(mid, g._induced(s), g._induced(t))
     _accumulate(
         out.terms,
         (

@@ -64,8 +64,8 @@ def _identity(g, key):
 
 def _order_to_orientation(g, key):
     pos = {v: i for i, v in enumerate(key.seq)}
-    return AcyclicOrientation(
-        (u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges
+    return AcyclicOrientation._of(
+        frozenset((u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges)
     )
 
 
@@ -78,7 +78,7 @@ def _composition_to_orientation(g, key):
                 f"edge {u}-{v} lies inside a block; key is not stable"
             )
         arcs.append((u, v) if pos[u] < pos[v] else (v, u))
-    return AcyclicOrientation(arcs)
+    return AcyclicOrientation._of(frozenset(arcs))
 
 
 def _to_unit(g, key):
@@ -99,7 +99,7 @@ def _partition_to_flat(g, key):
 
 
 def _unit_to_flat(g, key):
-    return FlatM(())
+    return FlatM._of(frozenset())
 
 
 MORPHISMS: dict[str, Morphism] = {

@@ -15,7 +15,9 @@ records are exactly those of the unmemoized maps.
 
 Each check looks for a witness, its first counterexample, and `_record`
 turns that witness (or None) into the check's `CheckRecord`.  `_splits`
-gives every ordered bipartition of a graph with both induced subgraphs.
+gives every ordered bipartition of a graph as a pair of vertex masks with
+both induced subgraphs; the checks hand those masks to the key-level maps,
+and a witness names a split by its sorted labels (`_parts`).
 
 Checks are grouped into named suites.  `run_suite` returns a
 `VerificationReport` holding one `CheckRecord` per (check, monoid, graph)
@@ -44,19 +46,19 @@ from .antipode import (
 from .elements import Element, _accumulate, linear_extend
 from .enumerators import (
     _ordered_bipartitions,
+    _ordered_tripartitions,
     acyclic_orientations,
     bell_number,
-    ordered_tripartitions,
 )
 from .errors import InputError
-from .graphs import Graph, chromatic_value
+from .graphs import Graph, _labels_of, chromatic_value
 from .monoids import (
     BASIS_PARTNER,
     MONOID_IDS,
     MONOIDS,
     _basis_cached,
+    _braiding,
     basis_change,
-    braiding_coeff,
     get_monoid,
 )
 from .morphisms import DIAGRAMS, MORPHISMS, apply_path, get_morphism
@@ -249,13 +251,15 @@ def _record(check: str, subject: str, g: Graph, witness: dict | None) -> CheckRe
     return CheckRecord(check, subject, g.to_text(), witness is None, witness)
 
 
-def _splits(g: Graph) -> list[tuple[frozenset, frozenset, Graph, Graph]]:
-    """Every ordered bipartition (S, T) of g, with g.induced(S) and
-    g.induced(T), in the order of `enumerators.ordered_bipartitions`."""
-    return [
-        (s_set, t_set, g.induced(s_set), g.induced(t_set))
-        for s_set, t_set in _ordered_bipartitions(g.vertices)
-    ]
+def _splits(g: Graph) -> list[tuple[int, int, Graph, Graph]]:
+    """Every ordered bipartition (S, T) of g as vertex masks, with the
+    subgraphs they induce, in the order of `enumerators.ordered_bipartitions`."""
+    return [(s, t, g._induced(s), g._induced(t)) for s, t in _ordered_bipartitions(g.mask)]
+
+
+def _parts(*masks) -> list[list[str]]:
+    """The sorted labels of each mask: how a witness names a split."""
+    return [list(_labels_of(m)) for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +284,10 @@ def _tensor_str(t) -> str:
 
 
 def _assoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
-    for a_set, b_set, c_set in ordered_tripartitions(g.vertices):
-        ga, gb, gc = g.induced(a_set), g.induced(b_set), g.induced(c_set)
-        gab = g.induced(a_set | b_set)
-        gbc = g.induced(b_set | c_set)
+    for a_set, b_set, c_set in _ordered_tripartitions(g.mask):
+        ga, gb, gc = g._induced(a_set), g._induced(b_set), g._induced(c_set)
+        gab = g._induced(a_set | b_set)
+        gbc = g._induced(b_set | c_set)
         for x in _capped_basis(spec.id, ga, key_cap):
             for y in _capped_basis(spec.id, gb, key_cap):
                 xy = spec.product_key(gab, a_set, b_set, x, y)
@@ -294,7 +298,7 @@ def _assoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
                     if left != right:
                         return {
                             "axiom": "associativity",
-                            "parts": [sorted(a_set), sorted(b_set), sorted(c_set)],
+                            "parts": _parts(a_set, b_set, c_set),
                             "keys": [x.literal(), y.literal(), z.literal()],
                             "left": left.literal(),
                             "right": right.literal(),
@@ -303,9 +307,9 @@ def _assoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
 
 
 def _coassoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
-    for a_set, b_set, c_set in ordered_tripartitions(g.vertices):
-        gab = g.induced(a_set | b_set)
-        gbc = g.induced(b_set | c_set)
+    for a_set, b_set, c_set in _ordered_tripartitions(g.mask):
+        gab = g._induced(a_set | b_set)
+        gbc = g._induced(b_set | c_set)
         for key in _capped_basis(spec.id, g, key_cap):
             # split off A first, then cut B|C
             first = spec.coproduct_key(g, a_set, b_set | c_set, key)
@@ -328,7 +332,7 @@ def _coassoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
             if path1 != path2:
                 return {
                     "axiom": "coassociativity",
-                    "parts": [sorted(a_set), sorted(b_set), sorted(c_set)],
+                    "parts": _parts(a_set, b_set, c_set),
                     "key": key.literal(),
                     "path_first_then_rest": _tensor_str(path1),
                     "path_rest_then_first": _tensor_str(path2),
@@ -337,8 +341,8 @@ def _coassoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
 
 
 def _unit_counit_witness(spec, g: Graph, key_cap=None) -> dict | None:
-    empty = frozenset()
-    full = g.vertex_set
+    empty = 0
+    full = g.mask
     e_key = spec.empty_key()
     for key in _capped_basis(spec.id, g, key_cap):
         if spec.product_key(g, empty, full, e_key, key) != key:
@@ -388,8 +392,8 @@ def _compat_witness(spec, g: Graph, key_cap=None) -> dict | None:
                     if lhs != rhs:
                         return {
                             "axiom": "product_coproduct_compatibility",
-                            "product_split": [sorted(s_set), sorted(t_set)],
-                            "coproduct_split": [sorted(a_set), sorted(b_set)],
+                            "product_split": _parts(s_set, t_set),
+                            "coproduct_split": _parts(a_set, b_set),
                             "keys": [x.literal(), y.literal()],
                             "coproduct_of_product": _tensor_str(lhs),
                             "braided_exchange": _tensor_str(rhs),
@@ -408,7 +412,7 @@ def _closure_witness(spec, g: Graph, key_cap=None) -> dict | None:
                 except InputError as exc:
                     return {
                         "axiom": "product_closure",
-                        "split": [sorted(s_set), sorted(t_set)],
+                        "split": _parts(s_set, t_set),
                         "keys": [x.literal(), y.literal()],
                         "error": str(exc),
                     }
@@ -423,7 +427,7 @@ def _closure_witness(spec, g: Graph, key_cap=None) -> dict | None:
             except InputError as exc:
                 return {
                     "axiom": "coproduct_closure",
-                    "split": [sorted(s_set), sorted(t_set)],
+                    "split": _parts(s_set, t_set),
                     "key": key.literal(),
                     "error": str(exc),
                 }
@@ -576,13 +580,13 @@ def check_commutativity(
                 found[f] = detail
 
     for s_set, t_set, gs, gt in _splits(g):
-        crossing = g.crossing_edges(s_set, t_set)
+        crossing = g._crossing(s_set, t_set)
         beta = spec.braiding(g, s_set, t_set)
         # flavors that fail wherever the braided exchange does on this split
         braided = ["commutative_exact"]
         if crossing == 0:
             braided.append("disjoint_commutative")
-        if crossing == len(s_set) * len(t_set):
+        if crossing == s_set.bit_count() * t_set.bit_count():
             braided.append("join_commutative")
         beta_is_one = beta == ONE
         sb = _capped_basis(mid, gs, key_cap)
@@ -597,7 +601,7 @@ def check_commutativity(
                 note(
                     braided if keys_match else braided + ["commutative_plain"],
                     lambda: {
-                        "split": [sorted(s_set), sorted(t_set)],
+                        "split": _parts(s_set, t_set),
                         "keys": [x.literal(), y.literal()],
                         "forward": fwd.literal(),
                         "backward": bwd.literal(),
@@ -616,7 +620,7 @@ def check_commutativity(
                 ["cocommutative_exact"]
                 + (["cocommutative_plain"] if plain_fwd != plain_swapped else []),
                 lambda: {
-                    "split": [sorted(s_set), sorted(t_set)],
+                    "split": _parts(s_set, t_set),
                     "key": key.literal(),
                     "coproduct": _tensor_str(fwd),
                     "braided_swap_of_reverse": _tensor_str(swapped),
@@ -652,7 +656,7 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
                         return {
                             "law": "product_intertwines",
                             "route": [dom_id, cod_id],
-                            "split": [sorted(s_set), sorted(t_set)],
+                            "split": _parts(s_set, t_set),
                             "keys": [x.literal(), y.literal()],
                             "map_of_product": mapped.literal(),
                             "product_of_maps": direct.literal(),
@@ -676,7 +680,7 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
                     return {
                         "law": "coproduct_intertwines",
                         "route": [dom_id, cod_id],
-                        "split": [sorted(s_set), sorted(t_set)],
+                        "split": _parts(s_set, t_set),
                         "key": key.literal(),
                         "map_then_coproduct": _tensor_str(res_cod),
                         "coproduct_then_map": _tensor_str(pushed),
@@ -733,13 +737,13 @@ def _complement_witness(g: Graph) -> dict | None:
     comp = g.complement()
     if comp.complement() != g:
         return {"law": "complement_involution"}
-    for s_set, t_set in _ordered_bipartitions(g.vertices):
-        full_here = braiding_coeff(g, s_set, t_set)
-        full_there = braiding_coeff(comp, s_set, t_set)
+    for s_set, t_set in _ordered_bipartitions(g.mask):
+        full_here = _braiding(g, s_set, t_set)
+        full_there = _braiding(comp, s_set, t_set)
         if full_there != full_here.swap_qt():
             return {
                 "law": "complement_swaps_parameters",
-                "split": [sorted(s_set), sorted(t_set)],
+                "split": _parts(s_set, t_set),
                 "braiding": str(full_here),
                 "complement_braiding": str(full_there),
             }
@@ -760,7 +764,7 @@ def _functor_witness(mid: str, g: Graph) -> dict | None:
     if discrete:
         checks.append(("discrete_q_free", attrgetter("q_free")))
     for law, free in checks:
-        for s_set, t_set in _ordered_bipartitions(g.vertices):
+        for s_set, t_set in _ordered_bipartitions(g.mask):
             coeff = spec.braiding(g, s_set, t_set)
             if not free(coeff):
                 return {"law": law, "where": "braiding", "coefficient": str(coeff)}
@@ -770,7 +774,7 @@ def _functor_witness(mid: str, g: Graph) -> dict | None:
                     return {
                         "law": law,
                         "where": "coproduct",
-                        "split": [sorted(s_set), sorted(t_set)],
+                        "split": _parts(s_set, t_set),
                         "key": key.literal(),
                         "coefficient": str(res[2]),
                     }

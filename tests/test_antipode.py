@@ -33,6 +33,7 @@ from grhopf import (
     unit_element,
 )
 from grhopf.antipode import _takeuchi_terms
+from grhopf.graphs import _labels_of, _mask_of
 from grhopf.monoids import _crossing_exponents
 
 from .test_graphs import path3
@@ -173,30 +174,29 @@ def test_all_methods_agree_on_small_corpus():
 def _flat_takeuchi_terms(spec, g, key):
     # the alternating sum as one independent loop per set composition:
     # left-iterated coproducts along the blocks, then left-iterated products
-    full = g.vertex_set
     for comp in set_compositions(g.vertices):
         parts = comp.blocks
         coeff = QTPolynomial.one()
         pieces = []
         cur_graph, cur_key = g, key
-        rest = full
+        rest = g.mask
         for block in parts[:-1]:
-            s = frozenset(block)
-            rest = rest - s
+            s = _mask_of(block)
+            rest = rest ^ s
             res = spec.coproduct_key(cur_graph, s, rest, cur_key)
             if res is None:
                 break
             lk, cur_key, c = res
             coeff = coeff * c
             pieces.append(lk)
-            cur_graph = cur_graph.induced(rest)
+            cur_graph = cur_graph.induced(_labels_of(rest))
         else:
             pieces.append(cur_key)
-            acc_set = frozenset(parts[0])
+            acc_set = _mask_of(parts[0])
             pk = pieces[0]
             for block, piece in zip(parts[1:], pieces[1:]):
-                s = frozenset(block)
-                pk = spec.product_key(g.induced(acc_set | s), acc_set, s, pk, piece)
+                s = _mask_of(block)
+                pk = spec.product_key(g.induced(_labels_of(acc_set | s)), acc_set, s, pk, piece)
                 acc_set = acc_set | s
             yield pk, -coeff if len(parts) % 2 else coeff
 
@@ -288,13 +288,14 @@ def _convolution_with_identity(mid, g, k):
     cache = AntipodeCache(mid)
     acc = Element.zero(mid, g)
     for s, t in ordered_bipartitions(g.vertices):
-        res = spec.coproduct_key(g, s, t, k)
+        ms, mt = _mask_of(s), _mask_of(t)
+        res = spec.coproduct_key(g, ms, mt, k)
         if res is None:
             continue
         lk, rk, c = res
         sx = cache.of(g.induced(s), lk)
         for k2, c2 in sx.terms.items():
-            pk = spec.product_key(g, s, t, k2, rk)
+            pk = spec.product_key(g, ms, mt, k2, rk)
             acc = acc + Element.of(mid, g, pk, c * c2)
     return acc
 
@@ -317,11 +318,12 @@ def test_convolution_cancels_only_in_the_sum():
     cache = AntipodeCache("L")
     parts = []
     for s, t in ordered_bipartitions(g.vertices):
-        lk, rk, c = spec.coproduct_key(g, s, t, k)
+        ms, mt = _mask_of(s), _mask_of(t)
+        lk, rk, c = spec.coproduct_key(g, ms, mt, k)
         sx = cache.of(g.induced(s), lk)
         term = Element.zero("L", g)
         for k2, c2 in sx.terms.items():
-            pk = spec.product_key(g, s, t, k2, rk)
+            pk = spec.product_key(g, ms, mt, k2, rk)
             term = term + Element.of("L", g, pk, c * c2)
         parts.append(term)
     assert len(parts) == 2

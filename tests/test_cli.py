@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -306,7 +307,7 @@ REFUSED_LITERALS = (
 )
 # (calls, sha256 of the transcript); regenerate only for a change meant to
 # alter CLI output, and say so where the change is recorded
-TRANSCRIPT_DIGEST = (1779, "564abefd6ca64516edb03d69305c69f2b0c419c02a565eb0c5f26f2fc1efe5cf")
+TRANSCRIPT_DIGEST = (1779, "1d66f60fba0ead576f7b5db7af6d6dc0c46629a881d1141aa8899af9713032d0")
 
 
 def _transcript(capsys, graph_path, labels):
@@ -349,3 +350,92 @@ def test_cli_transcript_is_unchanged(capsys, tmp_path):
         lines += [line.replace(str(path), f"g{i}") for line in _transcript(capsys, str(path), labels)]
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == TRANSCRIPT_DIGEST
+
+
+# ---------------------------------------------------------------- split transcript
+
+# seeded picks from the listings; the same seed gives the same calls
+SPLIT_SEED = 2011
+# the morphism routes the first transcript does not take
+SPLIT_MORPHISMS = (
+    ("iota_L_SSigma", "L"), ("pi_arrow_L", "L"), ("pi_abelianize", "L"),
+    ("iota_SSigma_Sigma", "SSigma"), ("pi_arrow_SSigma", "SSigma"),
+    ("pi_SSigma_SPi", "SSigma"), ("pi_AO_E", "AO"), ("pi_Sigma_Pi", "Sigma"),
+    ("iota_SPi_Pi", "SPi_m"), ("iota_SPi_Pi", "SPi_p"), ("rho_SPi_E", "SPi_m"),
+)
+# (calls, sha256 of the transcript), generated before splits became masks;
+# regenerate only for a change meant to alter CLI output
+SPLIT_TRANSCRIPT_DIGEST = (1475, "9b8664a4535b7969e8382ef9bf41a4c55092cbdc9326fc0f16bfc74a11f6df63")
+
+
+def _split_transcript(capsys, tmp_path, name, text, seed):
+    """The split-taking commands on one graph: `product` and `coproduct` on
+    seeded splits for every monoid, `antipode --method all` on sampled
+    vertex-set keys, `basis-change` on partition keys, and the morphisms
+    above.  Every key is a basis key read from a listing of the sweep, so
+    every call answers."""
+    rng = random.Random(seed)
+    lines = []
+    paths = {}
+
+    def graph_file(side):
+        """The path of the subgraph induced on side, written on first use."""
+        if side not in paths:
+            edges = [e for e in graph_edges if e[0] in side and e[1] in side]
+            body = "".join(f"v {v}\n" for v in side) + "".join(f"e {u} {v}\n" for u, v in edges)
+            paths[side] = tmp_path / f"{name}-{len(paths)}.graph"
+            paths[side].write_text(body, encoding="utf-8")
+        return str(paths[side])
+
+    def call(*argv):
+        code, out, err = run(capsys, list(argv))
+        line = f"$ {' '.join(argv)}\n{code}\n{out}{err}"
+        for side, path in paths.items():
+            line = line.replace(str(path), f"{name}[{','.join(side)}]")
+        lines.append(line)
+        return out.splitlines()
+
+    def listing(mid, side):
+        return call("enumerate", "--monoid", mid, "--graph", graph_file(side), "--list")
+
+    def sample(keys, k):
+        return rng.sample(keys, min(k, len(keys)))
+
+    decls = [line.split()[1:] for line in text.splitlines()]
+    vertices = tuple(d[0] for d in decls if len(d) == 1)
+    graph_edges = [tuple(d) for d in decls if len(d) == 2]
+    splits = [((), vertices), (vertices, ())]
+    for _ in range(4):
+        left = tuple(v for v in vertices if rng.random() < 0.5)
+        splits.append((left, tuple(v for v in vertices if v not in left)))
+    g = ("--graph", graph_file(vertices))
+    for mid in MONOID_IDS:
+        keys = listing(mid, vertices)
+        for s, t in splits:
+            split = f"{','.join(s)}|{','.join(t)}"
+            for key in sample(keys, 3):
+                call("coproduct", "--monoid", mid, *g, "--split", split, "--key", key)
+            for x in sample(listing(mid, s), 2):
+                for y in sample(listing(mid, t), 2):
+                    call("product", "--monoid", mid, *g, "--split", split,
+                         "--left", x, "--right", y)
+        if mid in ("L", "Sigma", "SSigma", "Pi_m", "Pi_p", "SPi_m", "SPi_p"):
+            for key in sample(keys, 4):
+                call("antipode", "--monoid", mid, *g, "--key", key, "--method", "all")
+        if mid in ("Pi_m", "Pi_p", "SPi_m", "SPi_p"):
+            for key in sample(keys, 8):
+                call("basis-change", "--monoid", mid, "--to", BASIS_PARTNER[mid], *g,
+                     "--key", key)
+        for morphism, _ in filter(lambda route: route[1] == mid, SPLIT_MORPHISMS):
+            for key in sample(keys, 6):
+                call("morphism", "--name", morphism, "--monoid", mid, *g, "--key", key)
+    return lines
+
+
+def test_cli_split_transcript_is_unchanged(capsys, tmp_path):
+    lines = []
+    for i, text in enumerate(TRANSCRIPT_GRAPHS):
+        lines += _split_transcript(capsys, tmp_path, f"g{i}", text, SPLIT_SEED + i)
+    assert all(line.split("\n")[1] == "0" for line in lines)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == SPLIT_TRANSCRIPT_DIGEST

@@ -1,7 +1,7 @@
 """Structure enumeration: counts against independent formulas, order tests."""
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +39,8 @@ from grhopf import (
     stable_compositions,
     stable_partitions,
 )
-from grhopf.graphs import _BIT
+from grhopf.enumerators import _ordered_bipartitions, _ordered_tripartitions
+from grhopf.graphs import _BIT, _labels_of, _mask_of
 from grhopf.monoids import _flats_below, _p_in_m
 
 
@@ -76,6 +77,38 @@ def test_ordered_tripartitions_count():
     for a, b, c in trips:
         assert a | b | c == frozenset("abc")
         assert not (a & b) and not (a & c) and not (b & c)
+
+
+# declared as in the CLI transcripts: the bits run neither with nor against
+# the sorted order x1, x10, x2, y
+SPLIT_LABELS = ("y", "x2", "x10", "x1")
+Graph(SPLIT_LABELS)
+
+
+def _splits_by_labels(labels, parts):
+    """Every assignment of labels to `parts` sides, as label sets, sorted by
+    the sorted labels of each side."""
+    out = []
+    for assign in product(range(parts), repeat=len(labels)):
+        out.append(tuple(frozenset(v for v, a in zip(labels, assign) if a == i)
+                         for i in range(parts)))
+    out.sort(key=lambda sides: [sorted(side) for side in sides])
+    return out
+
+
+def _decoded(splits):
+    return [tuple(frozenset(_labels_of(m)) for m in sides) for sides in splits]
+
+
+def test_mask_splits_follow_label_order_not_bit_order():
+    assert sorted(SPLIT_LABELS, key=_BIT.get) != sorted(SPLIT_LABELS)
+    for n in range(len(SPLIT_LABELS) + 1):
+        for labels in combinations(SPLIT_LABELS, n):
+            mask = _mask_of(labels)
+            got = _decoded(_ordered_bipartitions(mask))
+            assert got == _splits_by_labels(labels, 2) == ordered_bipartitions(labels)
+            got = _decoded(_ordered_tripartitions(mask))
+            assert got == _splits_by_labels(labels, 3) == ordered_tripartitions(labels)
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,8 @@ def test_quotient_merges_blocks():
         ([("a", "b"), (), ("c",)], "empty block"),
         ([("b", "c"), ("a", "b")], "label 'b' appears in two blocks"),
         ([("a",), ("b", "c"), ("a", "b", "c")], "label 'a' appears in two blocks"),
+        ([("b", "a", "a"), ("c",)], "label 'a' appears twice in one block"),
+        ([("a",), ("b", "a", "a", "c")], "label 'a' appears in two blocks"),
     ],
 )
 def test_quotient_refuses_blocks_that_do_not_partition(blocks, message):

@@ -16,9 +16,11 @@ from grhopf import (
     AcyclicOrientation,
     Element,
     FlatM,
+    FlatP,
     Graph,
     InputError,
     LinearOrder,
+    MatchingM,
     MatchingP,
     PartitionM,
     PartitionP,
@@ -51,6 +53,10 @@ def test_linear_order_rejects_duplicates():
         ("orientation", "a>a", "loop arc at 'a'"),
         ("flat_m", "a-a", "loop at 'a'"),
         ("partition_m", "a,b/a", "label 'a' appears in two blocks"),
+        ("partition_m", "a,a", "label 'a' appears twice in one block"),
+        ("flat_m", "a-b,c-d,a-b", "edge a-b appears twice in flat"),
+        ("orientation", "a>b,a>b", "arc a>b appears twice in orientation"),
+        ("matching_p", "a-b,b-a", "edge a-b appears twice in matching"),
     ],
 )
 def test_parse_key_refuses_repeated_labels_and_loops(kind, literal, message):
@@ -91,7 +97,9 @@ def test_make_element_refuses_directly_built_defects(mid, build):
 
 # a mask cannot hold a label twice, so the label constructors refuse a
 # repeat themselves, with parse_key's messages and the first repeat in the
-# order given
+# order given; the edge-set constructors refuse a repeated edge (counted
+# after b-a becomes a-b) or arc the same way, so none collapses into a
+# smaller key
 CONSTRUCTOR_REFUSALS = {
     "order": (
         lambda: LinearOrder(("a", "b", "a")),
@@ -119,7 +127,28 @@ CONSTRUCTOR_REFUSALS = {
     ),
     "partition_block_repeat": (
         lambda: PartitionP([("a", "a"), ("b",)]),
+        "label 'a' appears twice in one block",
+    ),
+    "partition_repeat_across_then_inside": (
+        lambda: PartitionM([("a",), ("b", "a", "a")]),
         "label 'a' appears in two blocks",
+    ),
+    "flat": (
+        lambda: FlatM([("a", "b"), ("c", "d"), ("a", "b")]),
+        "edge a-b appears twice in flat",
+    ),
+    "flat_reversed": (lambda: FlatP([("a", "b"), ("b", "a")]), "edge a-b appears twice in flat"),
+    "matching_generator": (
+        lambda: MatchingM(iter([("b", "a"), ("c", "d"), ("a", "b")])),
+        "edge a-b appears twice in matching",
+    ),
+    "matching_first_repeat": (
+        lambda: MatchingP([("c", "d"), ("b", "a"), ("d", "c"), ("a", "b")]),
+        "edge c-d appears twice in matching",
+    ),
+    "orientation": (
+        lambda: AcyclicOrientation([("a", "b"), ("b", "c"), ("a", "b")]),
+        "arc a>b appears twice in orientation",
     ),
 }
 
@@ -148,7 +177,7 @@ def test_key_constructors_refuse_repeated_labels(build, message):
             BLOCK_REPEATS["partition_block_repeat"][1],
             "a,a/b does not collapse into a/b",
             "a/b",
-            "label 'a' appears in two blocks",
+            "label 'a' appears twice in one block",
         ),
     ],
 )

@@ -33,7 +33,7 @@ from grhopf import (
     product,
     unit_element,
 )
-from grhopf.graphs import _BIT
+from grhopf.graphs import _BIT, _mask_of
 from grhopf.monoids import _crossing_exponents, _split_blocks
 
 from .test_graphs import fun_graph
@@ -88,7 +88,7 @@ def test_braiding_weight_counts_crossing_edges_and_nonedges():
 
 def test_monoid_braiding_drops_unused_parameters():
     g = p3()
-    s, t = frozenset("a"), frozenset("bc")
+    s, t = _mask_of("a"), _mask_of("bc")
     assert get_monoid("L").braiding(g, s, t) == Q * T
     assert get_monoid("AO").braiding(g, s, t) == Q
     assert get_monoid("Pi_m").braiding(g, s, t) == 1
@@ -222,7 +222,8 @@ def test_exponent_helpers_count_by_their_definitions():
         for s, t in ordered_bipartitions(g.vertices):
             inverted = [(u, v) for u in s for v in t if rank[u] > rank[v]]
             qe = sum(1 for u, v in inverted if g.has_edge(u, v))
-            assert _split_blocks(g, s, t, k.masks)[2:] == (qe, len(inverted) - qe)
+            got = _split_blocks(g, _mask_of(s), _mask_of(t), k.masks)
+            assert got[2:] == (qe, len(inverted) - qe)
 
 
 # labels no other test uses, registered in reverse order, so that their
@@ -272,7 +273,7 @@ def test_mask_kernel_agrees_with_label_level_counts(g):
         for k in spec.basis(g):
             for s, t in ordered_bipartitions(g.vertices):
                 want = _coproduct_by_labels(mid, g, s, t, k)
-                got = spec.coproduct_key(g, s, t, k)
+                got = spec.coproduct_key(g, _mask_of(s), _mask_of(t), k)
                 if want is None or got is None:
                     assert got is want, (mid, g, k, s)
                     continue
@@ -296,7 +297,7 @@ def test_partition_maps_give_canonical_blocks():
     spec = get_monoid("Pi_m")
     g = discrete_graph("abcd")
     left, right, coeff = spec.coproduct_key(
-        g, {"c", "d"}, {"a", "b"}, key("Pi_m", "a,d/b,c")
+        g, _mask_of("cd"), _mask_of("ab"), key("Pi_m", "a,d/b,c")
     )
     assert (left.blocks, right.blocks, coeff) == (
         (("c",), ("d",)),
@@ -304,7 +305,7 @@ def test_partition_maps_give_canonical_blocks():
         QTPolynomial.one(),
     )
     x, y = key("Pi_m", "c"), key("Pi_m", "a,b")
-    assert spec.product_key(g, {"c"}, {"a", "b"}, x, y).blocks == (("a", "b"), ("c",))
+    assert spec.product_key(g, _mask_of("c"), _mask_of("ab"), x, y).blocks == (("a", "b"), ("c",))
 
 
 def test_partition_p_coproduct_vanishes_on_split_blocks():
