@@ -2,11 +2,12 @@
 the vertex bits that vertex-set keys are made of.
 
 Vertices are distinct nonempty strings, kept sorted; edges are unordered
-pairs stored as lexicographically sorted 2-tuples.  All derived canonical
-forms (blocks, serializations) use lexicographic label order, so equal
-graphs serialize identically.  A set partition is a sorted tuple of sorted
-label tuples, its blocks.  A quotient keeps each block's smallest label,
-which no other block can hold.
+pairs stored as lexicographically sorted 2-tuples.  There is one graph per
+vertex and edge set, which the constructor returns (an unpickled graph
+too), so equal graphs are one object and compare and hash by identity.
+Derived canonical forms (blocks, serializations) use label order.  A set
+partition is a sorted tuple of sorted label tuples, its blocks.  A quotient
+keeps each block's smallest label, which no other block can hold.
 
 One process-wide label map gives every label the program meets its own bit,
 in the order labels are first seen (a graph registers its vertices in the
@@ -101,10 +102,16 @@ def _labels_of(mask: int) -> tuple[str, ...]:
     return labels
 
 
-class Graph:
-    __slots__ = ("vertices", "edges", "mask", "_vset", "_hash", "_adj", "_root")
+# (sorted vertices, edge set) -> the one graph on them.  The table only
+# grows, like the label map: the caches keyed on graphs keep them alive
+# anyway, and a weak table that let graphs go cost more time than it saved.
+_GRAPHS: dict[tuple, "Graph"] = {}
 
-    def __init__(self, vertices, edges=()):
+
+class Graph:
+    __slots__ = ("vertices", "edges", "mask", "_vset", "_adj", "_root")
+
+    def __new__(cls, vertices, edges=()):
         vset = set()
         mask = 0
         for v in vertices:
@@ -127,13 +134,15 @@ class Graph:
             es.add(edge_pair(u, v))
         # a graph is its vertex set plus edge set; the listing order in which
         # vertices arrived is presentation only, so canonicalize it away
-        self.vertices = tuple(sorted(vset))
-        self.edges = frozenset(es)
-        self.mask = mask
-        self._vset = frozenset(vset)
-        self._hash = hash((self.vertices, self.edges))
-        self._adj = None
-        self._root = self  # the graph this one was induced from
+        key = (tuple(sorted(vset)), frozenset(es))
+        g = _GRAPHS.get(key)
+        if g is None:
+            g = _GRAPHS[key] = object.__new__(cls)
+            g.vertices, g.edges = key
+            g.mask = mask
+            g._vset = frozenset(vset)
+            g._adj, g._root = None, g  # _root: the graph g was induced from
+        return g
 
     def __reduce__(self):
         # by labels: the receiving process has its own bits and string hashes
@@ -185,8 +194,8 @@ class Graph:
 
     def _induced(self, mask: int) -> "Graph":
         """The subgraph induced on the submask mask: g itself for its own
-        mask, else one object per mask of the graph g was induced from, so
-        memo lookups keyed on subgraphs compare by identity."""
+        mask, else the one cached on the graph g was induced from, so a
+        corpus graph's subgraphs share one cache entry per mask."""
         return self if mask == self.mask else _subgraph(self._root, mask)
 
     def _edges_inside(self, masks) -> frozenset:
@@ -207,16 +216,6 @@ class Graph:
 
     def has_edge(self, u, v) -> bool:
         return edge_pair(u, v) in self.edges
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         es = ",".join(f"{u}{v}" for u, v in sorted(self.edges))

@@ -4,16 +4,18 @@ Each monoid draws its basis from one key kind: linear orders, acyclic
 orientations, set compositions, set partitions (m or p tag), flats or
 matchings (M or P tag), or the single unit key.
 
-A key is its class and one payload slot: `BasisKey` defines equality,
-hashing and repr from that pair once, and each key class only builds its
-payload in `__init__` and emits its literal.
+A key is its class and one payload slot.  `BasisKey._of(payload)`, the
+one construction path, returns the one key per class and payload (an
+unpickled key too), so equal keys are one object and compare and hash by
+identity.  Each key class builds its payload in `__new__` and emits its
+literal.
 
 The vertex-set keys (orders, compositions, partitions) hold vertex masks
 over the process-wide label map of `graphs`, under the name `masks`: an
 order is the tuple of its single-bit masks, a composition the tuple of its
 block masks, and a partition the sorted tuple of its block masks.  The
-enumerators and structure maps build them from masks through
-`BasisKey._of`, which skips `__init__`.  Labels come back only at the
+enumerators and structure maps build them from masks through `_of`,
+which skips the label constructor.  Labels come back only at the
 boundary: literals, the `seq` and `blocks` label views, and pickles all
 decode the masks.  The edge-set keys (`arcs`, `edges`) still hold label
 pairs.
@@ -47,29 +49,32 @@ from .graphs import _bit_labels, _label_bit, _labels_of, edge_pair
 
 
 class BasisKey:
-    """A canonical payload tagged by its key class; subclasses set
-    `_payload` and `_hash` in `__init__`."""
+    """A canonical payload tagged by its key class, one key per payload."""
 
-    __slots__ = ("_payload", "_hash")
+    __slots__ = ("_payload",)
     kind: str = ""
+
+    def __init_subclass__(cls):
+        # payload -> key, per class.  The tables only grow, like the label
+        # map: a weak table that let unused keys go kept memory flat but
+        # cost more time than it saved.
+        cls._keys = {}
 
     @classmethod
     def _of(cls, payload):
-        """The key on an already canonical payload, without `__init__`: how
-        the structure maps build keys from masks."""
-        key = object.__new__(cls)
-        key._payload = payload
-        key._hash = hash((cls.kind, payload))
+        """The key on an already canonical payload: the one construction
+        path, and how the structure maps build keys from masks."""
+        key = cls._keys.get(payload)
+        if key is None:
+            key = cls._keys[payload] = object.__new__(cls)
+            key._payload = payload
         return key
+
+    def __reduce__(self):
+        return self._of, (self._payload,)
 
     def literal(self) -> str:
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._payload == other._payload
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"<{self.kind} {self.literal()}>"
@@ -80,12 +85,12 @@ class LinearOrder(BasisKey):
     kind = "order"
     masks = BasisKey._payload  # the single-bit mask of each position
 
-    def __init__(self, seq):
+    def __new__(cls, seq):
         seq = tuple(seq)
-        self.masks = masks = tuple([_label_bit(v) for v in seq])
+        masks = tuple([_label_bit(v) for v in seq])
         if len(set(masks)) != len(masks):
             raise InputError(f"repeated label in order {seq!r}")
-        self._hash = hash(("order", masks))
+        return cls._of(masks)
 
     @property
     def seq(self) -> tuple[str, ...]:
@@ -103,9 +108,8 @@ class AcyclicOrientation(BasisKey):
     kind = "orientation"
     arcs = BasisKey._payload  # (tail, head) pairs
 
-    def __init__(self, arcs):
-        self.arcs = arcs = _distinct(arcs, "arc {}>{} appears twice in orientation")
-        self._hash = hash(("orientation", arcs))
+    def __new__(cls, arcs):
+        return cls._of(_distinct(arcs, "arc {}>{} appears twice in orientation"))
 
     def literal(self):
         if not self.arcs:
@@ -162,9 +166,8 @@ class SetCompositionKey(_BlocksKey):
     kind = "composition"
     masks = BasisKey._payload  # block masks in composition order
 
-    def __init__(self, blocks):
-        self.masks = masks = tuple(_block_masks(blocks, "twice in composition"))
-        self._hash = hash(("composition", masks))
+    def __new__(cls, blocks):
+        return cls._of(tuple(_block_masks(blocks, "twice in composition")))
 
     def literal(self):
         return _blocks_literal(self.blocks, "|")
@@ -174,10 +177,9 @@ class _PartitionKey(_BlocksKey):
     __slots__ = ()
     masks = BasisKey._payload  # sorted block masks
 
-    def __init__(self, blocks):
+    def __new__(cls, blocks):
         masks = _block_masks(blocks, "in two blocks", "twice in one block")
-        self.masks = masks = tuple(sorted(masks))
-        self._hash = hash((self.kind, masks))
+        return cls._of(tuple(sorted(masks)))
 
     @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
@@ -206,13 +208,10 @@ class _EdgeSetKey(BasisKey):
     __slots__ = ()
     edges = BasisKey._payload  # frozenset of sorted endpoint pairs
 
-    def __init__(self, edges):
-        noun = self.kind.partition("_")[0]  # flat or matching
-        self.edges = edges = _distinct(
-            ((u, v) if u < v else (v, u) for u, v in edges),
-            f"edge {{}}-{{}} appears twice in {noun}",
-        )
-        self._hash = hash((self.kind, edges))
+    def __new__(cls, edges):
+        noun = cls.kind.partition("_")[0]  # flat or matching
+        pairs = ((u, v) if u < v else (v, u) for u, v in edges)
+        return cls._of(_distinct(pairs, f"edge {{}}-{{}} appears twice in {noun}"))
 
     def literal(self):
         return _edges_literal(self.edges)
@@ -247,9 +246,8 @@ class UnitKey(BasisKey):
     __slots__ = ()
     kind = "unit"
 
-    def __init__(self):
-        self._payload = None
-        self._hash = hash("unit-key")
+    def __new__(cls):
+        return cls._of(None)
 
     def literal(self):
         return "unit"

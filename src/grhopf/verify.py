@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -954,8 +955,8 @@ def run_suite(
     `monoids` filters which monoids (and, for the morphisms suite, which
     morphisms by domain) are exercised.  `samples6` appends that many seeded
     random 6-vertex graphs to the stanley suite's corpus.  `jobs` > 1
-    distributes graphs over worker processes; record order is identical to
-    the serial run."""
+    distributes graphs over up to that many worker processes, at most one
+    per task and per CPU; record order is identical to the serial run."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     if jobs < 1:
@@ -985,10 +986,12 @@ def run_suite(
 
     records: list[CheckRecord] = []
     observed: list[tuple[str, str, dict]] = []
-    if jobs == 1 or len(tasks) <= 1:
+    # the pool forks all its workers at its first submit
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = map(_worker, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_worker, tasks, chunksize=8))
     for recs, obs in results:
         records.extend(recs)

@@ -66,6 +66,21 @@ def test_equality_ignores_vertex_listing_order():
     g1 = Graph(["b", "a"], [("a", "b")])
     g2 = Graph(["a", "b"], [("b", "a")])
     assert g1 == g2 and hash(g1) == hash(g2)
+    assert g1 is g2
+
+
+def test_equal_subgraphs_of_different_graphs_are_one_object():
+    path = Graph(["c", "b", "a"], [("a", "b"), ("b", "c")])
+    triangle = complete_graph(["a", "b", "c"])
+    edge = path.induced({"a", "b"})
+    assert triangle.induced({"a", "b"}) is edge
+    assert triangle._induced(edge.mask) is edge
+    # a subgraph of a subgraph, and a graph built outright, are that object
+    assert path.induced({"a", "b", "c"}) is path
+    assert fun_graph().induced({"m", "a", "t", "h"}).induced({"a", "t"}) is Graph(
+        ["t", "a"], [("a", "t")]
+    )
+    assert path.induced({"a", "c"}) is triangle.complement().induced({"a", "c"})
 
 
 def test_basic_accessors():

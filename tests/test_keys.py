@@ -209,25 +209,32 @@ def test_make_element_takes_the_term_forms_of_element():
 
 def test_vertex_set_keys_pickle_by_labels():
     # the fresh interpreter meets other labels first, so its bits differ
-    # from this process's; an unpickled key must still read and compare as
-    # the key its literal names there
+    # from this process's; an unpickled key must still read as the key its
+    # literal names there, and be that one object, as it is here
     keys = [
         LinearOrder(["pk_c", "pk_a", "pk_b"]),
         SetCompositionKey([("pk_b",), ("pk_c", "pk_a")]),
         PartitionM([("pk_c",), ("pk_b", "pk_a")]),
         PartitionP([("pk_a", "pk_c"), ("pk_b",)]),
+        AcyclicOrientation([("pk_c", "pk_a"), ("pk_a", "pk_b")]),
+        FlatM([("pk_c", "pk_a")]),
+        FlatP([]),
+        MatchingM([("pk_a", "pk_b")]),
+        MatchingP([("pk_c", "pk_b")]),
+        UnitKey(),
         Graph(["pk_c", "pk_a", "pk_b"], [("pk_a", "pk_c")]),
     ]
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(keys)), keys))
     script = (
         "import pickle, sys\n"
         "from grhopf import Graph, parse_key\n"
         "Graph(['other_z', 'pk_b', 'other_y', 'pk_c'])\n"
         "for obj in pickle.loads(sys.stdin.buffer.read()):\n"
         "    if isinstance(obj, Graph):\n"
-        "        same = obj.mask == Graph(obj.vertices, obj.edges).mask\n"
+        "        same = obj is Graph(obj.vertices, obj.edges)\n"
         "        print(obj.to_text().replace(chr(10), ';'), same)\n"
         "        continue\n"
-        "    print(obj.literal(), obj == parse_key(obj.kind, obj.literal()))\n"
+        "    print(obj.literal(), obj is parse_key(obj.kind, obj.literal()))\n"
     )
     src = str(Path(sys.modules["grhopf"].__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -244,6 +251,12 @@ def test_vertex_set_keys_pickle_by_labels():
         "pk_b|pk_a,pk_c True",
         "pk_a,pk_b/pk_c True",
         "pk_a,pk_c/pk_b True",
+        "pk_a>pk_b,pk_c>pk_a True",
+        "pk_a-pk_c True",
+        "() True",
+        "pk_a-pk_b True",
+        "pk_b-pk_c True",
+        "unit True",
         "v pk_a;v pk_b;v pk_c;e pk_a pk_c; True",
     ]
 
@@ -310,6 +323,15 @@ def test_keys_hash_and_eq_by_kind_and_payload():
     assert a == b and hash(a) == hash(b)
     assert parse_key("flat_m", "ab") != parse_key("flat_p", "ab")
     assert parse_key("partition_m", "a,b") != parse_key("partition_p", "a,b")
+    # one key per class and payload, however it is built
+    assert a is b is LinearOrder(["a", "b"]) is LinearOrder._of(a.masks)
+    assert SetCompositionKey([("b",), ("a",)]) is parse_key("composition", "b|a")
+    assert PartitionM([("b",), ("a",)]) is parse_key("partition_m", "a/b")
+    assert PartitionP._of(PartitionM([("a",)]).masks) is PartitionP([("a",)])
+    assert AcyclicOrientation([("b", "a")]) is parse_key("orientation", "b>a")
+    assert FlatM([("b", "a")]) is FlatM._of(frozenset({("a", "b")}))
+    assert MatchingP([("a", "b")]) is parse_key("matching_p", "ab")
+    assert UnitKey() is parse_key("unit", "()") is UnitKey._of(None)
 
 
 # labels drawn from characters that no key literal uses as a separator

@@ -1,5 +1,8 @@
 """Verification harness: corpora, record counts, determinism, reporting."""
 
+import os
+from functools import partial
+
 import pytest
 
 from grhopf import (
@@ -30,6 +33,7 @@ from grhopf import (
 )
 from grhopf import T as T_POLY
 from grhopf import monoids, verify
+from grhopf.cli import main as cli_main
 from grhopf.graphs import _mask_of
 from grhopf.verify import (
     COMMUTATIVITY_FLAVORS,
@@ -208,9 +212,11 @@ def test_run_suite_validation():
         run_suite("stanley", 2, samples6=-1)
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
     # a worker process may hold other label bits than this one (a spawned
-    # worker starts from an empty label map), so no record may depend on them
+    # worker starts from an empty label map), so no record may depend on them;
+    # two CPUs, so that the pool runs on a host of one too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for suite, monoids in (
         ("stanley", None),
         ("antipode", ["L", "Sigma", "Pi_p"]),
@@ -219,6 +225,65 @@ def test_parallel_matches_serial():
         one = run_suite(suite, 3, monoids=monoids, jobs=1)
         two = run_suite(suite, 3, monoids=monoids, jobs=2)
         assert [r.to_json() for r in one.records] == [r.to_json() for r in two.records]
+
+
+class _SerialPool:
+    """Stands in for `ProcessPoolExecutor`: records the worker count it was
+    asked for and maps in this process, so no worker process starts."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each pool `run_suite` opens, on a host of 8 CPUs."""
+    sizes = []
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", partial(_SerialPool, sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    ("jobs", "nmax", "cpus", "sizes"),
+    [
+        (500, 1, 8, [2]),  # stanley on corpus(1): two graphs, two workers
+        (500, 3, 8, [8]),
+        (500, 3, None, []),  # an unknown CPU count runs serially
+        (3, 3, 8, [3]),
+        (2, 0, 8, []),  # one graph
+    ],
+)
+def test_run_suite_starts_no_more_workers_than_tasks_or_cpus(
+    monkeypatch, pool_sizes, jobs, nmax, cpus, sizes
+):
+    serial = run_suite("stanley", nmax, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pooled = run_suite("stanley", nmax, jobs=jobs)
+    assert pool_sizes == sizes
+    assert [r.to_json() for r in pooled.records] == [r.to_json() for r in serial.records]
+    assert pooled.summary_text() == serial.summary_text()
+
+
+def test_jobs_env_starts_no_more_workers_than_graphs(capsys, monkeypatch, pool_sizes):
+    argv = ["verify", "--suite", "stanley", "--nmax", "1"]
+    assert cli_main(argv) == 0
+    serial = capsys.readouterr()
+    monkeypatch.setenv("GRHOPF_JOBS", "500")
+    assert cli_main(argv) == 0
+    assert capsys.readouterr() == serial
+    assert cli_main([*argv, "--jobs", "500"]) == 0
+    assert capsys.readouterr() == serial
+    assert pool_sizes == [2, 2]
 
 
 def test_report_json_shape(bimonoid3):
