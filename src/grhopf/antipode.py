@@ -13,10 +13,13 @@ products and coefficient, computed once per prefix instead of once per
 composition, and a vanishing coproduct prunes every composition that
 starts with it.  It stays the alternating sum, not a third recursion: no
 result is remembered across branches or keyed on a (subgraph, key) pair,
-every non-vanishing composition contributes exactly one signed (product
-key, coefficient) pair, and every structure-map call has the arguments the
-composition-by-composition loop gives it, with the coefficients multiplied
-in the same left-to-right order.
+every non-vanishing composition contributes exactly one signed term, and
+every structure-map call has the arguments the composition-by-composition
+loop gives it.  A composition's coefficient is the product of its
+coproducts' monomials, so the walk adds their exponent pairs along the
+prefix as plain integers; `antipode_takeuchi` sums the signs per (product
+key, exponent pair) and builds `QTPolynomial`s only from the sums that do
+not cancel.
 """
 
 from __future__ import annotations
@@ -88,45 +91,49 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
     spec.validate_key(g, key)
     if g.n == 0:
         return Element.of(mid, g, key)
-    out = Element.zero(mid, g)
-    _accumulate(out.terms, _takeuchi_terms(spec, g, key))
-    return out
+    # (product key, qe, te) -> summed sign, dropped as soon as it cancels
+    sums = _accumulate({}, _takeuchi_terms(spec, g, key))
+    monomial = QTPolynomial.monomial
+    return Element(mid, g, ((k, monomial(qe, te, c)) for (k, qe, te), c in sums.items()))
 
 
 def _takeuchi_terms(spec, g: Graph, key: BasisKey):
-    """One signed (product key, coefficient) pair per set composition whose
-    iterated coproduct does not vanish, walked depth-first over first blocks.
+    """One signed term ((product key, qe, te), sign) per set composition
+    whose iterated coproduct does not vanish, walked depth-first over first
+    blocks: the composition contributes sign * q^qe t^te times its product
+    key.
 
     A node is a composition prefix: the graph on the vertices still to
     place with its right coproduct key, the placed vertices with their
-    left-folded product key, and the prefix's coefficient.  Each node yields
-    the composition ending with all remaining vertices as one block, then
-    peels every nonempty proper first block off the rest; a vanishing
-    coproduct prunes every composition that starts with that prefix.
-    Nothing is remembered across branches (see the module docstring).
+    left-folded product key, and the exponents of the prefix's coefficient,
+    which are the sums of its coproducts' exponents.  Each node yields the
+    composition ending with all remaining vertices as one block, then peels
+    every nonempty proper first block off the rest; a vanishing coproduct
+    prunes every composition that starts with that prefix.  Nothing is
+    remembered across branches (see the module docstring).
     """
     product_key, coproduct_key = spec.product_key, spec.coproduct_key
     # (rest graph, its key, mask of the placed vertices, product key of the
-    # placed blocks or None, coefficient, whether the node's own composition
-    # has an odd number of blocks)
-    stack = [(g, key, 0, None, QTPolynomial.one(), True)]
+    # placed blocks or None, the prefix's q and t exponents, the sign of the
+    # node's own composition: -1 for an odd number of blocks)
+    stack = [(g, key, 0, None, 0, 0, -1)]
     while stack:
-        rest_g, rest_key, placed, pk, coeff, odd = stack.pop()
+        rest_g, rest_key, placed, pk, qe, te, sign = stack.pop()
         last = rest_key if pk is None else product_key(
             g, placed, rest_g.mask, pk, rest_key
         )
-        yield last, -coeff if odd else coeff
+        yield (last, qe, te), sign
         for s, t in _ordered_bipartitions(rest_g.mask):
             if not s or not t:
                 continue
             res = coproduct_key(rest_g, s, t, rest_key)
             if res is None:
                 continue
-            lk, rk, c = res
+            lk, rk, cq, ct = res
             done = placed | s
             if pk is not None:
                 lk = product_key(g._induced(done), placed, s, pk, lk)
-            stack.append((rest_g._induced(t), rk, done, lk, coeff * c, not odd))
+            stack.append((rest_g._induced(t), rk, done, lk, qe + cq, te + ct, -sign))
 
 
 # ---------------------------------------------------------------- recursions
@@ -163,7 +170,8 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
         res = spec.coproduct_key(g, s, t, key)
         if res is None:
             continue
-        lk, rk, c = res
+        lk, rk, qe, te = res
+        c = QTPolynomial.monomial(qe, te)
         rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo)
         for k2, c2 in rec.terms.items():
             x, y = (k2, rk) if left else (lk, k2)

@@ -3,10 +3,14 @@
 Every structure exposes the same key-level interface: a finite basis per
 graph, a product component per ordered vertex bipartition (always a single
 key with coefficient one), and a coproduct component per bipartition (at
-most one key pair, with a monomial coefficient).  Each structure names its
-key class; `validate_key` is where a key is checked against a graph (a key
-constructor only refuses a repeat), and the element-level wrappers extend
-the key-level maps linearly after validating every term they are given.
+most one key pair, with a monomial coefficient q^qe t^te).  The key-level
+maps hand that coefficient over as its exponent pair (qe, te) of plain
+integers, and so does the braiding; only element-level code, and a
+witness that prints one, turns an exponent pair into a `QTPolynomial`.
+Each structure names its key class; `validate_key` is where a key is
+checked against a graph (a key constructor only refuses a repeat), and the
+element-level wrappers extend the key-level maps linearly after validating
+every term they are given.
 
 A split (S, T) is a pair of vertex masks at the key level (`product_key`,
 `coproduct_key`, `braiding`) and a pair of label sets at the element level
@@ -100,10 +104,11 @@ def braiding_coeff(g: Graph, S, T) -> QTPolynomial:
     return QTPolynomial.monomial(cross, len(s) * len(t) - cross)
 
 
-def _braiding(g: Graph, s: int, t: int) -> QTPolynomial:
-    """`braiding_coeff` on the masks of a split."""
+def _braiding(g: Graph, s: int, t: int) -> tuple[int, int]:
+    """The exponent pair (qe, te) of `braiding_coeff` on the masks of a
+    split."""
     cross = g._crossing(s, t)
-    return QTPolynomial.monomial(cross, s.bit_count() * t.bit_count() - cross)
+    return cross, s.bit_count() * t.bit_count() - cross
 
 
 # ---------------------------------------------------------------- catalog
@@ -144,15 +149,18 @@ class MonoidSpec:
         raise NotImplementedError
 
     def coproduct_key(self, g: Graph, s: int, t: int, key: BasisKey):
-        """None, or (left_key, right_key, coefficient)."""
+        """None, or (left_key, right_key, qe, te): the two factors and the
+        exponents of their coefficient q^qe t^te."""
         raise NotImplementedError
 
-    def braiding(self, g: Graph, s: int, t: int) -> QTPolynomial:
-        """The structure's own braiding weight on the (s, t) crossing: the
-        graph braiding with the parameters it does not deform set to one."""
+    def braiding(self, g: Graph, s: int, t: int) -> tuple[int, int]:
+        """The exponent pair (qe, te) of the structure's own braiding weight
+        on the (s, t) crossing: the graph braiding with the exponent of each
+        parameter it does not deform set to zero."""
         if not (self.uses_q or self.uses_t):
-            return QTPolynomial.one()
-        return _braiding(g, s, t).specialize(not self.uses_q, not self.uses_t)
+            return 0, 0
+        qe, te = _braiding(g, s, t)
+        return (qe if self.uses_q else 0), (te if self.uses_t else 0)
 
     def parse_key(self, text: str) -> BasisKey:
         return keys.parse_key(self.key_kind, text)
@@ -172,7 +180,7 @@ class _BlockSequenceMonoid(MonoidSpec):
     def coproduct_key(self, g, s, t, key):
         left, right, qe, te = _split_blocks(g, s, t, key.masks)
         key_of = self.key_cls._of
-        return key_of(left), key_of(right), QTPolynomial.monomial(qe, te)
+        return key_of(left), key_of(right), qe, te
 
 
 class _OrderMonoid(_BlockSequenceMonoid):
@@ -221,7 +229,7 @@ class _OrientationMonoid(MonoidSpec):
         qe = sum(1 for u, v in key.arcs if _BIT[u] & t and _BIT[v] & s)
         left, right = _pairs_inside(key.arcs, s), _pairs_inside(key.arcs, t)
         key_of = AcyclicOrientation._of
-        return key_of(left), key_of(right), QTPolynomial.monomial(qe, 0)
+        return key_of(left), key_of(right), qe, 0
 
 
 def _pairs_inside(pairs, mask: int) -> frozenset:
@@ -288,7 +296,7 @@ class _PartitionMonoid(MonoidSpec):
         key_of = self.key_cls._of
         left = key_of(tuple(sorted([bs for b in masks if (bs := b & s)])))
         right = key_of(tuple(sorted([bt for b in masks if (bt := b & t)])))
-        return left, right, QTPolynomial.one()
+        return left, right, 0, 0
 
 
 class _FlatMonoid(MonoidSpec):
@@ -323,7 +331,7 @@ class _FlatMonoid(MonoidSpec):
         if self.basis_tag == "P" and left | right != key.edges:
             return None
         key_of = self.key_cls._of
-        return key_of(left), key_of(right), QTPolynomial.one()
+        return key_of(left), key_of(right), 0, 0
 
 
 class _UnitSpeciesMonoid(MonoidSpec):
@@ -337,7 +345,7 @@ class _UnitSpeciesMonoid(MonoidSpec):
         return UnitKey()
 
     def coproduct_key(self, g, s, t, key):
-        return UnitKey(), UnitKey(), QTPolynomial.one()
+        return UnitKey(), UnitKey(), 0, 0
 
 
 MONOIDS: dict[str, MonoidSpec] = {
@@ -441,7 +449,7 @@ def coproduct_component(mid: str, g: Graph, S, T, x: Element) -> TensorElement:
     _accumulate(
         out.terms,
         (
-            ((res[0], res[1]), c * res[2])
+            ((res[0], res[1]), c * QTPolynomial.monomial(res[2], res[3]))
             for k, c in x.terms.items()
             if (res := spec.coproduct_key(g, s, t, k)) is not None
         ),

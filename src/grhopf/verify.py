@@ -17,7 +17,10 @@ Each check looks for a witness, its first counterexample, and `_record`
 turns that witness (or None) into the check's `CheckRecord`.  `_splits`
 gives every ordered bipartition of a graph as a pair of vertex masks with
 both induced subgraphs; the checks hand those masks to the key-level maps,
-and a witness names a split by its sorted labels (`_parts`).
+and a witness names a split by its sorted labels (`_parts`).  The key-level
+maps give each coefficient as its exponent pair (qe, te), so the checks add
+exponents where a law multiplies monomials and compare tuples of integers;
+a witness prints the pair as a `QTPolynomial` (`_coeff_str`).
 
 Checks are grouped into named suites.  `run_suite` returns a
 `VerificationReport` holding one `CheckRecord` per (check, monoid, graph)
@@ -35,7 +38,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from operator import attrgetter
 
 from .antipode import (
     CLOSED_FORM_IDS,
@@ -63,7 +65,7 @@ from .monoids import (
     get_monoid,
 )
 from .morphisms import DIAGRAMS, MORPHISMS, apply_path, get_morphism
-from .qtpoly import ONE
+from .qtpoly import QTPolynomial
 
 MAX_CORPUS_N = 5
 
@@ -277,11 +279,17 @@ def _memoized(spec):
     return memo
 
 
+def _coeff_str(qe: int, te: int) -> str:
+    """The monomial q^qe t^te as a witness prints it."""
+    return str(QTPolynomial.monomial(qe, te))
+
+
 def _tensor_str(t) -> str:
-    """A (key, ..., key, coefficient) tuple as `(c) k1 (x) k2 ...`; None is 0."""
+    """A (key, ..., key, qe, te) tuple as `(q^qe*t^te) k1 (x) k2 ...`; None
+    is 0."""
     if t is None:
         return "0"
-    return f"({t[-1]}) " + " (x) ".join(k.literal() for k in t[:-1])
+    return f"({_coeff_str(t[-2], t[-1])}) " + " (x) ".join(k.literal() for k in t[:-2])
 
 
 def _assoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
@@ -316,20 +324,20 @@ def _coassoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
             first = spec.coproduct_key(g, a_set, b_set | c_set, key)
             path1 = None
             if first is not None:
-                ka, kbc, c1 = first
+                ka, kbc, q1, t1 = first
                 second = spec.coproduct_key(gbc, b_set, c_set, kbc)
                 if second is not None:
-                    kb, kc, c2 = second
-                    path1 = (ka, kb, kc, c1 * c2)
+                    kb, kc, q2, t2 = second
+                    path1 = (ka, kb, kc, q1 + q2, t1 + t2)
             # cut C off first, then split A|B
             first = spec.coproduct_key(g, a_set | b_set, c_set, key)
             path2 = None
             if first is not None:
-                kab, kc, c1 = first
+                kab, kc, q1, t1 = first
                 second = spec.coproduct_key(gab, a_set, b_set, kab)
                 if second is not None:
-                    ka, kb, c2 = second
-                    path2 = (ka, kb, kc, c1 * c2)
+                    ka, kb, q2, t2 = second
+                    path2 = (ka, kb, kc, q1 + q2, t1 + t2)
             if path1 != path2:
                 return {
                     "axiom": "coassociativity",
@@ -351,14 +359,14 @@ def _unit_counit_witness(spec, g: Graph, key_cap=None) -> dict | None:
         if spec.product_key(g, full, empty, key, e_key) != key:
             return {"axiom": "right_unit", "key": key.literal()}
         left = spec.coproduct_key(g, empty, full, key)
-        if left != (e_key, key, ONE):
+        if left != (e_key, key, 0, 0):
             return {
                 "axiom": "left_counit",
                 "key": key.literal(),
                 "got": _tensor_str(left),
             }
         right = spec.coproduct_key(g, full, empty, key)
-        if right != (key, e_key, ONE):
+        if right != (key, e_key, 0, 0):
             return {
                 "axiom": "right_counit",
                 "key": key.literal(),
@@ -375,7 +383,7 @@ def _compat_witness(spec, g: Graph, key_cap=None) -> dict | None:
         for a_set, b_set, ga, gb in splits:
             sa, sb_part = s_set & a_set, s_set & b_set
             ta, tb_part = t_set & a_set, t_set & b_set
-            beta = spec.braiding(g, sb_part, ta)
+            beta_q, beta_t = spec.braiding(g, sb_part, ta)
             for x in sb:
                 left_x = spec.coproduct_key(gs, sa, sb_part, x)
                 for y in tb:
@@ -385,11 +393,11 @@ def _compat_witness(spec, g: Graph, key_cap=None) -> dict | None:
                     if left_x is not None:
                         right_y = spec.coproduct_key(gt, ta, tb_part, y)
                         if right_y is not None:
-                            xa, xb, c1 = left_x
-                            ya, yb, c2 = right_y
+                            xa, xb, q1, t1 = left_x
+                            ya, yb, q2, t2 = right_y
                             ka = spec.product_key(ga, sa, ta, xa, ya)
                             kb = spec.product_key(gb, sb_part, tb_part, xb, yb)
-                            rhs = (ka, kb, c1 * c2 * beta)
+                            rhs = (ka, kb, q1 + q2 + beta_q, t1 + t2 + beta_t)
                     if lhs != rhs:
                         return {
                             "axiom": "product_coproduct_compatibility",
@@ -421,7 +429,7 @@ def _closure_witness(spec, g: Graph, key_cap=None) -> dict | None:
             res = spec.coproduct_key(g, s_set, t_set, key)
             if res is None:
                 continue
-            lk, rk, _ = res
+            lk, rk = res[:2]
             try:
                 spec.validate_key(gs, lk)
                 spec.validate_key(gt, rk)
@@ -525,7 +533,8 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                         res = spec.coproduct_key(g, s_set, t_set, key)
                         if res is None:
                             continue
-                        lk, rk, coeff = res
+                        lk, rk, qe, te = res
+                        coeff = QTPolynomial.monomial(qe, te)
                         if s_on_left:
                             pairs = (
                                 (spec.product_key(g, s_set, t_set, sk, rk), coeff * sc)
@@ -582,14 +591,14 @@ def check_commutativity(
 
     for s_set, t_set, gs, gt in _splits(g):
         crossing = g._crossing(s_set, t_set)
-        beta = spec.braiding(g, s_set, t_set)
+        beta_q, beta_t = spec.braiding(g, s_set, t_set)
         # flavors that fail wherever the braided exchange does on this split
         braided = ["commutative_exact"]
         if crossing == 0:
             braided.append("disjoint_commutative")
         if crossing == s_set.bit_count() * t_set.bit_count():
             braided.append("join_commutative")
-        beta_is_one = beta == ONE
+        beta_is_one = not (beta_q or beta_t)
         sb = _capped_basis(mid, gs, key_cap)
         tb = _capped_basis(mid, gt, key_cap)
         for x in sb:
@@ -606,13 +615,15 @@ def check_commutativity(
                         "keys": [x.literal(), y.literal()],
                         "forward": fwd.literal(),
                         "backward": bwd.literal(),
-                        "braiding": str(beta),
+                        "braiding": _coeff_str(beta_q, beta_t),
                     },
                 )
         for key in _capped_basis(mid, g, key_cap):
             fwd = spec.coproduct_key(g, s_set, t_set, key)
             bwd = spec.coproduct_key(g, t_set, s_set, key)
-            swapped = None if bwd is None else (bwd[1], bwd[0], bwd[2] * beta)
+            swapped = None
+            if bwd is not None:
+                swapped = (bwd[1], bwd[0], bwd[2] + beta_q, bwd[3] + beta_t)
             if fwd == swapped:
                 continue
             plain_fwd = None if fwd is None else (fwd[0], fwd[1])
@@ -662,21 +673,23 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
                             "map_of_product": mapped.literal(),
                             "product_of_maps": direct.literal(),
                         }
+            # both sides specialize: q = 1 (t = 1) sets the q (t) exponent to 0
             for key in _capped_basis(dom_id, g, key_cap):
                 res_dom = dom.coproduct_key(g, s_set, t_set, key)
                 if res_dom is None:
                     pushed = None
                 else:
-                    lk, rk, coeff = res_dom
+                    lk, rk, qe, te = res_dom
                     pushed = (
                         morphism.map_key(gs, lk),
                         morphism.map_key(gt, rk),
-                        coeff.specialize(q_one, t_one),
+                        0 if q_one else qe,
+                        0 if t_one else te,
                     )
                 res_cod = cod.coproduct_key(g, s_set, t_set, morphism.map_key(g, key))
                 if res_cod is not None:
-                    lk, rk, coeff = res_cod
-                    res_cod = (lk, rk, coeff.specialize(q_one, t_one))
+                    lk, rk, qe, te = res_cod
+                    res_cod = (lk, rk, 0 if q_one else qe, 0 if t_one else te)
                 if pushed != res_cod:
                     return {
                         "law": "coproduct_intertwines",
@@ -739,14 +752,14 @@ def _complement_witness(g: Graph) -> dict | None:
     if comp.complement() != g:
         return {"law": "complement_involution"}
     for s_set, t_set in _ordered_bipartitions(g.mask):
-        full_here = _braiding(g, s_set, t_set)
+        qe, te = _braiding(g, s_set, t_set)
         full_there = _braiding(comp, s_set, t_set)
-        if full_there != full_here.swap_qt():
+        if full_there != (te, qe):
             return {
                 "law": "complement_swaps_parameters",
                 "split": _parts(s_set, t_set),
-                "braiding": str(full_here),
-                "complement_braiding": str(full_there),
+                "braiding": _coeff_str(qe, te),
+                "complement_braiding": _coeff_str(*full_there),
             }
     return None
 
@@ -759,25 +772,27 @@ def _functor_witness(mid: str, g: Graph) -> dict | None:
 
     complete = len(g.edges) == math.comb(g.n, 2)
     discrete = not g.edges
+    # each law names the exponent that must be zero: te in (qe, te) on a
+    # complete graph, qe on a discrete one
     checks = []
     if complete:
-        checks.append(("complete_t_free", attrgetter("t_free")))
+        checks.append(("complete_t_free", 1))
     if discrete:
-        checks.append(("discrete_q_free", attrgetter("q_free")))
-    for law, free in checks:
+        checks.append(("discrete_q_free", 0))
+    for law, which in checks:
         for s_set, t_set in _ordered_bipartitions(g.mask):
-            coeff = spec.braiding(g, s_set, t_set)
-            if not free(coeff):
-                return {"law": law, "where": "braiding", "coefficient": str(coeff)}
+            beta = spec.braiding(g, s_set, t_set)
+            if beta[which]:
+                return {"law": law, "where": "braiding", "coefficient": _coeff_str(*beta)}
             for key in _basis_cached(mid, g):
                 res = spec.coproduct_key(g, s_set, t_set, key)
-                if res is not None and not free(res[2]):
+                if res is not None and res[2 + which]:
                     return {
                         "law": law,
                         "where": "coproduct",
                         "split": _parts(s_set, t_set),
                         "key": key.literal(),
-                        "coefficient": str(res[2]),
+                        "coefficient": _coeff_str(res[2], res[3]),
                     }
 
     expected: int | None = None

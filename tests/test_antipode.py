@@ -176,7 +176,7 @@ def _flat_takeuchi_terms(spec, g, key):
     # left-iterated coproducts along the blocks, then left-iterated products
     for comp in set_compositions(g.vertices):
         parts = comp.blocks
-        coeff = QTPolynomial.one()
+        qe = te = 0
         pieces = []
         cur_graph, cur_key = g, key
         rest = g.mask
@@ -186,8 +186,8 @@ def _flat_takeuchi_terms(spec, g, key):
             res = spec.coproduct_key(cur_graph, s, rest, cur_key)
             if res is None:
                 break
-            lk, cur_key, c = res
-            coeff = coeff * c
+            lk, cur_key, cq, ct = res
+            qe, te = qe + cq, te + ct
             pieces.append(lk)
             cur_graph = cur_graph.induced(_labels_of(rest))
         else:
@@ -198,7 +198,7 @@ def _flat_takeuchi_terms(spec, g, key):
                 s = _mask_of(block)
                 pk = spec.product_key(g.induced(_labels_of(acc_set | s)), acc_set, s, pk, piece)
                 acc_set = acc_set | s
-            yield pk, -coeff if len(parts) % 2 else coeff
+            yield pk, QTPolynomial.monomial(qe, te, -1 if len(parts) % 2 else 1)
 
 
 def _assert_walk_matches_flat_reference(mid, g, keys):
@@ -292,7 +292,8 @@ def _convolution_with_identity(mid, g, k):
         res = spec.coproduct_key(g, ms, mt, k)
         if res is None:
             continue
-        lk, rk, c = res
+        lk, rk, qe, te = res
+        c = QTPolynomial.monomial(qe, te)
         sx = cache.of(g.induced(s), lk)
         for k2, c2 in sx.terms.items():
             pk = spec.product_key(g, ms, mt, k2, rk)
@@ -319,7 +320,8 @@ def test_convolution_cancels_only_in_the_sum():
     parts = []
     for s, t in ordered_bipartitions(g.vertices):
         ms, mt = _mask_of(s), _mask_of(t)
-        lk, rk, c = spec.coproduct_key(g, ms, mt, k)
+        lk, rk, qe, te = spec.coproduct_key(g, ms, mt, k)
+        c = QTPolynomial.monomial(qe, te)
         sx = cache.of(g.induced(s), lk)
         term = Element.zero("L", g)
         for k2, c2 in sx.terms.items():

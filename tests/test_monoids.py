@@ -24,6 +24,7 @@ from grhopf import (
     braiding_coeff,
     complete_graph,
     coproduct_component,
+    corpus,
     counit_value,
     discrete_graph,
     fubini_number,
@@ -89,10 +90,11 @@ def test_braiding_weight_counts_crossing_edges_and_nonedges():
 def test_monoid_braiding_drops_unused_parameters():
     g = p3()
     s, t = _mask_of("a"), _mask_of("bc")
-    assert get_monoid("L").braiding(g, s, t) == Q * T
-    assert get_monoid("AO").braiding(g, s, t) == Q
-    assert get_monoid("Pi_m").braiding(g, s, t) == 1
-    assert get_monoid("E").braiding(g, s, t) == 1
+    # exponent pairs (qe, te): L keeps q * t, AO only q, the rest 1
+    assert get_monoid("L").braiding(g, s, t) == (1, 1)
+    assert get_monoid("AO").braiding(g, s, t) == (1, 0)
+    assert get_monoid("Pi_m").braiding(g, s, t) == (0, 0)
+    assert get_monoid("E").braiding(g, s, t) == (0, 0)
 
 
 def test_basis_sizes_small():
@@ -277,9 +279,39 @@ def test_mask_kernel_agrees_with_label_level_counts(g):
                 if want is None or got is None:
                     assert got is want, (mid, g, k, s)
                     continue
-                lk, rk, c = got
+                lk, rk, qe, te = got
                 assert (view(lk), view(rk)) == want[:2], (mid, g, k, s)
-                assert c == QTPolynomial.monomial(*want[2:]), (mid, g, k, s)
+                assert (qe, te) == want[2:], (mid, g, k, s)
+
+
+def _exponents_by_labels(mid, g, S, T, key):
+    """(qe, te) counted on labels: for orders and compositions the edges
+    and the non-edges {u, v} with u in T, v in S and u's block earlier than
+    v's; for orientations the arcs from T to S."""
+    if mid == "AO":
+        return sum(1 for u, v in key.arcs if u in T and v in S), 0
+    blocks = [(v,) for v in key.seq] if mid == "L" else key.blocks
+    rank = {v: i for i, b in enumerate(blocks) for v in b}
+    pairs = [(u, v) for u in T for v in S if rank[u] < rank[v]]
+    qe = sum(1 for u, v in pairs if g.has_edge(u, v))
+    return qe, len(pairs) - qe
+
+
+def test_key_level_exponents_equal_label_level_counts_on_corpus4():
+    for g in corpus(4):
+        splits = [(S, T, _mask_of(S), _mask_of(T)) for S, T in ordered_bipartitions(g.vertices)]
+        for mid in MONOID_IDS:
+            spec = get_monoid(mid)
+            for S, T, s, t in splits:
+                [((qe, te), _one)] = braiding_coeff(g, S, T).terms()
+                want = (qe if spec.uses_q else 0, te if spec.uses_t else 0)
+                assert spec.braiding(g, s, t) == want, (mid, g, S)
+            if mid not in ("L", "AO", "Sigma", "SSigma"):
+                continue
+            for k in spec.basis(g):
+                for S, T, s, t in splits:
+                    want = _exponents_by_labels(mid, g, set(S), set(T), k)
+                    assert spec.coproduct_key(g, s, t, k)[2:] == want, (mid, g, k, S)
 
 
 def test_partition_m_coproduct_restricts_unconditionally():
@@ -296,13 +328,14 @@ def test_partition_maps_give_canonical_blocks():
     # product of c with a,b lists c first: both come out sorted
     spec = get_monoid("Pi_m")
     g = discrete_graph("abcd")
-    left, right, coeff = spec.coproduct_key(
+    left, right, qe, te = spec.coproduct_key(
         g, _mask_of("cd"), _mask_of("ab"), key("Pi_m", "a,d/b,c")
     )
-    assert (left.blocks, right.blocks, coeff) == (
+    assert (left.blocks, right.blocks, qe, te) == (
         (("c",), ("d",)),
         (("a",), ("b",)),
-        QTPolynomial.one(),
+        0,
+        0,
     )
     x, y = key("Pi_m", "c"), key("Pi_m", "a,b")
     assert spec.product_key(g, _mask_of("c"), _mask_of("ab"), x, y).blocks == (("a", "b"), ("c",))

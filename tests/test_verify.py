@@ -9,12 +9,12 @@ from grhopf import (
     MONOID_IDS,
     MONOIDS,
     MORPHISMS,
+    AntipodeCache,
     CheckRecord,
     Element,
     Graph,
     InputError,
     Morphism,
-    Q,
     SetCompositionKey,
     VerificationReport,
     check_antipode,
@@ -31,7 +31,6 @@ from grhopf import (
     run_suite,
     sampled_graphs,
 )
-from grhopf import T as T_POLY
 from grhopf import monoids, verify
 from grhopf.cli import main as cli_main
 from grhopf.graphs import _mask_of
@@ -382,7 +381,7 @@ class _SigmaDroppingT(type(MONOIDS["Sigma"])):
     def coproduct_key(self, g, S, T, key):
         res = super().coproduct_key(g, S, T, key)
         if res is not None and (S, T) == self.SPLIT:
-            return res[0], res[1], res[2].specialize(t_one=True)
+            return res[0], res[1], res[2], 0
         return res
 
 
@@ -439,31 +438,52 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     assert verdict.detail["takeuchi"] == str(Element.of("Sigma", g, get_monoid("Sigma").basis(g)[0]))
 
 
-class _AOWithTunedCoproduct(type(MONOIDS["AO"])):
-    """AO with three coproduct coefficients changed.  On the edgeless graph
-    v1..v4 its left and right recursions disagree on the subgraph v1,v2,v3
-    but agree with each other, the alternating sum and the closed form on
-    the whole graph."""
+class _MatchMWithExtraQ(type(MONOIDS["Match_M"])):
+    """Match_M with one extra factor q on four coproduct splits.  On the
+    edgeless graph v1..v4, whose one key is the empty matching, the
+    alternating sum and both recursions give -q^2 + 4*q - 2 on the whole
+    graph, but the recursions disagree below it: the left one gives -q on
+    v1,v2,v3 and q - 2 on v1,v2,v4, the right one q - 2 and -q.  Match_M
+    has no closed form to catch this."""
 
-    SCALE = {
-        (_mask_of(["v1"]), _mask_of(["v2", "v3"])): 2,
-        (_mask_of(["v4"]), _mask_of(["v1", "v2", "v3"])): 2,
-        (_mask_of(["v1", "v2", "v3"]), _mask_of(["v4"])): -2,
-    }
+    SHIFTED = frozenset(
+        {
+            (_mask_of(["v2", "v3"]), _mask_of(["v1"])),
+            (_mask_of(["v4"]), _mask_of(["v1", "v2"])),
+            (_mask_of(["v1", "v2", "v4"]), _mask_of(["v3"])),
+            (_mask_of(["v4"]), _mask_of(["v1", "v2", "v3"])),
+        }
+    )
 
     def coproduct_key(self, g, S, T, key):
-        left, right, coeff = super().coproduct_key(g, S, T, key)
-        return left, right, coeff * self.SCALE.get((S, T), 1)
+        left, right, qe, te = super().coproduct_key(g, S, T, key)
+        if (S, T) in self.SHIFTED:
+            qe += 1
+        return left, right, qe, te
 
 
 def test_convolution_laws_take_the_antipode_from_the_other_recursion(monkeypatch):
     # each one-sided recursion satisfies its own side's law by definition,
     # so only the crossed sums can see that these maps have no two-sided
     # inverse
-    monkeypatch.setitem(MONOIDS, "AO", _AOWithTunedCoproduct())
-    (record,) = check_antipode("AO", Graph(["v1", "v2", "v3", "v4"]))
+    monkeypatch.setitem(MONOIDS, "Match_M", _MatchMWithExtraQ("Match_M", "M", True))
+    g = Graph(["v1", "v2", "v3", "v4"])
+    empty = get_monoid("Match_M").empty_key()
+    left, right = AntipodeCache("Match_M", "left"), AntipodeCache("Match_M", "right")
+    assert str(left.of(g, empty)) == str(right.of(g, empty)) == "(-q^2 + 4*q - 2) ()"
+    for sub, by_left, by_right in (
+        (["v1", "v2", "v3"], "(-q) ()", "(q - 2) ()"),
+        (["v1", "v2", "v4"], "(q - 2) ()", "(-q) ()"),
+    ):
+        h = g.induced(sub)
+        assert (str(left.of(h, empty)), str(right.of(h, empty))) == (by_left, by_right)
+    (record,) = check_antipode("Match_M", g)
     assert not record.passed
-    assert record.detail == {"law": "convolution_left", "key": "()", "got": "(4) ()"}
+    assert record.detail == {
+        "law": "convolution_left",
+        "key": "()",
+        "got": "(-2*q^2 + 4*q - 2) ()",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +566,15 @@ class _LWithTCoproduct(type(MONOIDS["L"])):
     """L, except that every coproduct coefficient gains a factor t."""
 
     def coproduct_key(self, g, S, T, key):
-        left, right, coeff = super().coproduct_key(g, S, T, key)
-        return left, right, coeff * T_POLY
+        left, right, qe, te = super().coproduct_key(g, S, T, key)
+        return left, right, qe, te + 1
 
 
 class _LWithQBraiding(type(MONOIDS["L"])):
     """L, except that its braiding is q on every split."""
 
     def braiding(self, g, S, T):
-        return Q
+        return 1, 0
 
 
 def test_functors_complete_t_free_witness(monkeypatch):
