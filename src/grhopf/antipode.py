@@ -20,6 +20,12 @@ coproducts' monomials, so the walk adds their exponent pairs along the
 prefix as plain integers; `antipode_takeuchi` sums the signs per (product
 key, exponent pair) and builds `QTPolynomial`s only from the sums that do
 not cancel.
+
+The one-sided recursions compute in the same representation: an exponent
+map {(key, qe, te): nonzero int}, the coefficient of q^qe t^te on key.
+Multiplying a recursed term by a coproduct monomial adds exponents, and
+negating it negates an integer.  `AntipodeCache` memoizes exponent maps and
+`_element` turns one into an `Element` at the public boundary.
 """
 
 from __future__ import annotations
@@ -92,9 +98,17 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
     if g.n == 0:
         return Element.of(mid, g, key)
     # (product key, qe, te) -> summed sign, dropped as soon as it cancels
-    sums = _accumulate({}, _takeuchi_terms(spec, g, key))
-    monomial = QTPolynomial.monomial
-    return Element(mid, g, ((k, monomial(qe, te, c)) for (k, qe, te), c in sums.items()))
+    return _element(mid, g, _accumulate({}, _takeuchi_terms(spec, g, key)))
+
+
+def _element(mid: str, g: Graph, sums: dict) -> Element:
+    """The Element of an exponent map {(key, qe, te): nonzero int}: one
+    `QTPolynomial` per key, built from its terms with no polynomial
+    arithmetic."""
+    by_key: dict = {}
+    for (k, qe, te), c in sums.items():
+        by_key.setdefault(k, {})[qe, te] = c
+    return Element(mid, g, ((k, QTPolynomial(ts)) for k, ts in by_key.items()))
 
 
 def _takeuchi_terms(spec, g: Graph, key: BasisKey):
@@ -145,24 +159,25 @@ def antipode_milnor_moore(mid: str, g: Graph, key: BasisKey, side: str = "left")
     return AntipodeCache(mid, side).of(g, key)
 
 
-def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> Element:
+def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> dict:
+    """The exponent map of key's antipode on g, memoized per (g, key); the
+    returned map is shared with the memo and must not be changed."""
     if g.n == 0:
-        return Element.of(spec.id, g, key)
+        return {(key, 0, 0): 1}
     mk = (g, key)
     hit = memo.get(mk)
-    if hit is not None:
-        return hit
-    out = Element.zero(spec.id, g)
-    _accumulate(out.terms, _mm_terms(spec, g, key, side, memo))
-    memo[mk] = out
-    return out
+    if hit is None:
+        hit = memo[mk] = _accumulate({}, _mm_terms(spec, g, key, side, memo))
+    return hit
 
 
 def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
-    """For each peeled bipartition with coproduct coefficient c, one
-    (product key, -(c * c')) pair per term c' of the recursed factor's
-    antipode, multiplied back with the other factor's key."""
+    """For each peeled bipartition with coproduct monomial q^qe t^te, one
+    ((product key, qe + qe', te + te'), -c') pair per term c' q^qe' t^te'
+    of the recursed factor's exponent map, multiplied back with the other
+    factor's key."""
     left = side == "left"
+    product_key = spec.product_key
     for s, t in _ordered_bipartitions(g.mask):
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
@@ -171,18 +186,19 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
         if res is None:
             continue
         lk, rk, qe, te = res
-        c = QTPolynomial.monomial(qe, te)
         rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo)
-        for k2, c2 in rec.terms.items():
+        for (k2, q2, t2), c2 in rec.items():
             x, y = (k2, rk) if left else (lk, k2)
-            yield spec.product_key(g, s, t, x, y), -(c * c2)
+            yield (product_key(g, s, t, x, y), qe + q2, te + t2), -c2
 
 
 class AntipodeCache:
     """Memoized one-sided antipode evaluator, shared across many calls.
 
     The memo spans induced subgraphs, so convolution sums and repeated
-    per-key queries on one graph reuse each other's recursion work.
+    per-key queries on one graph reuse each other's recursion work.  It
+    holds exponent maps {(key, qe, te): int}; `of` returns an `Element`,
+    `_of` the memoized map itself.
     """
 
     __slots__ = ("spec", "side", "_memo")
@@ -197,11 +213,12 @@ class AntipodeCache:
     def of(self, g: Graph, key: BasisKey) -> Element:
         """The antipode of key, refused unless it is a basis key of g."""
         self.spec.validate_key(g, key)
-        return self._of(g, key)
+        return _element(self.spec.id, g, self._of(g, key))
 
-    def _of(self, g: Graph, key: BasisKey) -> Element:
-        """`of` for a key the caller knows to be a basis key of g, such as a
-        factor of a basis key's coproduct."""
+    def _of(self, g: Graph, key: BasisKey) -> dict:
+        """The exponent map of the antipode of a key the caller knows to be
+        a basis key of g, such as a factor of a basis key's coproduct.  The
+        map is the memo's own and must not be changed."""
         return _mm(self.spec, g, key, self.side, self._memo)
 
     def of_element(self, x: Element) -> Element:

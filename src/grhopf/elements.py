@@ -180,8 +180,11 @@ class TensorElement(_LinearCombination):
 def linear_extend(f, x: _LinearCombination):
     """Extend a key-level map linearly: the sum of coeff * f(key) over the
     terms of x.  Every f(key) must lie in x's own context, which also holds
-    the result (the zero input maps to the zero of that context)."""
-    out = x._like({})
+    the result (the zero input maps to the zero of that context).  The terms
+    are summed into one term map."""
+    terms: dict = {}
     for k, c in x.terms.items():
-        out = out + f(k).scale(c)
-    return out
+        y = f(k)
+        x._check_context(y)
+        _accumulate(terms, ((k2, c2 * c) for k2, c2 in y.terms.items()))
+    return x._like(terms)

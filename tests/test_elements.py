@@ -122,6 +122,18 @@ def test_linear_extend():
     assert linear_extend(reverse, Element.zero("L", g)).is_zero
 
 
+def test_linear_extend_refuses_an_image_in_another_context():
+    g = p3()
+    h = g.induced({"a", "b"})
+    x = Element.of("L", g, LinearOrder(("a", "b", "c")), Q)
+    with pytest.raises(InputError, match="context mismatch") as other_graph:
+        linear_extend(lambda key: Element.of("L", h, LinearOrder(("a", "b"))), x)
+    assert str(other_graph.value) == f"context mismatch: {x.context} vs {('L', h)}"
+    with pytest.raises(InputError) as other_monoid:
+        linear_extend(lambda key: Element.of("Sigma", g, key), x)
+    assert str(other_monoid.value) == f"context mismatch: {x.context} vs {('Sigma', g)}"
+
+
 # ---------------------------------------------------------------- module laws
 
 

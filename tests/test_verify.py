@@ -15,6 +15,7 @@ from grhopf import (
     Graph,
     InputError,
     Morphism,
+    QTPolynomial,
     SetCompositionKey,
     VerificationReport,
     check_antipode,
@@ -426,7 +427,10 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
         def of(self, g, key):
             return Element.of(self.mid, g, key)
 
-        _of = of  # the unchecked lookup of the convolution and involution laws
+        def _of(self, g, key):
+            # the unchecked exponent-map lookup of the convolution and
+            # involution laws
+            return {(key, 0, 0): 1}
 
     monkeypatch.setattr(verify, "antipode_takeuchi", lambda mid, g, key: Element.of(mid, g, key))
     monkeypatch.setattr(verify, "AntipodeCache", IdentityCache)
@@ -436,6 +440,29 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     assert verdict.check == "antipode_closed_form_verdict"
     assert not verdict.passed
     assert verdict.detail["takeuchi"] == str(Element.of("Sigma", g, get_monoid("Sigma").basis(g)[0]))
+
+
+def test_antipode_laws_do_no_polynomial_arithmetic(monkeypatch):
+    # the recursions and the convolution and involution laws add exponents
+    # and integers; neither matching monoid's closed form does arithmetic
+    names = ("__mul__", "__rmul__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        inner = getattr(QTPolynomial, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(QTPolynomial, name, counted(name))
+    for mid in ("Match_M", "Match_P"):
+        for g in corpus(3):
+            assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
+    assert calls == dict.fromkeys(names, 0)
 
 
 class _MatchMWithExtraQ(type(MONOIDS["Match_M"])):
@@ -623,3 +650,23 @@ def test_stanley_witness(monkeypatch):
     record = check_stanley(_P3)
     assert (record.check, record.monoid, record.passed) == ("stanley", "AO", False)
     assert record.detail == {"orientations": 2, "signed_chromatic": 1}
+
+
+def test_involution_witnesses(monkeypatch):
+    # L and Sigma are not commutative, so their antipodes are no involutions
+    monkeypatch.setattr(verify, "COMMUTATIVE_FAMILY", verify.COMMUTATIVE_FAMILY + ("L", "Sigma"))
+    (record,) = check_antipode("L", Graph(["v1", "v2"], [("v1", "v2")]))
+    assert not record.passed
+    assert record.detail == {"law": "involution", "key": "v1<v2", "s_of_s": "(q^2) v1<v2"}
+    main, verdict = check_antipode("Sigma", _P3)
+    assert verdict.passed and not main.passed
+    assert main.detail == {
+        "law": "involution",
+        "key": "v1,v2,v3",
+        "s_of_s": "(1) v1,v2,v3 + (t^2 - 1) v1,v2|v3 + (q*t - 1) v1,v3|v2"
+        " + (q*t - 1) v1|v2,v3 + (q*t^2 - q*t - t^2 + 1) v1|v2|v3"
+        " + (q*t^2 - 2*q*t + 1) v1|v3|v2 + (q*t - 1) v2,v3|v1"
+        " + (q*t - 1) v2|v1,v3 + (q*t^2 - q*t - t^2 + 1) v2|v1|v3"
+        " + (q*t^2 - 2*q*t + 1) v2|v3|v1 + (t^2 - 1) v3|v1,v2"
+        " + (q*t^2 - q*t - t^2 + 1) v3|v1|v2 + (q*t^2 - q*t - t^2 + 1) v3|v2|v1",
+    }
