@@ -17,9 +17,9 @@ every non-vanishing composition contributes exactly one signed term, and
 every structure-map call has the arguments the composition-by-composition
 loop gives it.  A composition's coefficient is the product of its
 coproducts' monomials, so the walk adds their exponent pairs along the
-prefix as plain integers; `antipode_takeuchi` sums the signs per (product
-key, exponent pair) and builds `QTPolynomial`s only from the sums that do
-not cancel.
+prefix as plain integers; `_takeuchi_sums` adds the signs per (product
+key, exponent pair) into one map in place, and `antipode_takeuchi` builds
+`QTPolynomial`s only from the sums that do not cancel.
 
 The one-sided recursions compute in the same representation: an exponent
 map {(key, qe, te): nonzero int}, the coefficient of q^qe t^te on key.
@@ -43,10 +43,11 @@ from .keys import (
     AcyclicOrientation,
     BasisKey,
     LinearOrder,
+    PartitionM,
     SetCompositionKey,
     UnitKey,
 )
-from .monoids import _crossing_exponents, basis_change, get_monoid
+from .monoids import _change_route, _crossing_exponents, _rebased, get_monoid
 from .qtpoly import QTPolynomial
 
 METHODS = ("takeuchi", "milnor-moore-left", "milnor-moore-right", "closed")
@@ -97,8 +98,7 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
     spec.validate_key(g, key)
     if g.n == 0:
         return Element.of(mid, g, key)
-    # (product key, qe, te) -> summed sign, dropped as soon as it cancels
-    return _element(mid, g, _accumulate({}, _takeuchi_terms(spec, g, key)))
+    return _element(mid, g, _takeuchi_sums(spec, g, key, {}))
 
 
 def _element(mid: str, g: Graph, sums: dict) -> Element:
@@ -111,16 +111,18 @@ def _element(mid: str, g: Graph, sums: dict) -> Element:
     return Element(mid, g, ((k, QTPolynomial(ts)) for k, ts in by_key.items()))
 
 
-def _takeuchi_terms(spec, g: Graph, key: BasisKey):
-    """One signed term ((product key, qe, te), sign) per set composition
-    whose iterated coproduct does not vanish, walked depth-first over first
-    blocks: the composition contributes sign * q^qe t^te times its product
-    key.
+def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
+    """Sum the alternating sum into the exponent map sums, {(product key,
+    qe, te): summed sign}, and return it: each set composition whose
+    iterated coproduct does not vanish reads its entry once and adds its
+    sign to it, the entry of its product key and coefficient q^qe t^te, and
+    an entry is dropped as soon as it cancels.  The walk is depth-first
+    over first blocks.
 
     A node is a composition prefix: the graph on the vertices still to
     place with its right coproduct key, the placed vertices with their
     left-folded product key, and the exponents of the prefix's coefficient,
-    which are the sums of its coproducts' exponents.  Each node yields the
+    which are the sums of its coproducts' exponents.  Each node counts the
     composition ending with all remaining vertices as one block, then peels
     every nonempty proper first block off the rest; a vanishing coproduct
     prunes every composition that starts with that prefix.  Nothing is
@@ -136,7 +138,13 @@ def _takeuchi_terms(spec, g: Graph, key: BasisKey):
         last = rest_key if pk is None else product_key(
             g, placed, rest_g.mask, pk, rest_key
         )
-        yield (last, qe, te), sign
+        term = (last, qe, te)
+        # a sign is +-1, so a sum cancels only where the entry was there
+        acc = sums.get(term, 0) + sign
+        if acc:
+            sums[term] = acc
+        else:
+            del sums[term]
         for s, t in _ordered_bipartitions(rest_g.mask):
             if not s or not t:
                 continue
@@ -148,6 +156,7 @@ def _takeuchi_terms(spec, g: Graph, key: BasisKey):
             if pk is not None:
                 lk = product_key(g._induced(done), placed, s, pk, lk)
             stack.append((rest_g._induced(t), rk, done, lk, qe + cq, te + ct, -sign))
+    return sums
 
 
 # ---------------------------------------------------------------- recursions
@@ -266,17 +275,12 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
         return Element.of(mid, g, key, c)
 
     if mid == "Pi_m":
-        # reroute through the p basis
-        as_p = basis_change("Pi_m", "Pi_p", g, Element.of(mid, g, key))
-        flipped = Element(
-            "Pi_p",
-            g,
-            (
-                (k, c if len(k.masks) % 2 == 0 else c * -1)
-                for k, c in as_p.terms.items()
-            ),
-        )
-        return basis_change("Pi_p", "Pi_m", g, flipped)
+        # through the p basis on integer maps: m -> p, Pi_p's sign, p -> m
+        below, _ = _change_route(mid)
+        as_p = _rebased(below, True, {key.masks: 1})
+        flipped = {y: c if len(y) % 2 == 0 else -c for y, c in as_p.items()}
+        as_m = _rebased(below, False, flipped)
+        return Element(mid, g, ((PartitionM._of(y), c) for y, c in as_m.items()))
 
     if mid == "FL_M":
         sub = Graph(g.vertices, key.edges)

@@ -199,12 +199,17 @@ def _partition_keys(cls, mask: int, keep) -> list:
     return _keys_by_literal(cls, (tuple(sorted(p)) for p in _block_sets(mask, keep)))
 
 
-def _refinements(masks) -> list[tuple[int, ...]]:
-    """The payloads of all partitions below the partition with these block
-    masks, in literal order: each block partitioned independently."""
-    per_block = [list(_block_sets(b, bool)) for b in masks]
-    choices = (sorted([b for piece in c for b in piece]) for c in product(*per_block))
-    return [k.masks for k in _keys_by_literal(PartitionM, map(tuple, choices))]
+@lru_cache(maxsize=None)
+def _refinements(masks) -> tuple[tuple[int, ...], ...]:
+    """The refinement lattice below the partition with these block masks:
+    the payloads of all partitions below it, each block partitioned
+    independently.  The masks are process-wide, so the lattice depends on
+    them alone and is cached per partition; it is listed in enumeration
+    order, not literal order."""
+    per_block = [tuple(_block_sets(b, bool)) for b in masks]
+    return tuple(
+        tuple(sorted([b for piece in c for b in piece])) for c in product(*per_block)
+    )
 
 
 def set_partitions(labels) -> list[tuple[tuple[str, ...], ...]]:
@@ -220,7 +225,8 @@ def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
 def partitions_refining(blocks) -> list[tuple[tuple[str, ...], ...]]:
     """All partitions below the partition with these blocks: each block
     partitioned independently.  Blocks that share a label are refused."""
-    return [PartitionM._of(p).blocks for p in _refinements(PartitionM(blocks).masks)]
+    below = _refinements(PartitionM(blocks).masks)
+    return [k.blocks for k in _keys_by_literal(PartitionM, below)]
 
 
 # ---------------------------------------------------------------- flats

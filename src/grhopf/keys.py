@@ -17,8 +17,11 @@ block masks, and a partition the sorted tuple of its block masks.  The
 enumerators and structure maps build them from masks through `_of`,
 which skips the label constructor.  Labels come back only at the
 boundary: literals, the `seq` and `blocks` label views, and pickles all
-decode the masks.  The edge-set keys (`arcs`, `edges`) still hold label
-pairs.
+decode the masks.  The edge-set keys (`arcs`, `edges`) hold frozensets of
+label pairs, so their literals and the basis-change tables keyed on them
+do not depend on a graph; the structure maps cut them with frozenset `&`
+and `|` against edge sets cached per graph and vertex mask (see
+`monoids`), never pair by pair.
 
 A mask cannot hold a label twice, so the label constructors of the
 vertex-set keys refuse a repeated label themselves, with `parse_key`'s

@@ -17,6 +17,21 @@ A split (S, T) is a pair of vertex masks at the key level (`product_key`,
 (`product`, `coproduct_component`, `braiding_coeff`), which checks the
 labels and converts them once.
 
+The orientation, flat and matching keys hold label pairs, and their maps
+intersect whole sets with edge sets cached per graph and vertex mask: a
+flat or matching coproduct keeps the key's edges in the edges of
+`Graph._induced(mask)`, an orientation's keeps its arcs in `_arcs` of the
+induced graph (every edge both ways round) and counts its arcs in
+`_leaving(root, T)` (the root graph's arcs that leave T) as its q
+exponent, and an orientation's product adds `_leaving(root, S)` cut to the
+graph's arcs.
+
+The m/p (and M/P) basis changes rebase {payload: coefficient} maps
+(`_rebased`) over two graph-independent lattices cached per top element,
+`enumerators._refinements` and `_flats_below`: from m to p by the zeta sum
+over the lattice, from p to m by the Moebius expansion `_p_in_m`.
+`basis_change` builds an Element only at the public boundary.
+
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
 only the q power, and the partition/flat/matching/unit structures none.
@@ -217,24 +232,37 @@ class _OrientationMonoid(MonoidSpec):
 
     def product_key(self, g, s, t, x, y):
         # every crossing edge points from the s side to the t side
-        cross = []
-        for a, b in g.edges:
-            if _BIT[a] & s and _BIT[b] & t:
-                cross.append((a, b))
-            elif _BIT[b] & s and _BIT[a] & t:
-                cross.append((b, a))
-        return AcyclicOrientation._of(x.arcs | y.arcs | frozenset(cross))
+        return AcyclicOrientation._of(x.arcs | y.arcs | (_leaving(g._root, s) & _arcs(g)))
 
     def coproduct_key(self, g, s, t, key):
-        qe = sum(1 for u, v in key.arcs if _BIT[u] & t and _BIT[v] & s)
-        left, right = _pairs_inside(key.arcs, s), _pairs_inside(key.arcs, t)
+        arcs = key.arcs
         key_of = AcyclicOrientation._of
-        return key_of(left), key_of(right), qe, 0
+        left = key_of(arcs & _arcs(g._induced(s)))
+        right = key_of(arcs & _arcs(g._induced(t)))
+        return left, right, len(arcs & _leaving(g._root, t)), 0
 
 
-def _pairs_inside(pairs, mask: int) -> frozenset:
-    """The arcs or edges with both ends in mask."""
-    return frozenset(p for p in pairs if _BIT[p[0]] & mask and _BIT[p[1]] & mask)
+@lru_cache(maxsize=None)
+def _arcs(g: Graph) -> frozenset:
+    """The arcs of g: each edge both ways round."""
+    return g.edges | frozenset([(v, u) for u, v in g.edges])
+
+
+@lru_cache(maxsize=None)
+def _leaving(root: Graph, mask: int) -> frozenset:
+    """The arcs of root from a vertex of mask to a vertex outside it.  On a
+    graph induced from root and split as (mask, rest), the arcs of the
+    graph among them are the crossing edges oriented from mask to rest;
+    keyed on the root, so every induced subgraph of it shares one entry per
+    mask."""
+    out = []
+    for a, b in root.edges:
+        in_a, in_b = _BIT[a] & mask, _BIT[b] & mask
+        if in_a and not in_b:
+            out.append((a, b))
+        elif in_b and not in_a:
+            out.append((b, a))
+    return frozenset(out)
 
 
 def _validate_blocks(g: Graph, key, verb: str, stable: bool) -> None:
@@ -327,11 +355,16 @@ class _FlatMonoid(MonoidSpec):
         return self.key_cls._of(x.edges | y.edges)
 
     def coproduct_key(self, g, s, t, key):
-        left, right = _pairs_inside(key.edges, s), _pairs_inside(key.edges, t)
-        if self.basis_tag == "P" and left | right != key.edges:
+        edges = key.edges
+        left, right = edges & g._induced(s).edges, edges & g._induced(t).edges
+        if self.basis_tag == "P" and len(left) + len(right) != len(edges):
             return None
         key_of = self.key_cls._of
         return key_of(left), key_of(right), 0, 0
+
+
+_UNIT = UnitKey()
+_UNIT_SPLIT = (_UNIT, _UNIT, 0, 0)
 
 
 class _UnitSpeciesMonoid(MonoidSpec):
@@ -339,13 +372,13 @@ class _UnitSpeciesMonoid(MonoidSpec):
     key_cls = UnitKey
 
     def _enumerate_basis(self, g):
-        return [UnitKey()]
+        return [_UNIT]
 
     def product_key(self, g, s, t, x, y):
-        return UnitKey()
+        return _UNIT
 
     def coproduct_key(self, g, s, t, key):
-        return UnitKey(), UnitKey(), 0, 0
+        return _UNIT_SPLIT
 
 
 MONOIDS: dict[str, MonoidSpec] = {
@@ -486,24 +519,50 @@ BASIS_PARTNER = {
 }
 
 
-def _flats_below(edges: frozenset) -> list[frozenset]:
-    # The flats of g inside its flat F are exactly the flats of the graph F
-    # spans, so they depend on F alone.
-    return enumerators.flats(Graph({v for e in edges for v in e}, edges))
+@lru_cache(maxsize=None)
+def _flats_below(edges: frozenset) -> tuple[frozenset, ...]:
+    """The flat lattice below the flat with these edges, cached per flat.
+    The flats of g inside its flat F are exactly the flats of the graph F
+    spans, so they depend on F alone."""
+    return tuple(enumerators.flats(Graph({v for e in edges for v in e}, edges)))
 
 
 @lru_cache(maxsize=None)
 def _p_in_m(below, top) -> tuple[tuple[object, int], ...]:
     """The p (or P) basis element at `top` in the m (or M) basis, as
     (payload, coefficient) pairs: p_x = m_x minus the sum of p_y over every
-    y that `below(x)` lists other than x, recursively.  Neither lattice
-    depends on the graph (partition masks are process-wide), so neither
-    does the table."""
+    y that `below(x)` lists other than x, recursively (the Moebius
+    expansion).  Neither lattice depends on the graph (partition masks are
+    process-wide, flats are label pairs), so neither does the table."""
     acc = {top: 1}
     for y in below(top):
         if y != top:
             _accumulate(acc, ((z, -c) for z, c in _p_in_m(below, y)))
     return tuple(acc.items())
+
+
+def _change_route(mid_from: str):
+    """(below, m_to_p) for a basis change out of mid_from: the cached
+    lattice of its family (`enumerators._refinements` on partition masks,
+    `_flats_below` on edge sets) and whether it runs from m to p."""
+    partitions = get_monoid(mid_from).key_cls in (PartitionM, PartitionP)
+    below = enumerators._refinements if partitions else _flats_below
+    return below, mid_from.endswith(("_m", "_M"))
+
+
+def _rebased(below, m_to_p: bool, terms: dict) -> dict:
+    """The map {payload: coefficient} of terms rewritten in the partner
+    basis.  From m to p it is the zeta sum, m_x = the sum of p_y over every
+    y in below(x); from p to m the Moebius expansion of `_p_in_m`.  Neither
+    route reads the other's table.  Coefficients may be integers or
+    `QTPolynomial`s; integers keep the sum free of polynomial arithmetic."""
+    out: dict = {}
+    for top, c in terms.items():
+        if m_to_p:
+            _accumulate(out, ((y, c) for y in below(top)))
+        else:
+            _accumulate(out, ((y, c * n) for y, n in _p_in_m(below, top)))
+    return out
 
 
 def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
@@ -513,28 +572,10 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     if x.monoid != mid_from or x.graph != g:
         raise InputError("element does not match the stated source basis")
     src = get_monoid(mid_from)
-    dst = get_monoid(mid_to)
     for k in x.terms:
         src.validate_key(g, k)
-    partitions = src.key_cls in (PartitionM, PartitionP)
-    below = enumerators._refinements if partitions else _flats_below
-    m_to_p = mid_from.endswith(("_m", "_M"))
-    key_of = dst.key_cls._of
-
-    def images(k, c):
-        top = k._payload
-        if m_to_p:
-            # m_x = sum of p_y over every y below x
-            return ((y, c) for y in below(top))
-        return ((y, c * n) for y, n in _p_in_m(below, top))
-
+    rebased = _rebased(*_change_route(mid_from), {k._payload: c for k, c in x.terms.items()})
+    key_of = get_monoid(mid_to).key_cls._of
     out = Element.zero(mid_to, g)
-    _accumulate(
-        out.terms,
-        (
-            (key_of(y), cy)
-            for k, c in x.terms.items()
-            for y, cy in images(k, c)
-        ),
-    )
+    _accumulate(out.terms, ((key_of(y), c) for y, c in rebased.items()))
     return out

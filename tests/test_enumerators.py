@@ -39,7 +39,7 @@ from grhopf import (
     stable_compositions,
     stable_partitions,
 )
-from grhopf.enumerators import _ordered_bipartitions, _ordered_tripartitions
+from grhopf.enumerators import _ordered_bipartitions, _ordered_tripartitions, _refinements
 from grhopf.graphs import _BIT, _labels_of, _mask_of
 from grhopf.monoids import _flats_below, _p_in_m
 
@@ -170,6 +170,21 @@ def test_set_partitions_count_is_bell():
     # overlapping blocks are no partition to refine
     with pytest.raises(InputError, match="label 'a' appears in two blocks"):
         partitions_refining((("a", "b"), ("a",)))
+
+
+def test_partitions_refining_keeps_literal_order_against_bit_order():
+    # declared last label first, so bit order runs against label order
+    Graph(["rq4", "rq3", "rq2", "rq1"])
+    assert _BIT["rq4"] < _BIT["rq3"] < _BIT["rq2"] < _BIT["rq1"]
+    labels = ("rq1", "rq2", "rq3", "rq4")
+    lattice = _refinements(PartitionM([labels]).masks)
+    literals = [PartitionM._of(p).literal() for p in lattice]
+    # the cached lattice is in enumeration order, which is not literal order
+    assert literals != sorted(literals)
+    refs = partitions_refining([labels])
+    assert refs == set_partitions(labels)
+    assert refs == sorted(refs, key=lambda p: "/".join(map(",".join, p)))
+    assert len(refs) == bell_number(4)
 
 
 def test_stable_structures_on_path():

@@ -34,7 +34,9 @@ from grhopf import (
     product,
     unit_element,
 )
+from grhopf.enumerators import _ordered_bipartitions
 from grhopf.graphs import _BIT, _mask_of
+from grhopf.keys import AcyclicOrientation
 from grhopf.monoids import _crossing_exponents, _split_blocks
 
 from .test_graphs import fun_graph
@@ -314,6 +316,59 @@ def test_key_level_exponents_equal_label_level_counts_on_corpus4():
                     assert spec.coproduct_key(g, s, t, k)[2:] == want, (mid, g, k, S)
 
 
+# The orientation, flat and matching maps as label loops over the arcs and
+# edges: the reference the cached edge-set maps must reproduce.
+
+
+def _pairs_inside(pairs, mask):
+    return frozenset(p for p in pairs if _BIT[p[0]] & mask and _BIT[p[1]] & mask)
+
+
+def _product_key_by_labels(mid, g, s, t, x, y):
+    if mid != "AO":
+        return type(x)._of(x.edges | y.edges)
+    cross = []
+    for a, b in g.edges:
+        if _BIT[a] & s and _BIT[b] & t:
+            cross.append((a, b))
+        elif _BIT[b] & s and _BIT[a] & t:
+            cross.append((b, a))
+    return AcyclicOrientation._of(x.arcs | y.arcs | frozenset(cross))
+
+
+def _coproduct_key_by_labels(mid, g, s, t, key):
+    if mid == "AO":
+        qe = sum(1 for u, v in key.arcs if _BIT[u] & t and _BIT[v] & s)
+        left, right = _pairs_inside(key.arcs, s), _pairs_inside(key.arcs, t)
+        return AcyclicOrientation._of(left), AcyclicOrientation._of(right), qe, 0
+    left, right = _pairs_inside(key.edges, s), _pairs_inside(key.edges, t)
+    if mid.endswith("_P") and left | right != key.edges:
+        return None
+    return type(key)._of(left), type(key)._of(right), 0, 0
+
+
+def test_edge_set_maps_equal_the_label_loops():
+    # declared last label first, so bit order runs against label order; its
+    # induced subgraphs are split too, each with a root other than itself
+    rev = Graph(
+        ["re4", "re3", "re2", "re1"],
+        [("re4", "re3"), ("re3", "re2"), ("re2", "re4"), ("re2", "re1")],
+    )
+    assert _BIT["re4"] < _BIT["re3"] < _BIT["re2"] < _BIT["re1"]
+    graphs = corpus(4) + [rev._induced(m) for m, _ in _ordered_bipartitions(rev.mask)]
+    for g in graphs:
+        for mid in ("AO", "FL_M", "FL_P", "Match_M", "Match_P"):
+            spec = get_monoid(mid)
+            for s, t in _ordered_bipartitions(g.mask):
+                for k in spec.basis(g):
+                    want = _coproduct_key_by_labels(mid, g, s, t, k)
+                    assert spec.coproduct_key(g, s, t, k) == want, (mid, g, k, s)
+                for x in spec.basis(g._induced(s)):
+                    for y in spec.basis(g._induced(t)):
+                        want = _product_key_by_labels(mid, g, s, t, x, y)
+                        assert spec.product_key(g, s, t, x, y) is want, (mid, g, x, y)
+
+
 def test_partition_m_coproduct_restricts_unconditionally():
     g = p3()
     x = one_term("Pi_m", g, "a,b/c")
@@ -436,6 +491,30 @@ def test_flat_basis_change_hand_values():
     assert basis_change("FL_P", "FL_M", g, p0) == one_term(
         "FL_M", g, "ab"
     ) - one_term("FL_M", g, "()")
+
+
+def test_basis_change_keeps_polynomial_coefficients():
+    # q m_x + t m_y, and the same in the p basis, for both families; the
+    # strings are those of the Element-level sums the integer kernel replaced
+    g = p3()
+
+    def changed(mid_from, mid_to, x, y):
+        spec = get_monoid(mid_from)
+        terms = [(spec.parse_key(x), Q), (spec.parse_key(y), T)]
+        return str(basis_change(mid_from, mid_to, g, make_element(mid_from, g, terms)))
+
+    assert changed("Pi_m", "Pi_p", "a,b/c", "a,b,c") == (
+        "(t) a,b,c + (q + t) a,b/c + (t) a,c/b + (t) a/b,c + (q + t) a/b/c"
+    )
+    assert changed("Pi_p", "Pi_m", "a,b/c", "a,b,c") == (
+        "(t) a,b,c + (q - t) a,b/c + (-t) a,c/b + (-t) a/b,c + (-q + 2*t) a/b/c"
+    )
+    assert changed("FL_M", "FL_P", "ab", "ab,bc") == (
+        "(q + t) () + (q + t) a-b + (t) a-b,b-c + (t) b-c"
+    )
+    assert changed("FL_P", "FL_M", "ab", "ab,bc") == (
+        "(-q + t) () + (q - t) a-b + (t) a-b,b-c + (-t) b-c"
+    )
 
 
 def test_basis_change_rejects_non_partners():

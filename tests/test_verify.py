@@ -18,6 +18,7 @@ from grhopf import (
     QTPolynomial,
     SetCompositionKey,
     VerificationReport,
+    antipode_closed_form,
     check_antipode,
     check_basis_change,
     check_bimonoid,
@@ -442,11 +443,13 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     assert verdict.detail["takeuchi"] == str(Element.of("Sigma", g, get_monoid("Sigma").basis(g)[0]))
 
 
-def test_antipode_laws_do_no_polynomial_arithmetic(monkeypatch):
-    # the recursions and the convolution and involution laws add exponents
-    # and integers; neither matching monoid's closed form does arithmetic
-    names = ("__mul__", "__rmul__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__")
-    calls = dict.fromkeys(names, 0)
+_ARITHMETIC = ("__mul__", "__rmul__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__")
+
+
+def _count_polynomial_arithmetic(monkeypatch) -> dict:
+    """Wrap each `QTPolynomial` arithmetic method with a counter; returns
+    the live {method name: calls} map."""
+    calls = dict.fromkeys(_ARITHMETIC, 0)
 
     def counted(name):
         inner = getattr(QTPolynomial, name)
@@ -459,10 +462,28 @@ def test_antipode_laws_do_no_polynomial_arithmetic(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(QTPolynomial, name, counted(name))
+    return calls
+
+
+def test_antipode_laws_do_no_polynomial_arithmetic(monkeypatch):
+    # the recursions and the convolution and involution laws add exponents
+    # and integers; neither matching monoid's closed form does arithmetic
+    calls = _count_polynomial_arithmetic(monkeypatch)
     for mid in ("Match_M", "Match_P"):
         for g in corpus(3):
             assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
-    assert calls == dict.fromkeys(names, 0)
+    assert calls == dict.fromkeys(_ARITHMETIC, 0)
+
+
+def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
+    # the round trip and Pi_m's closed form rebase {payload: int} maps
+    calls = _count_polynomial_arithmetic(monkeypatch)
+    for g in corpus(3):
+        for mid in monoids.BASIS_PARTNER:
+            assert check_basis_change(mid, g).passed, (mid, g)
+        for k in get_monoid("Pi_m").basis(g):
+            antipode_closed_form("Pi_m", g, k)
+    assert calls == dict.fromkeys(_ARITHMETIC, 0)
 
 
 class _MatchMWithExtraQ(type(MONOIDS["Match_M"])):
@@ -641,6 +662,24 @@ def test_basis_change_witness(monkeypatch):
         "partner_basis": "Pi_p",
         "round_trip": "(1) v1,v2,v3 + (1) v1,v2/v3 + (1) v1,v3/v2 + (1) v1/v2,v3 + "
         "(1) v1/v2/v3",
+    }
+
+
+def test_basis_change_image_outside_the_partner_basis_witness(monkeypatch):
+    # Pi_p's basis on P3 without its last key, v1/v2/v3: the round trip
+    # alone would still pass
+    full = monoids._basis_cached
+    monkeypatch.setattr(
+        monoids,
+        "_basis_cached",
+        lambda mid, g: full(mid, g)[:-1] if mid == "Pi_p" else full(mid, g),
+    )
+    record = check_basis_change("Pi_m", _P3)
+    assert (record.check, record.monoid, record.passed) == ("basis_change", "Pi_m", False)
+    assert record.detail == {
+        "key": "v1,v2,v3",
+        "partner_basis": "Pi_p",
+        "outside_basis": "v1/v2/v3",
     }
 
 
