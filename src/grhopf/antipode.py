@@ -33,6 +33,7 @@ from __future__ import annotations
 from .elements import Element, _accumulate, linear_extend
 from .enumerators import (
     _ordered_bipartitions,
+    _refinements,
     acyclic_orientations,
     compositions_refining,
     flats,
@@ -47,7 +48,7 @@ from .keys import (
     SetCompositionKey,
     UnitKey,
 )
-from .monoids import _change_route, _crossing_exponents, _rebased, get_monoid
+from .monoids import _crossing_exponents, _rebased, get_monoid
 from .qtpoly import QTPolynomial
 
 METHODS = ("takeuchi", "milnor-moore-left", "milnor-moore-right", "closed")
@@ -276,10 +277,9 @@ def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
 
     if mid == "Pi_m":
         # through the p basis on integer maps: m -> p, Pi_p's sign, p -> m
-        below, _ = _change_route(mid)
-        as_p = _rebased(below, True, {key.masks: 1})
+        as_p = _rebased(_refinements, True, {key.masks: 1})
         flipped = {y: c if len(y) % 2 == 0 else -c for y, c in as_p.items()}
-        as_m = _rebased(below, False, flipped)
+        as_m = _rebased(_refinements, False, flipped)
         return Element(mid, g, ((PartitionM._of(y), c) for y, c in as_m.items()))
 
     if mid == "FL_M":

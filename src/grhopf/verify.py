@@ -861,14 +861,15 @@ def check_basis_change(mid: str, g: Graph) -> CheckRecord:
     (`monoids._rebased`); an `Element` is built only for a witness."""
     spec = get_monoid(mid)
     partner = BASIS_PARTNER[mid]
+    partner_spec = get_monoid(partner)
     below, m_to_p = _change_route(mid)
-    partner_payloads = {k._payload for k in get_monoid(partner).basis(g)}
+    partner_payloads = {k._payload for k in partner_spec.basis(g)}
     for key in spec.basis(g):
         one = {key._payload: 1}
         over = _rebased(below, m_to_p, one)
         outside = next((y for y in over if y not in partner_payloads), None)
         if outside is not None:
-            witness = {"outside_basis": get_monoid(partner).key_cls._of(outside).literal()}
+            witness = {"outside_basis": partner_spec.key_cls._of(outside).literal()}
         else:
             back = _rebased(below, not m_to_p, over)
             if back == one:
