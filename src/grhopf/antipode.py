@@ -1,36 +1,31 @@
-"""Antipode computation: the alternating-sum formula, two one-sided
-recursions, and per-structure closed forms.
+"""Antipode computation by four independent routes: the alternating-sum
+formula, two one-sided recursions and per-structure closed forms.
 
-All three general methods are independent routes to the same map, so the
-verifier can confront them with each other on every key of every corpus
-graph.  The closed forms are the fast route; the composition and flat-m
-forms are additionally confronted with the alternating-sum oracle wherever
-the verifier runs (their catalog entries are gated on that agreement).
+The verifier confronts the routes with each other on every key of every
+corpus graph.  The closed forms are the fast route; the composition and
+flat-m forms are gated on agreement with the alternating sum wherever the
+verifier runs.
+
+Every route computes an exponent map {(key, qe, te): nonzero int}, the
+coefficient of q^qe t^te on key, by adding exponents and integers, with no
+polynomial arithmetic.  `antipode` looks the route up in `_ROUTES`,
+validates the key once and builds the `Element` (`elements._element`);
+the verifier compares the maps themselves.
 
 The alternating sum walks set compositions depth-first over their first
 blocks, so compositions sharing a prefix share that prefix's coproducts,
-products and coefficient, computed once per prefix instead of once per
-composition, and a vanishing coproduct prunes every composition that
-starts with it.  It stays the alternating sum, not a third recursion: no
-result is remembered across branches or keyed on a (subgraph, key) pair,
-every non-vanishing composition contributes exactly one signed term, and
-every structure-map call has the arguments the composition-by-composition
-loop gives it.  A composition's coefficient is the product of its
-coproducts' monomials, so the walk adds their exponent pairs along the
-prefix as plain integers; `_takeuchi_sums` adds the signs per (product
-key, exponent pair) into one map in place, and `antipode_takeuchi` builds
-`QTPolynomial`s only from the sums that do not cancel.
-
-The one-sided recursions compute in the same representation: an exponent
-map {(key, qe, te): nonzero int}, the coefficient of q^qe t^te on key.
-Multiplying a recursed term by a coproduct monomial adds exponents, and
-negating it negates an integer.  `AntipodeCache` memoizes exponent maps and
-`_element` turns one into an `Element` at the public boundary.
+products and coefficient exponents, and a vanishing coproduct prunes every
+composition that starts with it.  It stays the alternating sum, not a
+third recursion: nothing is remembered across branches or keyed on a
+(subgraph, key) pair, every non-vanishing composition adds exactly one
+signed term, and every structure-map call has the arguments the
+composition-by-composition loop gives it.  `AntipodeCache` memoizes the
+recursions' maps per (induced subgraph, key).
 """
 
 from __future__ import annotations
 
-from .elements import Element, _accumulate, linear_extend
+from .elements import Element, _accumulate, _element, linear_extend
 from .enumerators import (
     _ordered_bipartitions,
     _refinements,
@@ -46,12 +41,8 @@ from .keys import (
     LinearOrder,
     PartitionM,
     SetCompositionKey,
-    UnitKey,
 )
 from .monoids import _crossing_exponents, _rebased, get_monoid
-from .qtpoly import QTPolynomial
-
-METHODS = ("takeuchi", "milnor-moore-left", "milnor-moore-right", "closed")
 
 # Closed forms compared unconditionally against the general methods; the
 # composition and flat-m forms are oracle-gated (verdict recorded by the
@@ -71,17 +62,26 @@ CLOSED_FORM_IDS = (
 )
 ORACLE_GATED_IDS = ("Sigma", "SSigma", "FL_M")
 
+# method -> route: (spec, g, basis key of g) -> exponent map
+_ROUTES = {
+    "takeuchi": lambda spec, g, key: _takeuchi_sums(spec, g, key, {}),
+    "milnor-moore-left": lambda spec, g, key: _mm(spec, g, key, "left", {}),
+    "milnor-moore-right": lambda spec, g, key: _mm(spec, g, key, "right", {}),
+    "closed": lambda spec, g, key: _closed_sums(spec, g, key),
+}
+METHODS = tuple(_ROUTES)
+
 
 def antipode(mid: str, g: Graph, key: BasisKey, method: str = "takeuchi") -> Element:
-    if method == "takeuchi":
-        return antipode_takeuchi(mid, g, key)
-    if method == "milnor-moore-left":
-        return antipode_milnor_moore(mid, g, key, side="left")
-    if method == "milnor-moore-right":
-        return antipode_milnor_moore(mid, g, key, side="right")
-    if method == "closed":
-        return antipode_closed_form(mid, g, key)
-    raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
+    """The antipode of key by one route of METHODS.  Refused, in this order,
+    for an unknown method, an unknown monoid, a key that is not a basis key
+    of g, and a monoid without a closed form when that route is asked."""
+    route = _ROUTES.get(method)
+    if route is None:
+        raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
+    spec = get_monoid(mid)
+    spec.validate_key(g, key)
+    return _element(mid, g, route(spec, g, key))
 
 
 def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -> Element:
@@ -95,21 +95,7 @@ def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
     """Alternating sum over all set compositions of the vertex set of the
     k-fold product of the k-fold coproduct; the empty-graph antipode is the
     identity (the single length-zero composition)."""
-    spec = get_monoid(mid)
-    spec.validate_key(g, key)
-    if g.n == 0:
-        return Element.of(mid, g, key)
-    return _element(mid, g, _takeuchi_sums(spec, g, key, {}))
-
-
-def _element(mid: str, g: Graph, sums: dict) -> Element:
-    """The Element of an exponent map {(key, qe, te): nonzero int}: one
-    `QTPolynomial` per key, built from its terms with no polynomial
-    arithmetic."""
-    by_key: dict = {}
-    for (k, qe, te), c in sums.items():
-        by_key.setdefault(k, {})[qe, te] = c
-    return Element(mid, g, ((k, QTPolynomial(ts)) for k, ts in by_key.items()))
+    return antipode(mid, g, key, "takeuchi")
 
 
 def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
@@ -132,8 +118,9 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
     product_key, coproduct_key = spec.product_key, spec.coproduct_key
     # (rest graph, its key, mask of the placed vertices, product key of the
     # placed blocks or None, the prefix's q and t exponents, the sign of the
-    # node's own composition: -1 for an odd number of blocks)
-    stack = [(g, key, 0, None, 0, 0, -1)]
+    # node's own composition: -1 for an odd number of blocks, and +1 for
+    # the empty graph's length-zero composition)
+    stack = [(g, key, 0, None, 0, 0, -1 if g.n else 1)]
     while stack:
         rest_g, rest_key, placed, pk, qe, te, sign = stack.pop()
         last = rest_key if pk is None else product_key(
@@ -245,61 +232,59 @@ def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:
 
 
 def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
-    spec = get_monoid(mid)
-    spec.validate_key(g, key)
+    return antipode(mid, g, key, "closed")
+
+
+def _closed_sums(spec, g: Graph, key: BasisKey) -> dict:
+    """The exponent map of the antipode of a basis key of g by its monoid's
+    catalogued closed form."""
+    mid = spec.id
     sign = -1 if g.n % 2 else 1
 
     if mid == "L":
         qe, te = _crossing_exponents({v: i for i, v in enumerate(key.seq)}, g.edges)
-        coeff = QTPolynomial.monomial(qe, te, sign)
-        return Element.of(mid, g, LinearOrder._of(key.masks[::-1]), coeff)
+        return {(LinearOrder._of(key.masks[::-1]), qe, te): sign}
 
     if mid == "AO":
-        coeff = QTPolynomial.monomial(len(g.edges), 0, sign)
         reverse = AcyclicOrientation._of(frozenset((v, u) for u, v in key.arcs))
-        return Element.of(mid, g, reverse, coeff)
+        return {(reverse, len(g.edges), 0): sign}
 
     if mid in ("Sigma", "SSigma"):
         qe, te = _crossing_exponents(
             {v: i for i, b in enumerate(key.blocks) for v in b}, g.edges
         )
-        prefactor = QTPolynomial.monomial(qe, te)
         reverse = SetCompositionKey._of(key.masks[::-1])
-        terms = []
-        for ref in compositions_refining(reverse):
-            c = prefactor if len(ref.masks) % 2 == 0 else -prefactor
-            terms.append((ref, c))
-        return Element(mid, g, terms)
+        return {
+            (ref, qe, te): 1 if len(ref.masks) % 2 == 0 else -1
+            for ref in compositions_refining(reverse)
+        }
 
     if mid in ("Pi_p", "SPi_p"):
-        c = 1 if len(key.masks) % 2 == 0 else -1
-        return Element.of(mid, g, key, c)
+        return {(key, 0, 0): 1 if len(key.masks) % 2 == 0 else -1}
 
     if mid == "Pi_m":
         # through the p basis on integer maps: m -> p, Pi_p's sign, p -> m
         as_p = _rebased(_refinements, True, {key.masks: 1})
         flipped = {y: c if len(y) % 2 == 0 else -c for y, c in as_p.items()}
         as_m = _rebased(_refinements, False, flipped)
-        return Element(mid, g, ((PartitionM._of(y), c) for y, c in as_m.items()))
+        return {(PartitionM._of(y), 0, 0): c for y, c in as_m.items()}
 
     if mid == "FL_M":
         sub = Graph(g.vertices, key.edges)
-        terms = []
+        out = {}
         for h in flats(sub):
             comp = components_partition(g.vertices, h)
-            c_h = len(comp)
-            merged = sub.quotient(comp)
-            o_hf = len(acyclic_orientations(merged))
-            coeff = o_hf if c_h % 2 == 0 else -o_hf
-            terms.append((type(key)._of(h), coeff))
-        return Element(mid, g, terms)
+            # the quotient is a simple graph, so o_hf >= 1: no zero entry
+            o_hf = len(acyclic_orientations(sub.quotient(comp)))
+            out[type(key)._of(h), 0, 0] = o_hf if len(comp) % 2 == 0 else -o_hf
+        return out
 
     if mid in ("FL_P", "Match_P"):
         comps = len(components_partition(g.vertices, key.edges))
-        return Element.of(mid, g, key, 1 if comps % 2 == 0 else -1)
+        return {(key, 0, 0): 1 if comps % 2 == 0 else -1}
 
     if mid == "E":
-        return Element.of(mid, g, UnitKey(), sign)
+        return {(key, 0, 0): sign}
 
     raise InputError(
         f"{mid} has no catalogued closed form; use the takeuchi method"

@@ -37,7 +37,7 @@ def _load_graph(path: str) -> Graph:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read graph file {path!r}: {exc}") from exc
     return Graph.from_text(text)
 
@@ -146,6 +146,12 @@ def _cmd_morphism(args) -> int:
 
 def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
+    if args.json:
+        try:
+            # refuse a report path before the run, leaving any old report
+            open(args.json, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.json!r}: {exc.strerror}") from exc
     report = run_suite(
         args.suite,
         args.nmax,

@@ -12,6 +12,8 @@ across different contexts is an input error.
 
 `_accumulate` is the one place where (key, coefficient) pairs are merged
 into a term map; every structure map builds its result through it.
+`_element` is the one place where an exponent map {(key, qe, te): int},
+the form every antipode route computes, becomes an Element.
 """
 
 from __future__ import annotations
@@ -147,6 +149,16 @@ class Element(_LinearCombination):
         if not self.terms:
             return "0"
         return " + ".join(f"({c}) {k.literal()}" for k, c in self.items())
+
+
+def _element(mid: str, g: Graph, sums: dict) -> Element:
+    """The Element of an exponent map {(key, qe, te): nonzero int}: one
+    `QTPolynomial` per key, built from its terms with no polynomial
+    arithmetic."""
+    by_key: dict = {}
+    for (k, qe, te), c in sums.items():
+        by_key.setdefault(k, {})[qe, te] = c
+    return Element(mid, g, ((k, QTPolynomial(ts)) for k, ts in by_key.items()))
 
 
 class TensorElement(_LinearCombination):

@@ -3,15 +3,16 @@
 A polynomial is stored as a map from (q-exponent, t-exponent) to a nonzero
 integer coefficient; the zero polynomial is the empty map.  Exponents are
 nonnegative.  Python integers keep every coefficient exact at any size.
-Instances are immutable and hash-consistent, so they can key dicts and be
-compared for exact equality.
+Instances are immutable and hash as they compare (a constant equals and
+hashes as its integer), so they can key dicts and be compared for exact
+equality.
 """
 
 from __future__ import annotations
 
 
 class QTPolynomial:
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         data = {}
@@ -28,7 +29,6 @@ class QTPolynomial:
             elif key in data:
                 del data[key]
         self._terms = data
-        self._hash = None
 
     # ------------------------------------------------------------ constructors
 
@@ -95,9 +95,10 @@ class QTPolynomial:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms())
-        return self._hash
+        # a constant equals its integer, so it hashes as that integer
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
+        return hash(frozenset(self._terms.items()))
 
     # ------------------------------------------------------------ arithmetic
 
@@ -122,7 +123,6 @@ class QTPolynomial:
                 del data[k]
         out = QTPolynomial.__new__(QTPolynomial)
         out._terms = data
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -130,7 +130,6 @@ class QTPolynomial:
     def __neg__(self):
         out = QTPolynomial.__new__(QTPolynomial)
         out._terms = {k: -c for k, c in self._terms.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -162,7 +161,6 @@ class QTPolynomial:
                     del data[k]
         out = QTPolynomial.__new__(QTPolynomial)
         out._terms = data
-        out._hash = None
         return out
 
     __rmul__ = __mul__

@@ -266,6 +266,28 @@ def test_error_exit_codes(capsys, tmp_path, p3_path):
     assert err.startswith("error:")
 
 
+def test_non_utf8_graph_file_is_refused(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["enumerate", "--monoid", "L", "--graph", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph file") and "decode" in err
+
+
+def test_verify_refuses_an_unwritable_report_before_the_run(capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("grhopf.cli.run_suite", no_run)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(
+            capsys, ["verify", "--suite", "stanley", "--nmax", "1", "--json", str(path)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write report {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+
 def test_split_tolerates_spaces(capsys, p3_path):
     code, out, err = run(
         capsys,

@@ -37,7 +37,7 @@ from grhopf import (
 from grhopf.enumerators import _ordered_bipartitions
 from grhopf.graphs import _BIT, _mask_of
 from grhopf.keys import AcyclicOrientation
-from grhopf.monoids import _crossing_exponents, _split_blocks
+from grhopf.monoids import _basis_cached, _crossing_exponents, _split_blocks
 
 from .test_graphs import fun_graph
 
@@ -77,6 +77,16 @@ def test_catalog_ids_and_flags():
     assert flags["AO"] == (True, False)
     for mid in ("Pi_m", "Pi_p", "SPi_m", "SPi_p", "FL_M", "FL_P", "Match_M", "Match_P", "E"):
         assert flags[mid] == (False, False)
+
+
+def test_every_basis_key_passes_validation():
+    # the antipode check and the structure-map checks enumerate keys and
+    # ask the maps without validating them again
+    for g in corpus(4):
+        for mid in MONOID_IDS:
+            spec = get_monoid(mid)
+            for k in _basis_cached(mid, g):
+                spec.validate_key(g, k)
 
 
 def test_braiding_weight_counts_crossing_edges_and_nonedges():

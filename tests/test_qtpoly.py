@@ -139,10 +139,14 @@ def test_evaluation_is_ring_morphism(a, b, qv, tv):
     assert (a * b).evaluate(qv, tv) == a.evaluate(qv, tv) * b.evaluate(qv, tv)
 
 
-@given(polys)
-def test_hash_consistent_with_eq(a):
+@given(polys, coeffs)
+def test_hash_consistent_with_eq(a, n):
     b = QTPolynomial(a.terms())
     assert a == b and hash(a) == hash(b)
+    # a constant polynomial equals, and so hashes as, its integer
+    c = QTPolynomial.const(n)
+    assert c == n and hash(c) == hash(n)
+    assert len({0, ZERO}) == len({1, ONE}) == len({-1, -ONE}) == 1
 
 
 @given(polys)

@@ -423,17 +423,14 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     # convolution law fails after the closed form has been judged
     class IdentityCache:
         def __init__(self, mid, side="left"):
-            self.mid = mid
-
-        def of(self, g, key):
-            return Element.of(self.mid, g, key)
+            pass
 
         def _of(self, g, key):
-            # the unchecked exponent-map lookup of the convolution and
-            # involution laws
+            # the exponent-map lookup of method agreement and of the
+            # convolution and involution laws
             return {(key, 0, 0): 1}
 
-    monkeypatch.setattr(verify, "antipode_takeuchi", lambda mid, g, key: Element.of(mid, g, key))
+    monkeypatch.setattr(verify, "_takeuchi_sums", lambda spec, g, key, sums: {(key, 0, 0): 1})
     monkeypatch.setattr(verify, "AntipodeCache", IdentityCache)
     g = Graph(["v1", "v2"], [("v1", "v2")])
     main, verdict = check_antipode("Sigma", g)
@@ -446,33 +443,44 @@ def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
 _ARITHMETIC = ("__mul__", "__rmul__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__")
 
 
-def _count_polynomial_arithmetic(monkeypatch) -> dict:
-    """Wrap each `QTPolynomial` arithmetic method with a counter; returns
-    the live {method name: calls} map."""
-    calls = dict.fromkeys(_ARITHMETIC, 0)
+def _count_calls(monkeypatch, cls, names) -> dict:
+    """Wrap each named method of cls with a counter; returns the live
+    {method name: calls} map."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        inner = getattr(QTPolynomial, name)
+        inner = getattr(cls, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
 
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(QTPolynomial, name, counted(name))
+        monkeypatch.setattr(cls, name, counted(name))
     return calls
 
 
+def _count_polynomial_arithmetic(monkeypatch) -> dict:
+    """The live {method name: calls} map of `QTPolynomial` arithmetic."""
+    return _count_calls(monkeypatch, QTPolynomial, _ARITHMETIC)
+
+
 def test_antipode_laws_do_no_polynomial_arithmetic(monkeypatch):
-    # the recursions and the convolution and involution laws add exponents
-    # and integers; neither matching monoid's closed form does arithmetic
-    calls = _count_polynomial_arithmetic(monkeypatch)
-    for mid in ("Match_M", "Match_P"):
+    # every route, law and closed form sums exponent maps of keys the check
+    # enumerated itself: a passing check does no polynomial arithmetic,
+    # builds no Element and validates no key (every subclass's validate_key
+    # calls the base one)
+    arithmetic = _count_polynomial_arithmetic(monkeypatch)
+    built = _count_calls(monkeypatch, Element, ("__init__",))
+    validated = _count_calls(monkeypatch, monoids.MonoidSpec, ("validate_key",))
+    for mid in MONOID_IDS:
         for g in corpus(3):
             assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
-    assert calls == dict.fromkeys(_ARITHMETIC, 0)
+    assert arithmetic == dict.fromkeys(_ARITHMETIC, 0)
+    assert built == {"__init__": 0}
+    assert validated == {"validate_key": 0}
 
 
 def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
