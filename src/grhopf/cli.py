@@ -147,11 +147,14 @@ def _cmd_morphism(args) -> int:
 def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.json:
+        # refuse a report path before the run; leave the file system as it was
+        fresh = not os.path.exists(args.json)
         try:
-            # refuse a report path before the run, leaving any old report
             open(args.json, "a", encoding="utf-8").close()
         except OSError as exc:
             raise InputError(f"cannot write report {args.json!r}: {exc.strerror}") from exc
+        if fresh:
+            os.remove(args.json)
     report = run_suite(
         args.suite,
         args.nmax,

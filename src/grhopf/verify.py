@@ -485,9 +485,8 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
 
     def first_failure() -> dict | None:
         nonlocal closed_witness
-        # every route gives the exponent map of the antipode of a basis key,
-        # which needs no validation, with no zero entry: equal maps are equal
-        # Elements, and an Element is built only for a witness
+        # each route maps a basis key, which needs no validation, to an
+        # exponent map with no zero entry: equal maps are equal Elements
         for key in basis:
             reference = _takeuchi_sums(spec, g, key, {})
             for name, cache in (

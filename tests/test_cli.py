@@ -286,6 +286,11 @@ def test_verify_refuses_an_unwritable_report_before_the_run(capsys, tmp_path, mo
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write report {str(path)!r}: ")
         assert err.count("\n") == 1
+    # the probe leaves no file behind when the run is refused after it
+    monkeypatch.undo()
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, ["verify", "--nmax", "9", "--json", str(path)])
+    assert (code, out) == (2, "") and not path.exists()
 
 
 def test_split_tolerates_spaces(capsys, p3_path):
