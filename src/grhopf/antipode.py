@@ -19,8 +19,10 @@ composition that starts with it.  It stays the alternating sum, not a
 third recursion: nothing is remembered across branches or keyed on a
 (subgraph, key) pair, every non-vanishing composition adds exactly one
 signed term, and every structure-map call has the arguments the
-composition-by-composition loop gives it.  `AntipodeCache` memoizes the
-recursions' maps per (induced subgraph, key).
+composition-by-composition loop gives it.  The recursions memoize their
+maps per (induced subgraph, key) in a dict their caller owns: one query
+gets a fresh one, `antipode_table` and the verifier share one across a
+whole basis.
 """
 
 from __future__ import annotations
@@ -91,13 +93,6 @@ def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -
 # ---------------------------------------------------------------- alternating sum
 
 
-def antipode_takeuchi(mid: str, g: Graph, key: BasisKey) -> Element:
-    """Alternating sum over all set compositions of the vertex set of the
-    k-fold product of the k-fold coproduct; the empty-graph antipode is the
-    identity (the single length-zero composition)."""
-    return antipode(mid, g, key, "takeuchi")
-
-
 def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
     """Sum the alternating sum into the exponent map sums, {(product key,
     qe, te): summed sign}, and return it: each set composition whose
@@ -150,15 +145,11 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
 # ---------------------------------------------------------------- recursions
 
 
-def antipode_milnor_moore(mid: str, g: Graph, key: BasisKey, side: str = "left") -> Element:
-    """One-sided recursion: peel a bipartition, recurse on the strictly
-    smaller factor, memoized per induced subgraph and key."""
-    return AntipodeCache(mid, side).of(g, key)
-
-
 def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> dict:
-    """The exponent map of key's antipode on g, memoized per (g, key); the
-    returned map is shared with the memo and must not be changed."""
+    """The exponent map of key's antipode on g by the one-sided recursion
+    of side ("left" or "right"): peel a bipartition, recurse on the
+    strictly smaller factor.  Memoized per (g, key) in memo; the returned
+    map is shared with the memo and must not be changed."""
     if g.n == 0:
         return {(key, 0, 0): 1}
     mk = (g, key)
@@ -189,50 +180,15 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
             yield (product_key(g, s, t, x, y), qe + q2, te + t2), -c2
 
 
-class AntipodeCache:
-    """Memoized one-sided antipode evaluator, shared across many calls.
-
-    The memo spans induced subgraphs, so convolution sums and repeated
-    per-key queries on one graph reuse each other's recursion work.  It
-    holds exponent maps {(key, qe, te): int}; `of` returns an `Element`,
-    `_of` the memoized map itself.
-    """
-
-    __slots__ = ("spec", "side", "_memo")
-
-    def __init__(self, mid: str, side: str = "left"):
-        if side not in ("left", "right"):
-            raise InputError(f"side must be 'left' or 'right', got {side!r}")
-        self.spec = get_monoid(mid)
-        self.side = side
-        self._memo: dict = {}
-
-    def of(self, g: Graph, key: BasisKey) -> Element:
-        """The antipode of key, refused unless it is a basis key of g."""
-        self.spec.validate_key(g, key)
-        return _element(self.spec.id, g, self._of(g, key))
-
-    def _of(self, g: Graph, key: BasisKey) -> dict:
-        """The exponent map of the antipode of a key the caller knows to be
-        a basis key of g, such as a factor of a basis key's coproduct.  The
-        map is the memo's own and must not be changed."""
-        return _mm(self.spec, g, key, self.side, self._memo)
-
-    def of_element(self, x: Element) -> Element:
-        return linear_extend(lambda k: self.of(x.graph, k), x)
-
-
 def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:
-    """Antipode of every basis key of g, sharing one recursion memo."""
-    cache = AntipodeCache(mid)
-    return {k: cache.of(g, k) for k in get_monoid(mid).basis(g)}
+    """Antipode of every basis key of g by the left recursion, sharing one
+    memo across the basis."""
+    spec = get_monoid(mid)
+    memo: dict = {}
+    return {k: _element(mid, g, _mm(spec, g, k, "left", memo)) for k in spec.basis(g)}
 
 
 # ---------------------------------------------------------------- closed forms
-
-
-def antipode_closed_form(mid: str, g: Graph, key: BasisKey) -> Element:
-    return antipode(mid, g, key, "closed")
 
 
 def _closed_sums(spec, g: Graph, key: BasisKey) -> dict:

@@ -42,8 +42,8 @@ from functools import cache, lru_cache
 from .antipode import (
     CLOSED_FORM_IDS,
     ORACLE_GATED_IDS,
-    AntipodeCache,
     _closed_sums,
+    _mm,
     _takeuchi_sums,
 )
 from .elements import Element, _accumulate, _element
@@ -65,7 +65,7 @@ from .monoids import (
     _rebased,
     get_monoid,
 )
-from .morphisms import DIAGRAMS, MORPHISMS, apply_path, get_morphism
+from .morphisms import DIAGRAMS, MORPHISMS, get_morphism
 from .qtpoly import QTPolynomial
 
 MAX_CORPUS_N = 5
@@ -476,8 +476,9 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
     spec = get_monoid(mid)
-    left_cache = AntipodeCache(mid, "left")
-    right_cache = AntipodeCache(mid, "right")
+    # one recursion memo per side for the whole check: the routes, the
+    # convolution laws and the involution share each (subgraph, key) map
+    memos = {"left": {}, "right": {}}
     has_closed = mid in CLOSED_FORM_IDS
     gated = mid in ORACLE_GATED_IDS
     closed_witness: dict | None = None
@@ -489,11 +490,8 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # exponent map with no zero entry: equal maps are equal Elements
         for key in basis:
             reference = _takeuchi_sums(spec, g, key, {})
-            for name, cache in (
-                ("milnor-moore-left", left_cache),
-                ("milnor-moore-right", right_cache),
-            ):
-                other = cache._of(g, key)
+            for side in ("left", "right"):
+                other = _mm(spec, g, key, side, memos[side])
                 if other != reference:
                     # no reference to judge the closed form against
                     closed_witness = {"verdict": "skipped: methods disagree"}
@@ -501,7 +499,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                         "law": "method_agreement",
                         "key": key.literal(),
                         "takeuchi": str(_element(mid, g, reference)),
-                        name: str(_element(mid, g, other)),
+                        f"milnor-moore-{side}": str(_element(mid, g, other)),
                     }
             if has_closed:
                 closed = _closed_sums(spec, g, key)
@@ -520,15 +518,15 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # bipartitions gives unit o counit (zero on every nonempty graph).
         # Each law takes s from the other side's recursion: a recursion
         # satisfies its own side's law by definition, whatever the maps.
-        # These laws and the involution below ask the caches unchecked:
+        # These laws and the involution below ask the recursions unchecked:
         # their keys are coproduct factors of basis keys and products of
         # such factors, whose closure `_closure_witness` checks.
         if g.n > 0:
             splits = _splits(g)
             for key in basis:
-                for law, cache, s_on_left in (
-                    ("convolution_left", right_cache, True),
-                    ("convolution_right", left_cache, False),
+                for law, side, s_on_left in (
+                    ("convolution_left", "right", True),
+                    ("convolution_right", "left", False),
                 ):
                     # (product key, qe, te) -> summed coefficient
                     leftover: dict = {}
@@ -537,8 +535,8 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                         if res is None:
                             continue
                         lk, rk, qe, te = res
-                        s_of = cache._of(gs, lk) if s_on_left else cache._of(gt, rk)
-                        for (sk, sq, st), c in s_of.items():
+                        h, hk = (gs, lk) if s_on_left else (gt, rk)
+                        for (sk, sq, st), c in _mm(spec, h, hk, side, memos[side]).items():
                             x, y = (sk, rk) if s_on_left else (lk, sk)
                             prod = spec.product_key(g, s_set, t_set, x, y)
                             _accumulate(leftover, (((prod, qe + sq, te + st), c),))
@@ -552,12 +550,13 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         if mid in COMMUTATIVE_FAMILY:
             # s from the left recursion, which by now agrees with the
             # alternating sum on every basis key
+            left = memos["left"]
             for key in basis:
                 twice: dict = {}
-                for (k, qe, te), c in left_cache._of(g, key).items():
+                for (k, qe, te), c in _mm(spec, g, key, "left", left).items():
                     pairs = (
                         ((k2, qe + q2, te + t2), c * c2)
-                        for (k2, q2, t2), c2 in left_cache._of(g, k).items()
+                        for (k2, q2, t2), c2 in _mm(spec, g, k, "left", left).items()
                     )
                     _accumulate(twice, pairs)
                 if twice != {(key, 0, 0): 1}:
@@ -663,6 +662,16 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
         cod_id = morphism.routes[dom_id]
         dom, cod = MONOIDS[dom_id], MONOIDS[cod_id]
         q_one, t_one = morphism.specialization(dom_id)
+        for key in _capped_basis(dom_id, g, key_cap):
+            try:
+                cod.validate_key(g, morphism.map_key(g, key))
+            except InputError as exc:
+                return {
+                    "law": "map_closure",
+                    "route": [dom_id, cod_id],
+                    "key": key.literal(),
+                    "error": str(exc),
+                }
         for s_set, t_set, gs, gt in splits:
             sb = _capped_basis(dom_id, gs, key_cap)
             tb = _capped_basis(dom_id, gt, key_cap)
@@ -718,6 +727,22 @@ def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckReco
     return _record("morphism", name, g, witness)
 
 
+def _along(path: tuple, mid: str, g: Graph, key) -> tuple:
+    """(monoid id, key) at the end of path from a basis key of mid on g.
+    Each morphism sends a key to one key with coefficient one, so this is
+    the path applied to the key's element; an image that is no basis key
+    of its monoid is refused with the morphism's name."""
+    for name in path:
+        morphism = get_morphism(name)
+        mid = morphism.codomain(mid)
+        key = morphism.map_key(g, key)
+        try:
+            MONOIDS[mid].validate_key(g, key)
+        except InputError as exc:
+            raise InputError(f"{name}: {exc}") from exc
+    return mid, key
+
+
 def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> CheckRecord:
     """Both composites around one pasted diagram agree on every basis key."""
     for name, dom_id, path_a, path_b in DIAGRAMS:
@@ -726,22 +751,16 @@ def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> Ch
     else:
         raise InputError(f"unknown diagram {diagram_name!r}")
     for key in _capped_basis(dom_id, g, key_cap):
-        x = Element.of(dom_id, g, key)
-        via_a = apply_path(path_a, g, x)
-        via_b = apply_path(path_b, g, x)
-        if via_a != via_b:
-            return _record(
-                "diagram",
-                diagram_name,
-                g,
-                {
-                    "key": key.literal(),
-                    "path": list(path_a),
-                    "other_path": list(path_b),
-                    "via_path": str(via_a),
-                    "via_other_path": str(via_b),
-                },
-            )
+        witness = {"key": key.literal(), "path": list(path_a), "other_path": list(path_b)}
+        try:
+            end_a = _along(path_a, dom_id, g, key)
+            end_b = _along(path_b, dom_id, g, key)
+        except InputError as exc:
+            return _record("diagram", diagram_name, g, {**witness, "error": str(exc)})
+        if end_a != end_b:
+            via_a, via_b = (str(Element.of(mid, g, k)) for mid, k in (end_a, end_b))
+            witness.update(via_path=via_a, via_other_path=via_b)
+            return _record("diagram", diagram_name, g, witness)
     return _record("diagram", diagram_name, g, None)
 
 

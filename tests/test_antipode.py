@@ -13,7 +13,6 @@ from grhopf import (
     METHODS,
     MONOID_IDS,
     ORACLE_GATED_IDS,
-    AntipodeCache,
     Element,
     Graph,
     InputError,
@@ -298,7 +297,6 @@ def test_per_refinement_reweighting_is_wrong():
 
 def _convolution_with_identity(mid, g, k):
     spec = get_monoid(mid)
-    cache = AntipodeCache(mid)
     acc = Element.zero(mid, g)
     for s, t in ordered_bipartitions(g.vertices):
         ms, mt = _mask_of(s), _mask_of(t)
@@ -307,7 +305,7 @@ def _convolution_with_identity(mid, g, k):
             continue
         lk, rk, qe, te = res
         c = QTPolynomial.monomial(qe, te)
-        sx = cache.of(g.induced(s), lk)
+        sx = antipode(mid, g.induced(s), lk, "milnor-moore-left")
         for k2, c2 in sx.terms.items():
             pk = spec.product_key(g, ms, mt, k2, rk)
             acc = acc + Element.of(mid, g, pk, c * c2)
@@ -329,13 +327,12 @@ def test_convolution_cancels_only_in_the_sum():
     g = Graph("a", [])
     spec = get_monoid("L")
     k = key("L", "a")
-    cache = AntipodeCache("L")
     parts = []
     for s, t in ordered_bipartitions(g.vertices):
         ms, mt = _mask_of(s), _mask_of(t)
         lk, rk, qe, te = spec.coproduct_key(g, ms, mt, k)
         c = QTPolynomial.monomial(qe, te)
-        sx = cache.of(g.induced(s), lk)
+        sx = antipode("L", g.induced(s), lk, "milnor-moore-left")
         term = Element.zero("L", g)
         for k2, c2 in sx.terms.items():
             pk = spec.product_key(g, ms, mt, k2, rk)
@@ -382,29 +379,26 @@ def test_antipode_element_is_linear():
 
 
 def test_cache_refuses_a_key_that_is_not_a_basis_key_of_the_graph():
-    # an order of three labels is no basis key of the path a-b; the cache
-    # answers like every other antipode route: it refuses
+    # an order of three labels is no basis key of the path a-b; both
+    # recursions answer like every other antipode route: they refuse
     g = Graph(["a", "b"], [("a", "b")])
     bad = LinearOrder("abc")
     with pytest.raises(InputError) as route:
         antipode("L", g, bad, "milnor-moore-left")
-    for side in ("left", "right"):
-        with pytest.raises(InputError) as exc:
-            AntipodeCache("L", side).of(g, bad)
-        assert str(exc.value) == str(route.value)
+    with pytest.raises(InputError) as exc:
+        antipode("L", g, bad, "milnor-moore-right")
+    assert str(exc.value) == str(route.value)
 
 
 def test_cache_sides_and_table():
     g = path3()
-    left = AntipodeCache("L", "left")
-    right = AntipodeCache("L", "right")
     k = key("L", "b<a<c")
-    assert left.of(g, k) == antipode("L", g, k, "takeuchi")
-    assert right.of(g, k) == antipode("L", g, k, "takeuchi")
+    assert antipode("L", g, k, "milnor-moore-left") == antipode("L", g, k, "takeuchi")
+    assert antipode("L", g, k, "milnor-moore-right") == antipode("L", g, k, "takeuchi")
     x = elem("L", g, "a<b<c", 2) + elem("L", g, "c<a<b")
-    assert left.of_element(x) == antipode_element("L", g, x)
+    assert antipode_element("L", g, x, "milnor-moore-left") == antipode_element("L", g, x)
     with pytest.raises(InputError):
-        AntipodeCache("L", "middle")
+        antipode("L", g, k, "milnor-moore-middle")
     table = antipode_table("AO", g)
     assert set(table) == set(get_monoid("AO").basis(g))
     for k, v in table.items():

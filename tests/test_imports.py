@@ -1,11 +1,14 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and nothing it defines goes unreferenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import grhopf
 
 SRC = Path(grhopf.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(path: Path) -> list[tuple[int, str]]:
@@ -47,3 +50,73 @@ def test_an_unused_import_is_caught(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(path) == [(3, "UnitKey"), (4, "P")]
+
+
+def _names(node) -> Counter:
+    """How often each name is read under node, as a name or an attribute."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+    return found
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each of their methods that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _unreferenced(package: Path, roots) -> list[tuple[str, str]]:
+    """(file, qualified name) of every definition in package/*.py whose
+    name is read nowhere under roots but inside the definition itself.
+    Names match by spelling only, so a method counts as read wherever an
+    attribute of its name is; the package's __init__.py re-exports names
+    and reads none."""
+    read = Counter()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if path != package / "__init__.py":
+                read += _names(ast.parse(path.read_text(encoding="utf-8")))
+    return [
+        (path.name, qualname)
+        for path in sorted(package.glob("*.py"))
+        for qualname, node in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if read[node.name] == _names(node)[node.name]
+    ]
+
+
+def test_every_definition_is_referenced():
+    assert _unreferenced(SRC, (SRC.parent, ROOT / "tests", ROOT / "demos")) == []
+
+
+def test_an_unreferenced_definition_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import Box, unused\n", encoding="utf-8")
+    (package / "mod.py").write_text(
+        "def used():\n"
+        "    return Box().get()\n"
+        "def unused():\n"
+        "    return unused()\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def get(self):\n"
+        "        return self.n\n"
+        "    def put(self):\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "use.py").write_text("from pkg.mod import used\nused()\n", encoding="utf-8")
+    assert _unreferenced(package, (tmp_path,)) == [("mod.py", "unused"), ("mod.py", "Box.put")]

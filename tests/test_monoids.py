@@ -1,6 +1,8 @@
 """Monoid structure maps: braiding weights, products, coproducts, bases."""
 
 import math
+from itertools import combinations, permutations
+from itertools import product as product_of
 from operator import attrgetter
 
 import pytest
@@ -36,7 +38,13 @@ from grhopf import (
 )
 from grhopf.enumerators import _ordered_bipartitions
 from grhopf.graphs import _BIT, _mask_of
-from grhopf.keys import AcyclicOrientation
+from grhopf.keys import (
+    AcyclicOrientation,
+    PartitionM,
+    PartitionP,
+    SetCompositionKey,
+    UnitKey,
+)
 from grhopf.monoids import _basis_cached, _crossing_exponents, _split_blocks
 
 from .test_graphs import fun_graph
@@ -87,6 +95,48 @@ def test_every_basis_key_passes_validation():
             spec = get_monoid(mid)
             for k in _basis_cached(mid, g):
                 spec.validate_key(g, k)
+
+
+def _candidate_keys(key_cls, g):
+    """Every key of key_cls's kind on g's labels, built without any
+    enumerator: orders from permutations, orientations from all 2^|E|
+    choices of arc direction, block keys from every map of the vertices to
+    block indices, edge-set keys from every edge subset."""
+    vs, edges = g.vertices, sorted(g.edges)
+    if key_cls is LinearOrder:
+        return [LinearOrder(p) for p in permutations(vs)]
+    if key_cls is AcyclicOrientation:
+        return [
+            AcyclicOrientation((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
+            for flips in product_of(range(2), repeat=len(edges))
+        ]
+    if key_cls in (SetCompositionKey, PartitionM, PartitionP):
+        keys = []
+        for index in product_of(range(len(vs)), repeat=len(vs)):
+            blocks = ([v for v, i in zip(vs, index) if i == j] for j in range(len(vs)))
+            keys.append(key_cls([b for b in blocks if b]))
+        return keys
+    if key_cls is UnitKey:
+        return [UnitKey()]
+    return [key_cls(es) for r in range(len(edges) + 1) for es in combinations(edges, r)]
+
+
+def test_every_valid_key_is_enumerated():
+    # the converse of test_every_basis_key_passes_validation: a basis that
+    # dropped a key would still pass every suite
+    for g in corpus(4):
+        for mid in MONOID_IDS:
+            spec = get_monoid(mid)
+            valid = set()
+            for k in _candidate_keys(spec.key_cls, g):
+                try:
+                    spec.validate_key(g, k)
+                except InputError:
+                    continue
+                valid.add(k)
+            basis = spec.basis(g)
+            assert len(set(basis)) == len(basis), (mid, g)
+            assert set(basis) == valid, (mid, g)
 
 
 def test_braiding_weight_counts_crossing_edges_and_nonedges():

@@ -1,6 +1,8 @@
 """Verification harness: corpora, record counts, determinism, reporting."""
 
+import importlib
 import os
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -9,7 +11,6 @@ from grhopf import (
     MONOID_IDS,
     MONOIDS,
     MORPHISMS,
-    AntipodeCache,
     CheckRecord,
     Element,
     Graph,
@@ -18,7 +19,7 @@ from grhopf import (
     QTPolynomial,
     SetCompositionKey,
     VerificationReport,
-    antipode_closed_form,
+    antipode,
     check_antipode,
     check_basis_change,
     check_bimonoid,
@@ -421,17 +422,10 @@ def test_functors_build_no_basis_where_no_count_is_expected():
 def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     # every route agrees on the identity, which is not the antipode: the
     # convolution law fails after the closed form has been judged
-    class IdentityCache:
-        def __init__(self, mid, side="left"):
-            pass
-
-        def _of(self, g, key):
-            # the exponent-map lookup of method agreement and of the
-            # convolution and involution laws
-            return {(key, 0, 0): 1}
-
     monkeypatch.setattr(verify, "_takeuchi_sums", lambda spec, g, key, sums: {(key, 0, 0): 1})
-    monkeypatch.setattr(verify, "AntipodeCache", IdentityCache)
+    # the recursions' exponent maps for method agreement and for the
+    # convolution and involution laws
+    monkeypatch.setattr(verify, "_mm", lambda spec, g, key, side, memo: {(key, 0, 0): 1})
     g = Graph(["v1", "v2"], [("v1", "v2")])
     main, verdict = check_antipode("Sigma", g)
     assert not main.passed and main.detail["law"] == "convolution_left"
@@ -483,6 +477,27 @@ def test_antipode_laws_do_no_polynomial_arithmetic(monkeypatch):
     assert validated == {"validate_key": 0}
 
 
+def test_antipode_check_expands_each_recursion_step_once(monkeypatch):
+    # one memo per side spans the routes, both convolution laws and the
+    # involution: a fresh memo per query keeps every verdict but redoes
+    # the recursions
+    module = importlib.import_module("grhopf.antipode")
+    expand = module._mm_terms
+    expanded = Counter()
+
+    def counted(spec, g, key, side, memo):
+        expanded[g, key, side] += 1
+        return expand(spec, g, key, side, memo)
+
+    monkeypatch.setattr(module, "_mm_terms", counted)
+    for mid in MONOID_IDS:
+        for g in corpus(3):
+            expanded.clear()
+            assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
+            assert g.n == 0 or expanded, (mid, g)
+            assert max(expanded.values(), default=1) == 1, (mid, g)
+
+
 def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
     # the round trip and Pi_m's closed form rebase {payload: int} maps
     calls = _count_polynomial_arithmetic(monkeypatch)
@@ -490,7 +505,7 @@ def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
         for mid in monoids.BASIS_PARTNER:
             assert check_basis_change(mid, g).passed, (mid, g)
         for k in get_monoid("Pi_m").basis(g):
-            antipode_closed_form("Pi_m", g, k)
+            antipode("Pi_m", g, k, "closed")
     assert calls == dict.fromkeys(_ARITHMETIC, 0)
 
 
@@ -525,14 +540,17 @@ def test_convolution_laws_take_the_antipode_from_the_other_recursion(monkeypatch
     monkeypatch.setitem(MONOIDS, "Match_M", _MatchMWithExtraQ("Match_M", "M", True))
     g = Graph(["v1", "v2", "v3", "v4"])
     empty = get_monoid("Match_M").empty_key()
-    left, right = AntipodeCache("Match_M", "left"), AntipodeCache("Match_M", "right")
-    assert str(left.of(g, empty)) == str(right.of(g, empty)) == "(-q^2 + 4*q - 2) ()"
+
+    def by_sides(h):
+        methods = ("milnor-moore-left", "milnor-moore-right")
+        return tuple(str(antipode("Match_M", h, empty, m)) for m in methods)
+
+    assert by_sides(g) == ("(-q^2 + 4*q - 2) ()",) * 2
     for sub, by_left, by_right in (
         (["v1", "v2", "v3"], "(-q) ()", "(q - 2) ()"),
         (["v1", "v2", "v4"], "(q - 2) ()", "(-q) ()"),
     ):
-        h = g.induced(sub)
-        assert (str(left.of(h, empty)), str(right.of(h, empty))) == (by_left, by_right)
+        assert by_sides(g.induced(sub)) == (by_left, by_right)
     (record,) = check_antipode("Match_M", g)
     assert not record.passed
     assert record.detail == {
@@ -616,6 +634,41 @@ def test_diagram_witness(monkeypatch):
         "via_path": "(1) v3|v2|v1",
         "via_other_path": "(1) v1|v2|v3",
     }
+
+
+def _one_block_inclusion():
+    # every order goes to the one-block composition, which is stable only
+    # on an edgeless graph
+    return Morphism(
+        "iota_L_SSigma",
+        {"L": "SSigma"},
+        lambda g, key: SetCompositionKey._of((g.mask,) if g.n else ()),
+    )
+
+
+def test_morphism_image_outside_its_codomain_fails_the_check(monkeypatch, capsys):
+    # the morphism and diagram checks record the invalid image instead of
+    # refusing it, so the suite reports FAIL rather than malformed input
+    monkeypatch.setitem(MORPHISMS, "iota_L_SSigma", _one_block_inclusion())
+    assert check_morphism("iota_L_SSigma", _P3).detail == {
+        "law": "map_closure",
+        "route": ["L", "SSigma"],
+        "key": "v1<v2<v3",
+        "error": "block v1,v2,v3 is not independent",
+    }
+    assert check_diagram("order_composition_triangle", _P3).detail == {
+        "key": "v1<v2<v3",
+        "path": ["iota_L_SSigma", "iota_SSigma_Sigma"],
+        "other_path": ["_iota_L_Sigma"],
+        "error": "iota_L_SSigma: block v1,v2,v3 is not independent",
+    }
+    report = run_suite("morphisms", 3, monoids=["L"])
+    failed = {(r.check, r.monoid) for r in report.records if not r.passed}
+    assert ("morphism", "iota_L_SSigma") in failed
+    assert ("diagram", "order_composition_triangle") in failed
+    argv = ["verify", "--suite", "morphisms", "--nmax", "3", "--monoid", "L", "--jobs", "1"]
+    assert cli_main(argv) == 1
+    assert "failed=36 -> FAIL" in capsys.readouterr().out
 
 
 class _LWithTCoproduct(type(MONOIDS["L"])):
