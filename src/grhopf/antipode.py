@@ -12,24 +12,28 @@ polynomial arithmetic.  `antipode` looks the route up in `_ROUTES`,
 validates the key once and builds the `Element` (`elements._element`);
 the verifier compares the maps themselves.
 
+The alternating sum and the recursions read every coproduct from a
+coproduct table (`monoids._coproducts`): each split's value is the one
+`coproduct_key` gives for those arguments, computed once per (subgraph,
+key) and kept in a dict the caller owns.  The table holds structure-map
+values only; no antipode value is remembered by it.
+
 The alternating sum walks set compositions depth-first over their first
 blocks, so compositions sharing a prefix share that prefix's coproducts,
 products and coefficient exponents, and a vanishing coproduct prunes every
 composition that starts with it.  It stays the alternating sum, not a
-third recursion: nothing is remembered across branches or keyed on a
-(subgraph, key) pair, every non-vanishing composition adds exactly one
-signed term, and every structure-map call has the arguments the
-composition-by-composition loop gives it.  The recursions memoize their
-maps per (induced subgraph, key) in a dict their caller owns: one query
-gets a fresh one, `antipode_table` and the verifier share one across a
-whole basis.
+third recursion: no partial sum is remembered across branches, and every
+non-vanishing composition adds exactly one signed term.  The recursions
+memoize their maps per (induced subgraph, key) in a second dict their
+caller owns.  `antipode` gives each query a fresh memo and table;
+`antipode_element` and `antipode_table` share one of each across the keys
+they are given, and the verifier across a whole check.
 """
 
 from __future__ import annotations
 
 from .elements import Element, _accumulate, _element, linear_extend
 from .enumerators import (
-    _ordered_bipartitions,
     _refinements,
     acyclic_orientations,
     compositions_refining,
@@ -44,7 +48,7 @@ from .keys import (
     PartitionM,
     SetCompositionKey,
 )
-from .monoids import _crossing_exponents, _rebased, get_monoid
+from .monoids import _coproducts, _crossing_exponents, _rebased, get_monoid
 
 # Closed forms compared unconditionally against the general methods; the
 # composition and flat-m forms are oracle-gated (verdict recorded by the
@@ -64,36 +68,57 @@ CLOSED_FORM_IDS = (
 )
 ORACLE_GATED_IDS = ("Sigma", "SSigma", "FL_M")
 
-# method -> route: (spec, g, basis key of g) -> exponent map
+# method -> route: (spec, g, basis key of g, recursion memo, coproduct
+# table) -> exponent map
 _ROUTES = {
-    "takeuchi": lambda spec, g, key: _takeuchi_sums(spec, g, key, {}),
-    "milnor-moore-left": lambda spec, g, key: _mm(spec, g, key, "left", {}),
-    "milnor-moore-right": lambda spec, g, key: _mm(spec, g, key, "right", {}),
-    "closed": lambda spec, g, key: _closed_sums(spec, g, key),
+    "takeuchi": lambda spec, g, key, memo, table: _takeuchi_sums(spec, g, key, {}, table),
+    "milnor-moore-left": (
+        lambda spec, g, key, memo, table: _mm(spec, g, key, "left", memo, table)
+    ),
+    "milnor-moore-right": (
+        lambda spec, g, key, memo, table: _mm(spec, g, key, "right", memo, table)
+    ),
+    "closed": lambda spec, g, key, memo, table: _closed_sums(spec, g, key),
 }
 METHODS = tuple(_ROUTES)
+
+
+def _route(mid: str, method: str):
+    """(spec, route) of a method of METHODS, refused for an unknown method,
+    then for an unknown monoid."""
+    route = _ROUTES.get(method)
+    if route is None:
+        raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
+    return get_monoid(mid), route
 
 
 def antipode(mid: str, g: Graph, key: BasisKey, method: str = "takeuchi") -> Element:
     """The antipode of key by one route of METHODS.  Refused, in this order,
     for an unknown method, an unknown monoid, a key that is not a basis key
     of g, and a monoid without a closed form when that route is asked."""
-    route = _ROUTES.get(method)
-    if route is None:
-        raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
-    spec = get_monoid(mid)
+    spec, route = _route(mid, method)
     spec.validate_key(g, key)
-    return _element(mid, g, route(spec, g, key))
+    return _element(mid, g, route(spec, g, key, {}, {}))
 
 
 def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -> Element:
-    return linear_extend(lambda k: antipode(mid, g, k, method), x)
+    """The antipode of x by one route of METHODS, refused as `antipode`
+    refuses; every key of x is validated before any is computed, and the
+    terms share one recursion memo and one coproduct table."""
+    spec, route = _route(mid, method)
+    for k in x.terms:
+        spec.validate_key(g, k)
+    memo: dict = {}
+    table: dict = {}
+    return linear_extend(lambda k: _element(mid, g, route(spec, g, k, memo, table)), x)
 
 
 # ---------------------------------------------------------------- alternating sum
 
 
-def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
+def _takeuchi_sums(
+    spec, g: Graph, key: BasisKey, sums: dict, table: dict | None = None
+) -> dict:
     """Sum the alternating sum into the exponent map sums, {(product key,
     qe, te): summed sign}, and return it: each set composition whose
     iterated coproduct does not vanish reads its entry once and adds its
@@ -107,10 +132,17 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
     which are the sums of its coproducts' exponents.  Each node counts the
     composition ending with all remaining vertices as one block, then peels
     every nonempty proper first block off the rest; a vanishing coproduct
-    prunes every composition that starts with that prefix.  Nothing is
-    remembered across branches (see the module docstring).
+    prunes every composition that starts with that prefix.
+
+    Each coproduct is the value `coproduct_key` gives for its arguments,
+    read from table (`monoids._coproducts`; a fresh one when None), so a
+    (subgraph, key) reached by several prefixes, or by several calls that
+    share the table, is split once.  No partial sum is remembered (see the
+    module docstring).
     """
-    product_key, coproduct_key = spec.product_key, spec.coproduct_key
+    if table is None:
+        table = {}
+    product_key = spec.product_key
     # (rest graph, its key, mask of the placed vertices, product key of the
     # placed blocks or None, the prefix's q and t exponents, the sign of the
     # node's own composition: -1 for an odd number of blocks, and +1 for
@@ -128,53 +160,46 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
             sums[term] = acc
         else:
             del sums[term]
-        for s, t in _ordered_bipartitions(rest_g.mask):
+        for s, t, _gs, gt, lk, rk, cq, ct in _coproducts(spec, rest_g, rest_key, table):
             if not s or not t:
                 continue
-            res = coproduct_key(rest_g, s, t, rest_key)
-            if res is None:
-                continue
-            lk, rk, cq, ct = res
             done = placed | s
             if pk is not None:
                 lk = product_key(g._induced(done), placed, s, pk, lk)
-            stack.append((rest_g._induced(t), rk, done, lk, qe + cq, te + ct, -sign))
+            stack.append((gt, rk, done, lk, qe + cq, te + ct, -sign))
     return sums
 
 
 # ---------------------------------------------------------------- recursions
 
 
-def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> dict:
+def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict) -> dict:
     """The exponent map of key's antipode on g by the one-sided recursion
     of side ("left" or "right"): peel a bipartition, recurse on the
-    strictly smaller factor.  Memoized per (g, key) in memo; the returned
-    map is shared with the memo and must not be changed."""
+    strictly smaller factor.  Memoized per (g, key) in memo, with the
+    coproducts read from table; the returned map is shared with the memo
+    and must not be changed."""
     if g.n == 0:
         return {(key, 0, 0): 1}
     mk = (g, key)
     hit = memo.get(mk)
     if hit is None:
-        hit = memo[mk] = _accumulate({}, _mm_terms(spec, g, key, side, memo))
+        hit = memo[mk] = _accumulate({}, _mm_terms(spec, g, key, side, memo, table))
     return hit
 
 
-def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
+def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict):
     """For each peeled bipartition with coproduct monomial q^qe t^te, one
     ((product key, qe + qe', te + te'), -c') pair per term c' q^qe' t^te'
     of the recursed factor's exponent map, multiplied back with the other
     factor's key."""
     left = side == "left"
     product_key = spec.product_key
-    for s, t in _ordered_bipartitions(g.mask):
+    for s, t, gs, gt, lk, rk, qe, te in _coproducts(spec, g, key, table):
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
             continue
-        res = spec.coproduct_key(g, s, t, key)
-        if res is None:
-            continue
-        lk, rk, qe, te = res
-        rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo)
+        rec = _mm(spec, gs if left else gt, lk if left else rk, side, memo, table)
         for (k2, q2, t2), c2 in rec.items():
             x, y = (k2, rk) if left else (lk, k2)
             yield (product_key(g, s, t, x, y), qe + q2, te + t2), -c2
@@ -182,10 +207,13 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
 
 def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:
     """Antipode of every basis key of g by the left recursion, sharing one
-    memo across the basis."""
+    memo and one coproduct table across the basis."""
     spec = get_monoid(mid)
     memo: dict = {}
-    return {k: _element(mid, g, _mm(spec, g, k, "left", memo)) for k in spec.basis(g)}
+    table: dict = {}
+    return {
+        k: _element(mid, g, _mm(spec, g, k, "left", memo, table)) for k in spec.basis(g)
+    }
 
 
 # ---------------------------------------------------------------- closed forms

@@ -32,6 +32,12 @@ The m/p (and M/P) basis changes rebase {payload: coefficient} maps
 over the lattice, from p to m by the Moebius expansion `_p_in_m`.
 `basis_change` builds an Element only at the public boundary.
 
+The coproduct table (`_coproducts`) holds, per (graph, key), every
+non-vanishing split of the key with both induced subgraphs; the antipode
+routes and the antipode check read their coproducts from one, a dict that
+lives for one call or one check and is never shared across monoids or
+calls.
+
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
 only the q power, and the partition/flat/matching/unit structures none.
@@ -415,6 +421,23 @@ def get_monoid(mid: str) -> MonoidSpec:
 @lru_cache(maxsize=None)
 def _basis_cached(mid: str, g: Graph) -> tuple[BasisKey, ...]:
     return tuple(MONOIDS[mid]._enumerate_basis(g))
+
+
+def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> tuple:
+    """The non-vanishing coproduct components of key on g, one
+    (s, t, g_S, g_T, left key, right key, qe, te) per split in
+    `enumerators._ordered_bipartitions` order, the empty splits included.
+    spec.coproduct_key runs once per (g, key): the result is kept in table,
+    a dict the caller owns for one spec and drops when its call ends."""
+    hit = table.get((g, key))
+    if hit is None:
+        coproduct_key, induced = spec.coproduct_key, g._induced
+        hit = table[g, key] = tuple(
+            (s, t, induced(s), induced(t), *res)
+            for s, t in enumerators._ordered_bipartitions(g.mask)
+            if (res := coproduct_key(g, s, t, key)) is not None
+        )
+    return hit
 
 
 # ---------------------------------------------------------------- wrappers

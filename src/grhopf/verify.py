@@ -62,6 +62,7 @@ from .monoids import (
     _basis_cached,
     _braiding,
     _change_route,
+    _coproducts,
     _rebased,
     get_monoid,
 )
@@ -476,9 +477,11 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
     spec = get_monoid(mid)
-    # one recursion memo per side for the whole check: the routes, the
-    # convolution laws and the involution share each (subgraph, key) map
+    # one recursion memo per side and one coproduct table for the whole
+    # check: the routes, the convolution laws and the involution share each
+    # (subgraph, key) map and each (subgraph, key) coproduct
     memos = {"left": {}, "right": {}}
+    table: dict = {}
     has_closed = mid in CLOSED_FORM_IDS
     gated = mid in ORACLE_GATED_IDS
     closed_witness: dict | None = None
@@ -489,9 +492,9 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # each route maps a basis key, which needs no validation, to an
         # exponent map with no zero entry: equal maps are equal Elements
         for key in basis:
-            reference = _takeuchi_sums(spec, g, key, {})
+            reference = _takeuchi_sums(spec, g, key, {}, table)
             for side in ("left", "right"):
-                other = _mm(spec, g, key, side, memos[side])
+                other = _mm(spec, g, key, side, memos[side], table)
                 if other != reference:
                     # no reference to judge the closed form against
                     closed_witness = {"verdict": "skipped: methods disagree"}
@@ -522,21 +525,18 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # their keys are coproduct factors of basis keys and products of
         # such factors, whose closure `_closure_witness` checks.
         if g.n > 0:
-            splits = _splits(g)
             for key in basis:
+                splits = _coproducts(spec, g, key, table)
                 for law, side, s_on_left in (
                     ("convolution_left", "right", True),
                     ("convolution_right", "left", False),
                 ):
                     # (product key, qe, te) -> summed coefficient
                     leftover: dict = {}
-                    for s_set, t_set, gs, gt in splits:
-                        res = spec.coproduct_key(g, s_set, t_set, key)
-                        if res is None:
-                            continue
-                        lk, rk, qe, te = res
+                    for s_set, t_set, gs, gt, lk, rk, qe, te in splits:
                         h, hk = (gs, lk) if s_on_left else (gt, rk)
-                        for (sk, sq, st), c in _mm(spec, h, hk, side, memos[side]).items():
+                        rec = _mm(spec, h, hk, side, memos[side], table)
+                        for (sk, sq, st), c in rec.items():
                             x, y = (sk, rk) if s_on_left else (lk, sk)
                             prod = spec.product_key(g, s_set, t_set, x, y)
                             _accumulate(leftover, (((prod, qe + sq, te + st), c),))
@@ -553,10 +553,10 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
             left = memos["left"]
             for key in basis:
                 twice: dict = {}
-                for (k, qe, te), c in _mm(spec, g, key, "left", left).items():
+                for (k, qe, te), c in _mm(spec, g, key, "left", left, table).items():
                     pairs = (
                         ((k2, qe + q2, te + t2), c * c2)
-                        for (k2, q2, t2), c2 in _mm(spec, g, k, "left", left).items()
+                        for (k2, q2, t2), c2 in _mm(spec, g, k, "left", left, table).items()
                     )
                     _accumulate(twice, pairs)
                 if twice != {(key, 0, 0): 1}:

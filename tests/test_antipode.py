@@ -4,6 +4,8 @@ Hand values below were derived on paper from the defining alternating
 sum; the suite freezes them so the implementations cannot drift.
 """
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -403,3 +405,29 @@ def test_cache_sides_and_table():
     assert set(table) == set(get_monoid("AO").basis(g))
     for k, v in table.items():
         assert v == antipode("AO", g, k, "takeuchi")
+
+
+def test_antipode_element_expands_each_recursion_step_once(monkeypatch):
+    # the terms of one element share a recursion memo and a coproduct
+    # table: the sum of all 24 orders of K4 expands each of the 64
+    # (subgraph, order) steps once, as antipode_table does
+    g = corpus(4)[-1]
+    basis = get_monoid("L").basis(g)
+    want = Element.zero("L", g)
+    for k in basis:
+        want = want + antipode("L", g, k, "milnor-moore-left")
+    module = importlib.import_module("grhopf.antipode")
+    expand = module._mm_terms
+    expanded = []
+
+    def counted(spec, h, k, *rest):
+        expanded.append((h, k))
+        return expand(spec, h, k, *rest)
+
+    monkeypatch.setattr(module, "_mm_terms", counted)
+    x = make_element("L", g, dict.fromkeys(basis, 1))
+    assert antipode_element("L", g, x, "milnor-moore-left") == want
+    assert len(expanded) == len(set(expanded)) == 64
+    expanded.clear()
+    antipode_table("L", g)
+    assert len(expanded) == 64

@@ -1,5 +1,6 @@
 """Verification harness: corpora, record counts, determinism, reporting."""
 
+import copy
 import importlib
 import os
 from collections import Counter
@@ -422,10 +423,14 @@ def test_functors_build_no_basis_where_no_count_is_expected():
 def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     # every route agrees on the identity, which is not the antipode: the
     # convolution law fails after the closed form has been judged
-    monkeypatch.setattr(verify, "_takeuchi_sums", lambda spec, g, key, sums: {(key, 0, 0): 1})
+    monkeypatch.setattr(
+        verify, "_takeuchi_sums", lambda spec, g, key, sums, table: {(key, 0, 0): 1}
+    )
     # the recursions' exponent maps for method agreement and for the
     # convolution and involution laws
-    monkeypatch.setattr(verify, "_mm", lambda spec, g, key, side, memo: {(key, 0, 0): 1})
+    monkeypatch.setattr(
+        verify, "_mm", lambda spec, g, key, side, memo, table: {(key, 0, 0): 1}
+    )
     g = Graph(["v1", "v2"], [("v1", "v2")])
     main, verdict = check_antipode("Sigma", g)
     assert not main.passed and main.detail["law"] == "convolution_left"
@@ -485,9 +490,9 @@ def test_antipode_check_expands_each_recursion_step_once(monkeypatch):
     expand = module._mm_terms
     expanded = Counter()
 
-    def counted(spec, g, key, side, memo):
+    def counted(spec, g, key, side, memo, table):
         expanded[g, key, side] += 1
-        return expand(spec, g, key, side, memo)
+        return expand(spec, g, key, side, memo, table)
 
     monkeypatch.setattr(module, "_mm_terms", counted)
     for mid in MONOID_IDS:
@@ -496,6 +501,33 @@ def test_antipode_check_expands_each_recursion_step_once(monkeypatch):
             assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
             assert g.n == 0 or expanded, (mid, g)
             assert max(expanded.values(), default=1) == 1, (mid, g)
+
+
+def test_antipode_check_computes_each_coproduct_once(monkeypatch):
+    # one coproduct table spans the alternating sum, both recursions, both
+    # convolution laws and the involution: each (graph, split, key) is
+    # computed once per check
+    computed = Counter()
+
+    def counted(spec):
+        inner = spec.coproduct_key
+
+        def wrapper(g, s, t, key):
+            computed[g, s, t, key] += 1
+            return inner(g, s, t, key)
+
+        twin = copy.copy(spec)
+        twin.coproduct_key = wrapper
+        return twin
+
+    for mid in MONOID_IDS:
+        monkeypatch.setitem(MONOIDS, mid, counted(MONOIDS[mid]))
+    for mid in MONOID_IDS:
+        for g in corpus(3):
+            computed.clear()
+            assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
+            assert g.n == 0 or computed, (mid, g)
+            assert max(computed.values(), default=1) == 1, (mid, g)
 
 
 def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
