@@ -36,7 +36,10 @@ The coproduct table (`_coproducts`) holds, per (graph, key), every
 non-vanishing split of the key with both induced subgraphs; the antipode
 routes and the antipode check read their coproducts from one, a dict that
 lives for one call or one check and is never shared across monoids or
-calls.
+calls.  Their products come from a product-cached copy of the monoid
+(`_with_cached_products`), whose `product_key` remembers each result by its
+full argument tuple for as long as that call or check holds the copy.  Both
+hold structure-map values only, never an antipode value.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -50,8 +53,9 @@ Match_M, Match_P, E.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import or_
 
 from . import enumerators, keys
@@ -438,6 +442,15 @@ def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> tuple
             if (res := coproduct_key(g, s, t, key)) is not None
         )
     return hit
+
+
+def _with_cached_products(spec: MonoidSpec) -> MonoidSpec:
+    """A copy of spec whose `product_key` remembers every result by its
+    full argument tuple, so each product is computed once for as long as
+    the caller holds the copy; the copy's other maps are spec's own."""
+    twin = copy.copy(spec)
+    twin.product_key = cache(spec.product_key)
+    return twin
 
 
 # ---------------------------------------------------------------- wrappers

@@ -11,7 +11,11 @@ structure map on the same (graph, split, keys) arguments many times over
 (each `y` coproduct once per `x`, each first-level split once per
 tripartition sharing it).  Each call works on a private `_memoized` copy
 of its monoid that lives for that one call; the maps are pure, so the
-records are exactly those of the unmemoized maps.
+records are exactly those of the unmemoized maps.  `check_antipode` caches
+only products (`monoids._with_cached_products`) and reads its coproducts
+from a coproduct table (`monoids._coproducts`), both made per check and
+dropped when it returns; they hold structure-map values, never an
+antipode value.
 
 Each check looks for a witness, its first counterexample, and `_record`
 turns that witness (or None) into the check's `CheckRecord`.  `_splits`
@@ -64,6 +68,7 @@ from .monoids import (
     _change_route,
     _coproducts,
     _rebased,
+    _with_cached_products,
     get_monoid,
 )
 from .morphisms import DIAGRAMS, MORPHISMS, get_morphism
@@ -273,10 +278,10 @@ def _parts(*masks) -> list[list[str]]:
 
 def _memoized(spec):
     """A copy of the monoid whose `product_key` and `coproduct_key` remember
-    every result by its full argument tuple.  Made per check call and
-    dropped when the call returns."""
-    memo = copy.copy(spec)
-    memo.product_key = cache(spec.product_key)
+    every result by its full argument tuple: the product-cached copy
+    (`monoids._with_cached_products`) with a cached `coproduct_key` added.
+    Made per check call and dropped when the call returns."""
+    memo = _with_cached_products(spec)
     memo.coproduct_key = cache(spec.coproduct_key)
     return memo
 
@@ -476,10 +481,11 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
 
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
-    spec = get_monoid(mid)
-    # one recursion memo per side and one coproduct table for the whole
-    # check: the routes, the convolution laws and the involution share each
-    # (subgraph, key) map and each (subgraph, key) coproduct
+    spec = _with_cached_products(get_monoid(mid))
+    # one recursion memo per side, one coproduct table and one product-cached
+    # spec for the whole check: the routes, the convolution laws and the
+    # involution share each (subgraph, key) map, each (subgraph, key)
+    # coproduct and each product
     memos = {"left": {}, "right": {}}
     table: dict = {}
     has_closed = mid in CLOSED_FORM_IDS

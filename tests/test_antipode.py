@@ -14,6 +14,7 @@ from grhopf import (
     CLOSED_FORM_IDS,
     METHODS,
     MONOID_IDS,
+    MONOIDS,
     ORACLE_GATED_IDS,
     Element,
     Graph,
@@ -431,3 +432,29 @@ def test_antipode_element_expands_each_recursion_step_once(monkeypatch):
     expanded.clear()
     antipode_table("L", g)
     assert len(expanded) == 64
+
+
+class _LReversedProduct(type(MONOIDS["L"])):
+    """L, except that the product puts the right factor's order first."""
+
+    def product_key(self, g, s, t, x, y):
+        return self.key_cls._of(y.masks + x.masks)
+
+
+def test_no_product_outlives_its_call(monkeypatch):
+    # products are cached per call: a product mutant put into MONOIDS
+    # after a first answer must change the next one
+    g = path3()
+    k = key("L", "a<b<c")
+    x = elem("L", g, "a<b<c")
+    methods = ("takeuchi", "milnor-moore-left", "milnor-moore-right")
+    before = [antipode("L", g, k, m) for m in methods]
+    before += [antipode_element("L", g, x, m) for m in methods]
+    before.append(antipode_table("L", g)[k])
+    assert all(str(v) == "(-q^2*t) c<b<a" for v in before)
+    monkeypatch.setitem(MONOIDS, "L", _LReversedProduct())
+    after = [antipode("L", g, k, m) for m in methods]
+    after += [antipode_element("L", g, x, m) for m in methods]
+    after.append(antipode_table("L", g)[k])
+    assert after == [after[0]] * len(after)
+    assert str(after[0]).startswith("(-q^2*t + 2*q*t - 1) a<b<c + ")

@@ -8,7 +8,9 @@ import random
 import pytest
 
 from grhopf.cli import main
-from grhopf.monoids import BASIS_PARTNER, MONOID_IDS
+from grhopf.monoids import BASIS_PARTNER, MONOID_IDS, MONOIDS
+
+from .test_verify import _MatchMWithExtraQ
 
 P3_TEXT = "v a\nv b\nv c\ne a b\ne b c\n"
 
@@ -134,6 +136,24 @@ def test_antipode_all_skips_missing_closed_form(capsys, p3_path):
     assert code == 0
     assert "closed:" not in out
     assert out.endswith("verdict: AGREE\n")
+
+
+def test_antipode_all_reports_disagreement(capsys, tmp_path, monkeypatch):
+    # the mutant's two recursions differ on three edgeless vertices; the
+    # routes share a coproduct table and products but each recursion keeps
+    # its own memo, so neither side is handed the other's answer
+    monkeypatch.setitem(MONOIDS, "Match_M", _MatchMWithExtraQ("Match_M", "M", True))
+    path = tmp_path / "d3.graph"
+    path.write_text("v v1\nv v2\nv v3\n", encoding="utf-8")
+    argv = ["antipode", "--monoid", "Match_M", "--graph", str(path), "--key", "()"]
+    code, out, err = run(capsys, [*argv, "--method", "all"])
+    assert code == 1
+    assert out == (
+        "takeuchi: (q - 2) ()\n"
+        "milnor-moore-left: (-q) ()\n"
+        "milnor-moore-right: (q - 2) ()\n"
+        "verdict: DISAGREE\n"
+    )
 
 
 def test_basis_change(capsys, p3_path):

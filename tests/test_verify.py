@@ -21,6 +21,8 @@ from grhopf import (
     SetCompositionKey,
     VerificationReport,
     antipode,
+    antipode_element,
+    antipode_table,
     check_antipode,
     check_basis_change,
     check_bimonoid,
@@ -503,31 +505,69 @@ def test_antipode_check_expands_each_recursion_step_once(monkeypatch):
             assert max(expanded.values(), default=1) == 1, (mid, g)
 
 
-def test_antipode_check_computes_each_coproduct_once(monkeypatch):
-    # one coproduct table spans the alternating sum, both recursions, both
-    # convolution laws and the involution: each (graph, split, key) is
-    # computed once per check
+def _count_map(monkeypatch, name) -> Counter:
+    """Put a copy of every monoid whose structure map name counts its calls
+    into MONOIDS; returns the live {argument tuple: calls} counter."""
     computed = Counter()
 
     def counted(spec):
-        inner = spec.coproduct_key
+        inner = getattr(spec, name)
 
-        def wrapper(g, s, t, key):
-            computed[g, s, t, key] += 1
-            return inner(g, s, t, key)
+        def wrapper(*args):
+            computed[args] += 1
+            return inner(*args)
 
         twin = copy.copy(spec)
-        twin.coproduct_key = wrapper
+        setattr(twin, name, wrapper)
         return twin
 
     for mid in MONOID_IDS:
         monkeypatch.setitem(MONOIDS, mid, counted(MONOIDS[mid]))
+    return computed
+
+
+def test_antipode_check_computes_each_coproduct_once(monkeypatch):
+    # one coproduct table spans the alternating sum, both recursions, both
+    # convolution laws and the involution: each (graph, split, key) is
+    # computed once per check
+    computed = _count_map(monkeypatch, "coproduct_key")
     for mid in MONOID_IDS:
         for g in corpus(3):
             computed.clear()
             assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
             assert g.n == 0 or computed, (mid, g)
             assert max(computed.values(), default=1) == 1, (mid, g)
+
+
+def test_antipode_check_computes_each_product_once(monkeypatch):
+    # one product-cached spec spans the alternating sum, both recursions,
+    # both convolution laws and the involution: each (graph, s, t, x, y)
+    # is computed once per check
+    computed = _count_map(monkeypatch, "product_key")
+    for mid in MONOID_IDS:
+        for g in corpus(3):
+            computed.clear()
+            assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
+            assert max(computed.values(), default=1) == 1, (mid, g)
+    assert computed
+
+
+def test_antipode_calls_compute_each_product_once(monkeypatch):
+    # antipode_table and a multi-key antipode_element share one
+    # product-cached spec across their keys
+    computed = _count_map(monkeypatch, "product_key")
+    g = corpus(4)[-1]
+    for mid in MONOID_IDS:
+        basis = get_monoid(mid).basis(g)
+        computed.clear()
+        antipode_table(mid, g)
+        assert g.n == 4 and max(computed.values(), default=1) == 1, mid
+        x = Element(mid, g, dict.fromkeys(basis, 1))
+        for method in ("takeuchi", "milnor-moore-left", "milnor-moore-right"):
+            computed.clear()
+            antipode_element(mid, g, x, method)
+            assert max(computed.values(), default=1) == 1, (mid, method)
+            assert len(basis) == 1 or computed, (mid, method)
 
 
 def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
