@@ -13,15 +13,21 @@ import pytest
 
 from grhopf import (
     MONOID_IDS,
+    MORPHISMS,
     SUITES,
     Element,
     antipode,
+    check_bimonoid,
+    check_commutativity,
+    check_morphism,
     coproduct_component,
     corpus,
     get_monoid,
     ordered_bipartitions,
     run_suite,
+    sampled_graphs,
 )
+from grhopf.verify import KEY_CAP_5
 
 GOLDEN_SUITES = {
     "bimonoid": "3f204960b95bfd543532fdc89e0e06fae9db4dbcbd0e19dc95caabe101d25a28",
@@ -48,6 +54,11 @@ GOLDEN_ELEMENTS = {
     "Match_P": "1514fd21ac75595c2cc1a1be28511db115c18a743760c99b5c31feba830a49c7",
     "E": "169c68de6fa6ef0e5f774c1dc2640f632da8026ff5be1c7a8f655ac5a088ede8",
 }
+
+# the bimonoid, commutativity and morphism results on the first three graphs
+# of the nmax-5 sample, with the nmax-5 key cap: products and coproduct
+# factors of capped basis keys fall outside the capped basis
+GOLDEN_CAPPED = "e62dd27fc1894d03c959fbb724199c8449014f7e85580bd93113a1b170e91cf1"
 
 GENERAL_METHODS = ("takeuchi", "milnor-moore-left", "milnor-moore-right")
 
@@ -78,9 +89,24 @@ def element_digest(mid: str) -> str:
     return _sha("\n".join(lines))
 
 
+def capped_digest() -> str:
+    rows = []
+    for g in sampled_graphs(5, 16, 0)[:3]:
+        for mid in MONOID_IDS:
+            rows.append(check_bimonoid(mid, g, KEY_CAP_5).to_json())
+            rows.append([mid, check_commutativity(mid, g, KEY_CAP_5)])
+        for name in MORPHISMS:
+            rows.append(check_morphism(name, g, KEY_CAP_5).to_json())
+    return _sha(json.dumps(rows, sort_keys=True))
+
+
 @pytest.mark.parametrize("suite", [s for s in SUITES if s != "all"])
 def test_suite_records_unchanged(suite):
     assert suite_digest(suite) == GOLDEN_SUITES[suite]
+
+
+def test_capped_records_unchanged():
+    assert capped_digest() == GOLDEN_CAPPED
 
 
 @pytest.mark.parametrize("mid", MONOID_IDS)
@@ -94,3 +120,4 @@ if __name__ == "__main__":
         {s: suite_digest(s) for s in SUITES if s != "all"}, indent=4))
     print("GOLDEN_ELEMENTS =", json.dumps(
         {m: element_digest(m) for m in MONOID_IDS}, indent=4))
+    print("GOLDEN_CAPPED =", json.dumps(capped_digest()))

@@ -663,6 +663,149 @@ def test_bimonoid_coassociativity_witness(monkeypatch):
     }
 
 
+class _SigmaShiftedBraiding(type(MONOIDS["Sigma"])):
+    """Sigma, except that its braiding gains a factor q on one split."""
+
+    SPLIT = (_mask_of(["v2"]), _mask_of(["v1"]))
+
+    def braiding(self, g, S, T):
+        qe, te = super().braiding(g, S, T)
+        return (qe + 1, te) if (S, T) == self.SPLIT else (qe, te)
+
+
+def test_bimonoid_compatibility_witness(monkeypatch):
+    monkeypatch.setitem(MONOIDS, "Sigma", _SigmaShiftedBraiding("Sigma", stable=False))
+    assert check_bimonoid("Sigma", _P3).detail == {
+        "axiom": "product_coproduct_compatibility",
+        "product_split": [["v2"], ["v1", "v3"]],
+        "coproduct_split": [["v1"], ["v2", "v3"]],
+        "keys": ["v2", "v1,v3"],
+        "coproduct_of_product": "(q) v1 (x) v2|v3",
+        "braided_exchange": "(q^2) v1 (x) v2|v3",
+    }
+
+
+class _MatchMSingleEdges(type(MONOIDS["Match_M"])):
+    """Match_M, except that a key of two or more edges is refused."""
+
+    def validate_key(self, g, key):
+        super().validate_key(g, key)
+        if len(key.edges) > 1:
+            raise InputError(f"{key.literal()} has more than one edge")
+
+
+class _SSigmaRefusingOneVertex(type(MONOIDS["SSigma"])):
+    """SSigma, except that every key on a one-vertex graph is refused."""
+
+    def validate_key(self, g, key):
+        super().validate_key(g, key)
+        if g.n == 1:
+            raise InputError(f"{key.literal()} lies on one vertex")
+
+
+def test_bimonoid_closure_witnesses(monkeypatch):
+    # within a split, products are validated before coproduct factors
+    monkeypatch.setitem(MONOIDS, "Match_M", _MatchMSingleEdges("Match_M", "M", True))
+    two_edges = Graph(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v3", "v4")])
+    assert check_bimonoid("Match_M", two_edges).detail == {
+        "axiom": "product_closure",
+        "split": [[], ["v1", "v2", "v3", "v4"]],
+        "keys": ["()", "v1-v2,v3-v4"],
+        "error": "v1-v2,v3-v4 has more than one edge",
+    }
+    monkeypatch.setitem(MONOIDS, "SSigma", _SSigmaRefusingOneVertex("SSigma", stable=True))
+    assert check_bimonoid("SSigma", _P3).detail == {
+        "axiom": "coproduct_closure",
+        "split": [["v1"], ["v2", "v3"]],
+        "key": "v1,v3|v2",
+        "error": "v1 lies on one vertex",
+    }
+
+
+def test_commutativity_first_witnesses():
+    product_witness = {
+        "split": [["v1"], ["v2", "v3"]],
+        "keys": ["v1", "v2<v3"],
+        "forward": "v1<v2<v3",
+        "backward": "v2<v3<v1",
+        "braiding": "q*t",
+    }
+    assert check_commutativity("L", _P3) == {
+        "commutative_exact": (False, product_witness),
+        "commutative_plain": (False, product_witness),
+        "cocommutative_exact": (
+            False,
+            {
+                "split": [["v1"], ["v2", "v3"]],
+                "key": "v1<v2<v3",
+                "coproduct": "(1) v1 (x) v2<v3",
+                "braided_swap_of_reverse": "(q^2*t^2) v1 (x) v2<v3",
+            },
+        ),
+        "cocommutative_plain": (True, None),
+        "disjoint_commutative": (
+            False,
+            {
+                "split": [["v1", "v2"], ["v3"]],
+                "keys": ["v1<v2", "v3"],
+                "forward": "v1<v2<v3",
+                "backward": "v3<v1<v2",
+                "braiding": "t^2",
+            },
+        ),
+        "join_commutative": (True, None),
+    }
+    product_witness = {
+        "split": [["v1"], ["v2", "v3"]],
+        "keys": ["()", "()"],
+        "forward": "v1>v2",
+        "backward": "v2>v1",
+        "braiding": "q",
+    }
+    assert check_commutativity("AO", _P3) == {
+        "commutative_exact": (False, product_witness),
+        "commutative_plain": (False, product_witness),
+        "cocommutative_exact": (
+            False,
+            {
+                "split": [["v1"], ["v2", "v3"]],
+                "key": "v1>v2",
+                "coproduct": "(1) () (x) ()",
+                "braided_swap_of_reverse": "(q^2) () (x) ()",
+            },
+        ),
+        "cocommutative_plain": (True, None),
+        "disjoint_commutative": (True, None),
+        "join_commutative": (True, None),
+    }
+
+
+class _SigmaBrokenTwice(_SigmaDroppingT):
+    """`_SigmaDroppingT` whose product also swaps its factors on a split
+    that comes after the coproduct's broken split."""
+
+    PRODUCT_SPLIT = (_mask_of(["v2"]), _mask_of(["v1", "v3"]))
+
+    def product_key(self, g, S, T, x, y):
+        if (S, T) == self.PRODUCT_SPLIT:
+            return super().product_key(g, T, S, y, x)
+        return super().product_key(g, S, T, x, y)
+
+
+def test_morphism_witness_takes_the_earlier_split(monkeypatch):
+    # the product law fails on a later split than the coproduct law, and
+    # the laws run split by split
+    monkeypatch.setitem(MONOIDS, "Sigma", _SigmaBrokenTwice("Sigma", stable=False))
+    assert check_morphism("iota_SSigma_Sigma", _P3).detail == {
+        "law": "coproduct_intertwines",
+        "route": ["SSigma", "Sigma"],
+        "split": [["v1"], ["v2", "v3"]],
+        "key": "v2,v3|v1",
+        "map_then_coproduct": "(q) v1 (x) v2,v3",
+        "coproduct_then_map": "(q*t) v1 (x) v2,v3",
+    }
+
+
 def test_morphism_product_witness(monkeypatch):
     monkeypatch.setitem(MORPHISMS, "iota_L_SSigma", _reversed_order_inclusion())
     record = check_morphism("iota_L_SSigma", _P3)
