@@ -184,7 +184,9 @@ def _takeuchi_sums(
             sums[term] = acc
         else:
             del sums[term]
-        for s, t, _gs, gt, lk, rk, cq, ct in _coproducts(spec, rest_g, rest_key, table):
+        # a table hit skips the call: this loop runs once per composition
+        row = table.get((rest_g, rest_key)) or _coproducts(spec, rest_g, rest_key, table)
+        for s, t, _gs, gt, lk, rk, cq, ct in row.values():
             if not s or not t:
                 continue
             done = placed | s
@@ -219,7 +221,7 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict)
     factor's key."""
     left = side == "left"
     product_key = spec.product_key
-    for s, t, gs, gt, lk, rk, qe, te in _coproducts(spec, g, key, table):
+    for s, t, gs, gt, lk, rk, qe, te in _coproducts(spec, g, key, table).values():
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
             continue

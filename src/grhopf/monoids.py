@@ -33,13 +33,15 @@ over the lattice, from p to m by the Moebius expansion `_p_in_m`.
 `basis_change` builds an Element only at the public boundary.
 
 The coproduct table (`_coproducts`) holds, per (graph, key), every
-non-vanishing split of the key with both induced subgraphs; the antipode
-routes and the antipode check read their coproducts from one, a dict that
-lives for one call or one check and is never shared across monoids or
-calls.  Their products come from a product-cached copy of the monoid
-(`_with_cached_products`), whose `product_key` remembers each result by its
-full argument tuple for as long as that call or check holds the copy.  Both
-hold structure-map values only, never an antipode value.
+non-vanishing split of the key with both induced subgraphs, keyed by the
+split's S mask in bipartition order, so a law can walk a row or look one
+split up.  A table is a dict that lives for one antipode call or one
+verifier check (bimonoid, commutativity, morphism or antipode) and is
+never shared across monoids, calls or checks.  Products come from a
+product-cached copy of the monoid (`_with_cached_products`), whose
+`product_key` remembers each result by its full argument tuple for as long
+as that call or check holds the copy.  Both hold structure-map values
+only, never an antipode value.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -427,20 +429,21 @@ def _basis_cached(mid: str, g: Graph) -> tuple[BasisKey, ...]:
     return tuple(MONOIDS[mid]._enumerate_basis(g))
 
 
-def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> tuple:
-    """The non-vanishing coproduct components of key on g, one
-    (s, t, g_S, g_T, left key, right key, qe, te) per split in
-    `enumerators._ordered_bipartitions` order, the empty splits included.
-    spec.coproduct_key runs once per (g, key): the result is kept in table,
-    a dict the caller owns for one spec and drops when its call ends."""
+def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> dict:
+    """The non-vanishing coproduct components of key on g: a dict from the
+    S mask of each split to (s, t, g_S, g_T, left key, right key, qe, te),
+    in `enumerators._ordered_bipartitions` order, the empty splits
+    included; a vanishing split has no entry.  spec.coproduct_key runs
+    once per (g, key): the result is kept in table, a dict the caller owns
+    for one spec and drops when its call ends."""
     hit = table.get((g, key))
     if hit is None:
         coproduct_key, induced = spec.coproduct_key, g._induced
-        hit = table[g, key] = tuple(
-            (s, t, induced(s), induced(t), *res)
+        hit = table[g, key] = {
+            s: (s, t, induced(s), induced(t), *res)
             for s, t in enumerators._ordered_bipartitions(g.mask)
             if (res := coproduct_key(g, s, t, key)) is not None
-        )
+        }
     return hit
 
 
