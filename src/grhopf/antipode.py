@@ -172,6 +172,8 @@ def _takeuchi_sums(
     # node's own composition: -1 for an odd number of blocks, and +1 for
     # the empty graph's length-zero composition)
     stack = [(g, key, 0, None, 0, 0, -1 if g.n else 1)]
+    # placed mask -> the subgraphs on the placed vertices and on the rest
+    halves: dict = {}
     while stack:
         rest_g, rest_key, placed, pk, qe, te, sign = stack.pop()
         last = rest_key if pk is None else product_key(
@@ -186,13 +188,17 @@ def _takeuchi_sums(
             del sums[term]
         # a table hit skips the call: this loop runs once per composition
         row = table.get((rest_g, rest_key)) or _coproducts(spec, rest_g, rest_key, table)
-        for s, t, _gs, gt, lk, rk, cq, ct in row.values():
-            if not s or not t:
+        rest = rest_g.mask
+        for s, (lk, rk, cq, ct) in row.items():
+            if not s or s == rest:
                 continue
             done = placed | s
+            pair = halves.get(done)
+            if pair is None:
+                pair = halves[done] = (g._induced(done), g._induced(g.mask ^ done))
             if pk is not None:
-                lk = product_key(g._induced(done), placed, s, pk, lk)
-            stack.append((gt, rk, done, lk, qe + cq, te + ct, -sign))
+                lk = product_key(pair[0], placed, s, pk, lk)
+            stack.append((pair[1], rk, done, lk, qe + cq, te + ct, -sign))
     return sums
 
 
@@ -221,11 +227,12 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict)
     factor's key."""
     left = side == "left"
     product_key = spec.product_key
-    for s, t, gs, gt, lk, rk, qe, te in _coproducts(spec, g, key, table).values():
+    for s, (lk, rk, qe, te) in _coproducts(spec, g, key, table).items():
+        t = g.mask ^ s
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
             continue
-        rec = _mm(spec, gs if left else gt, lk if left else rk, side, memo, table)
+        rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo, table)
         for (k2, q2, t2), c2 in rec.items():
             x, y = (k2, rk) if left else (lk, k2)
             yield (product_key(g, s, t, x, y), qe + q2, te + t2), -c2

@@ -32,8 +32,8 @@ The m/p (and M/P) basis changes rebase {payload: coefficient} maps
 over the lattice, from p to m by the Moebius expansion `_p_in_m`.
 `basis_change` builds an Element only at the public boundary.
 
-The coproduct table (`_coproducts`) holds, per (graph, key), every
-non-vanishing split of the key with both induced subgraphs, keyed by the
+The coproduct table (`_coproducts`) holds, per (graph, key), the
+`coproduct_key` value of every non-vanishing split of the key, keyed by the
 split's S mask in bipartition order, so a law can walk a row or look one
 split up.  A table is a dict that lives for one antipode call or one
 verifier check (bimonoid, commutativity, morphism or antipode) and is
@@ -431,16 +431,16 @@ def _basis_cached(mid: str, g: Graph) -> tuple[BasisKey, ...]:
 
 def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> dict:
     """The non-vanishing coproduct components of key on g: a dict from the
-    S mask of each split to (s, t, g_S, g_T, left key, right key, qe, te),
-    in `enumerators._ordered_bipartitions` order, the empty splits
-    included; a vanishing split has no entry.  spec.coproduct_key runs
-    once per (g, key): the result is kept in table, a dict the caller owns
-    for one spec and drops when its call ends."""
+    S mask of each split (S, T) to the (left key, right key, qe, te) that
+    spec.coproduct_key gives there, in `enumerators._ordered_bipartitions`
+    order, the empty splits included; a vanishing split has no entry.
+    spec.coproduct_key runs once per (g, key): the result is kept in table,
+    a dict the caller owns for one spec and drops when its call ends."""
     hit = table.get((g, key))
     if hit is None:
-        coproduct_key, induced = spec.coproduct_key, g._induced
+        coproduct_key = spec.coproduct_key
         hit = table[g, key] = {
-            s: (s, t, induced(s), induced(t), *res)
+            s: res
             for s, t in enumerators._ordered_bipartitions(g.mask)
             if (res := coproduct_key(g, s, t, key)) is not None
         }

@@ -292,12 +292,6 @@ def _tensor_str(t) -> str:
     return f"({_coeff_str(t[-2], t[-1])}) " + " (x) ".join(k.literal() for k in t[:-2])
 
 
-def _factors(res) -> tuple | None:
-    """(left key, right key, qe, te) of a coproduct table entry; None for a
-    vanishing split."""
-    return None if res is None else res[4:]
-
-
 def _least_difference(one: dict, other: dict, rank: dict):
     """The key, least by rank, at which two maps differ; a key missing from
     a map stands for None there."""
@@ -335,35 +329,38 @@ def _coassoc_witness(spec, g: Graph, key_cap, table) -> dict | None:
     (A, B, C) to (keys, qe, te) over the tripartitions where they do not
     vanish.  The witness is the least failing tripartition in
     `_ordered_tripartitions` order, then the least key in basis order."""
-    least = None  # (tripartition rank, key, tripartition, both paths there)
+    full = g.mask
+    least = None  # (tripartition rank, key, (A, B), both paths there)
     rank = None
     for key in _capped_basis(spec.id, g, key_cap):
         row = _coproducts(spec, g, key, table)
-        # split off A first, then cut B|C
+        # split off A first, then cut B|C; a tripartition is keyed by (A, B)
         first_then_rest = {
-            (a, b, c): (ka, kb, kc, q1 + q2, t1 + t2)
-            for a, _, _, g_bc, ka, k_bc, q1, t1 in row.values()
-            for b, c, _, _, kb, kc, q2, t2 in _coproducts(spec, g_bc, k_bc, table).values()
+            (a, b): (ka, kb, kc, q1 + q2, t1 + t2)
+            for a, (ka, k_bc, q1, t1) in row.items()
+            for b, (kb, kc, q2, t2) in _coproducts(
+                spec, g._induced(full ^ a), k_bc, table
+            ).items()
         }
         # cut C off first, then split A|B
         rest_then_first = {
-            (a, b, c): (ka, kb, kc, q1 + q2, t1 + t2)
-            for _, c, g_ab, _, k_ab, kc, q1, t1 in row.values()
-            for a, b, _, _, ka, kb, q2, t2 in _coproducts(spec, g_ab, k_ab, table).values()
+            (a, ab ^ a): (ka, kb, kc, q1 + q2, t1 + t2)
+            for ab, (k_ab, kc, q1, t1) in row.items()
+            for a, (ka, kb, q2, t2) in _coproducts(spec, g._induced(ab), k_ab, table).items()
         }
         if first_then_rest == rest_then_first:
             continue
         if rank is None:
-            rank = {abc: i for i, abc in enumerate(_ordered_tripartitions(g.mask))}
-        abc = _least_difference(first_then_rest, rest_then_first, rank)
-        if least is None or rank[abc] < least[0]:
-            least = (rank[abc], key, abc, first_then_rest.get(abc), rest_then_first.get(abc))
+            rank = {(a, b): i for i, (a, b, _) in enumerate(_ordered_tripartitions(full))}
+        ab = _least_difference(first_then_rest, rest_then_first, rank)
+        if least is None or rank[ab] < least[0]:
+            least = (rank[ab], key, ab, first_then_rest.get(ab), rest_then_first.get(ab))
     if least is None:
         return None
-    _, key, abc, path1, path2 = least
+    _, key, (a, b), path1, path2 = least
     return {
         "axiom": "coassociativity",
-        "parts": _parts(*abc),
+        "parts": _parts(a, b, full ^ a ^ b),
         "key": key.literal(),
         "path_first_then_rest": _tensor_str(path1),
         "path_rest_then_first": _tensor_str(path2),
@@ -380,7 +377,7 @@ def _unit_counit_witness(spec, g: Graph, key_cap, table) -> dict | None:
         if spec.product_key(g, full, empty, key, e_key) != key:
             return {"axiom": "right_unit", "key": key.literal()}
         row = _coproducts(spec, g, key, table)
-        left = _factors(row.get(empty))
+        left = row.get(empty)
         if left != (e_key, key, 0, 0):
             return {
                 "axiom": "left_counit",
@@ -388,7 +385,7 @@ def _unit_counit_witness(spec, g: Graph, key_cap, table) -> dict | None:
                 "got": _tensor_str(left),
             }
         # on the empty graph (empty, full) is the one split, both ways round
-        right = _factors(row.get(full))
+        right = row.get(full)
         if right != (key, e_key, 0, 0):
             return {
                 "axiom": "right_counit",
@@ -427,16 +424,18 @@ def _compat_witness(spec, g: Graph, key_cap, table) -> dict | None:
                             continue
                         rhs = None
                     else:
+                        xa, xb, q1, t1 = left_x
+                        ya, yb, q2, t2 = right_y
                         rhs = (
-                            product_key(ga, sa, ta, left_x[4], right_y[4]),
-                            product_key(gb, sb, tb, left_x[5], right_y[5]),
-                            left_x[6] + right_y[6] + beta_q,
-                            left_x[7] + right_y[7] + beta_t,
+                            product_key(ga, sa, ta, xa, ya),
+                            product_key(gb, sb, tb, xb, yb),
+                            q1 + q2 + beta_q,
+                            t1 + t2 + beta_t,
                         )
-                        if lhs is not None and lhs[4:] == rhs:
+                        if lhs == rhs:
                             continue
                     if least is None or (k, i, j) < least[:3]:
-                        least = (k, i, j, x, y, _factors(lhs), rhs)
+                        least = (k, i, j, x, y, lhs, rhs)
         if least is not None:
             k, _, _, x, y, lhs, rhs = least
             a_set, b_set = splits[k][:2]
@@ -482,9 +481,9 @@ def _closure_witness(spec, g: Graph, key_cap, table) -> dict | None:
             res = row.get(s_set)
             if res is None:
                 continue
-            error = refusal(gs, res[4])
+            error = refusal(gs, res[0])
             if error is None:
-                error = refusal(gt, res[5])
+                error = refusal(gt, res[1])
             if error is not None:
                 return {
                     "axiom": "coproduct_closure",
@@ -575,16 +574,17 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # such factors, whose closure `_closure_witness` checks.
         if g.n > 0:
             for key in basis:
-                splits = _coproducts(spec, g, key, table).values()
+                splits = _coproducts(spec, g, key, table).items()
                 for law, side, s_on_left in (
                     ("convolution_left", "right", True),
                     ("convolution_right", "left", False),
                 ):
                     # (product key, qe, te) -> summed coefficient
                     leftover: dict = {}
-                    for s_set, t_set, gs, gt, lk, rk, qe, te in splits:
-                        h, hk = (gs, lk) if s_on_left else (gt, rk)
-                        rec = _mm(spec, h, hk, side, memos[side], table)
+                    for s_set, (lk, rk, qe, te) in splits:
+                        t_set = g.mask ^ s_set
+                        h, hk = (s_set, lk) if s_on_left else (t_set, rk)
+                        rec = _mm(spec, g._induced(h), hk, side, memos[side], table)
                         for (sk, sq, st), c in rec.items():
                             x, y = (sk, rk) if s_on_left else (lk, sk)
                             prod = spec.product_key(g, s_set, t_set, x, y)
@@ -660,7 +660,11 @@ def check_commutativity(
             braided.append("join_commutative")
         beta_is_one = not (beta_q or beta_t)
         sb = _capped_basis(mid, gs, key_cap)
-        tb = _capped_basis(mid, gt, key_cap)
+        # once every flavor the products here can fail has its witness, no
+        # product on this split can change the result
+        tb = () if found.keys() >= {*braided, "commutative_plain"} else _capped_basis(
+            mid, gt, key_cap
+        )
         for x in sb:
             for y in tb:
                 fwd = spec.product_key(g, s_set, t_set, x, y)
@@ -682,13 +686,11 @@ def check_commutativity(
             fwd, bwd = row.get(s_set), row.get(t_set)
             swapped = None
             if bwd is not None:
-                swapped = (bwd[5], bwd[4], bwd[6] + beta_q, bwd[7] + beta_t)
-            if fwd is not None:
-                fwd = fwd[4:]
+                swapped = (bwd[1], bwd[0], bwd[2] + beta_q, bwd[3] + beta_t)
             if fwd == swapped:
                 continue
-            plain_fwd = None if fwd is None else fwd[:2]
-            plain_swapped = None if swapped is None else swapped[:2]
+            plain_fwd = None if fwd is None else (fwd[0], fwd[1])
+            plain_swapped = None if bwd is None else (bwd[1], bwd[0])
             note(
                 ["cocommutative_exact"]
                 + (["cocommutative_plain"] if plain_fwd != plain_swapped else []),
@@ -718,6 +720,7 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
     then the least key, unless the product law fails on or before that
     split.  Each (graph, key) is mapped once per check."""
     splits = _splits(g)
+    halves = {s: (gs, gt) for s, _, gs, gt in splits}
     images: dict = {}
 
     def image(h: Graph, key):
@@ -748,15 +751,13 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
         rank = None
         cut = None  # (split rank, key, coproduct then map, map then coproduct)
         for key in basis:
-            pushed = {
-                s: (image(gs, lk), image(gt, rk), 0 if q_one else qe, 0 if t_one else te)
-                for s, _, gs, gt, lk, rk, qe, te in _coproducts(dom, g, key, dom_table).values()
-            }
+            pushed = {}
+            for s, (lk, rk, qe, te) in _coproducts(dom, g, key, dom_table).items():
+                gs, gt = halves[s]
+                pushed[s] = (image(gs, lk), image(gt, rk), 0 if q_one else qe, 0 if t_one else te)
             direct = {
                 s: (lk, rk, 0 if q_one else qe, 0 if t_one else te)
-                for s, _, _, _, lk, rk, qe, te in _coproducts(
-                    cod, g, image(g, key), cod_table
-                ).values()
+                for s, (lk, rk, qe, te) in _coproducts(cod, g, image(g, key), cod_table).items()
             }
             if pushed == direct:
                 continue
