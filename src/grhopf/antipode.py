@@ -13,13 +13,12 @@ validates the key once and builds the `Element` (`elements._element`);
 the verifier compares the maps themselves.
 
 The alternating sum and the recursions read every coproduct from a
-coproduct table (`monoids._coproducts`): each split's value is the one
-`coproduct_key` gives for those arguments, computed once per (subgraph,
-key) and kept in a dict the caller owns.  Their products come from a
-product-cached copy of the monoid (`monoids._with_cached_products`), made
-per call, so each (graph, S, T, x, y) product is computed once per call.
-The table and the copy hold structure-map values only; no antipode value
-is remembered by them, and both are dropped when the call returns.
+coproduct table (`monoids._coproducts`) and every product from a
+product-cached copy of the monoid, both from the store of the graph's root
+(`monoids._store`): each (subgraph, key) is split once and each (graph, S,
+T, x, y) product computed once across all the calls and checks on one root
+graph.  The store holds structure-map values only; no antipode value is
+remembered there.
 
 The alternating sum walks set compositions depth-first over their first
 blocks, so compositions sharing a prefix share that prefix's coproducts,
@@ -27,14 +26,12 @@ products and coefficient exponents, and a vanishing coproduct prunes every
 composition that starts with it.  It stays the alternating sum, not a
 third recursion: no partial sum is remembered across branches, and every
 non-vanishing composition adds exactly one signed term.  The recursions
-memoize their maps per (induced subgraph, key) in a second dict their
-caller owns.  `antipode` gives each query a fresh memo, table and
-product-cached copy; `antipode_element` and `antipode_table` share one of
-each across the keys they are given, and the verifier across a whole
-check.  `_antipodes`, which answers one key by several routes, shares the
-table and the copy across the routes but gives each route its own memo:
-the memo is keyed by (subgraph, key) alone, so a memo shared by the two
-recursions would hand one side's maps to the other.
+memoize their maps per (induced subgraph, key) in a dict made per call:
+`antipode` gives each query a fresh memo, `antipode_element` and
+`antipode_table` share one across the keys they are given, and the
+verifier one per side across a whole check.  A memo is never shared by
+two routes: it is keyed by (subgraph, key) alone, so a memo shared by the
+two recursions would hand one side's maps to the other.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from .monoids import (
     _coproducts,
     _crossing_exponents,
     _rebased,
-    _with_cached_products,
+    _store,
     get_monoid,
 )
 
@@ -96,44 +93,33 @@ _ROUTES = {
 METHODS = tuple(_ROUTES)
 
 
-def _routes(mid: str, methods) -> tuple:
-    """(product-cached spec, routes) of methods from METHODS, refused for an
-    unknown method, then for an unknown monoid."""
-    for method in methods:
-        if method not in _ROUTES:
-            raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
-    return _with_cached_products(get_monoid(mid)), [_ROUTES[m] for m in methods]
+def _route(method: str):
+    """The route of method, refused unless method is one of METHODS."""
+    route = _ROUTES.get(method)
+    if route is None:
+        raise InputError(f"unknown antipode method {method!r}; choose from {METHODS}")
+    return route
 
 
 def antipode(mid: str, g: Graph, key: BasisKey, method: str = "takeuchi") -> Element:
     """The antipode of key by one route of METHODS.  Refused, in this order,
     for an unknown method, an unknown monoid, a key that is not a basis key
     of g, and a monoid without a closed form when that route is asked."""
-    (value,) = _antipodes(mid, g, key, (method,))
-    return value
-
-
-def _antipodes(mid: str, g: Graph, key: BasisKey, methods) -> list[Element]:
-    """The antipode of key by each of methods, in order, refused as
-    `antipode` refuses; the key is validated once, and the routes share
-    one coproduct table and one product-cached spec but no recursion
-    memo."""
-    spec, routes = _routes(mid, methods)
+    route = _route(method)
+    spec, table = _store(get_monoid(mid), g)
     spec.validate_key(g, key)
-    table: dict = {}
-    return [_element(mid, g, route(spec, g, key, {}, table)) for route in routes]
+    return _element(mid, g, route(spec, g, key, {}, table))
 
 
 def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -> Element:
     """The antipode of x by one route of METHODS, refused as `antipode`
     refuses; every key of x is validated before any is computed, and the
-    terms share one recursion memo, one coproduct table and one
-    product-cached spec."""
-    spec, (route,) = _routes(mid, (method,))
+    terms share one recursion memo."""
+    route = _route(method)
+    spec, table = _store(get_monoid(mid), g)
     for k in x.terms:
         spec.validate_key(g, k)
     memo: dict = {}
-    table: dict = {}
     return linear_extend(lambda k: _element(mid, g, route(spec, g, k, memo, table)), x)
 
 
@@ -240,11 +226,9 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict)
 
 def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:
     """Antipode of every basis key of g by the left recursion, sharing one
-    memo, one coproduct table and one product-cached spec across the
-    basis."""
-    spec = _with_cached_products(get_monoid(mid))
+    memo across the basis."""
+    spec, table = _store(get_monoid(mid), g)
     memo: dict = {}
-    table: dict = {}
     return {
         k: _element(mid, g, _mm(spec, g, k, "left", memo, table)) for k in spec.basis(g)
     }

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .antipode import CLOSED_FORM_IDS, METHODS, _antipodes, antipode
+from .antipode import CLOSED_FORM_IDS, METHODS, antipode
 from .elements import Element
 from .errors import InputError
 from .graphs import Graph
@@ -121,7 +121,7 @@ def _cmd_antipode(args) -> int:
         print(antipode(args.monoid, g, key, args.method))
         return 0
     methods = [m for m in METHODS if m != "closed" or args.monoid in CLOSED_FORM_IDS]
-    results = list(zip(methods, _antipodes(args.monoid, g, key, methods)))
+    results = [(m, antipode(args.monoid, g, key, m)) for m in methods]
     for name, value in results:
         print(f"{name}: {value}")
     agree = all(value == results[0][1] for _, value in results)

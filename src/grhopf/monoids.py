@@ -35,13 +35,16 @@ over the lattice, from p to m by the Moebius expansion `_p_in_m`.
 The coproduct table (`_coproducts`) holds, per (graph, key), the
 `coproduct_key` value of every non-vanishing split of the key, keyed by the
 split's S mask in bipartition order, so a law can walk a row or look one
-split up.  A table is a dict that lives for one antipode call or one
-verifier check (bimonoid, commutativity, morphism or antipode) and is
-never shared across monoids, calls or checks.  Products come from a
-product-cached copy of the monoid (`_with_cached_products`), whose
-`product_key` remembers each result by its full argument tuple for as long
-as that call or check holds the copy.  Both hold structure-map values
-only, never an antipode value.
+split up.  Products come from a product-cached copy of the monoid
+(`_with_cached_products`), whose `product_key` remembers each result by its
+full argument tuple.  For a species these are fixed values, so one store
+(`_store`) owns them: per spec object one table and one copy, for the
+graphs induced from one root graph.  The antipode calls and the verifier's
+checks read it, so each coproduct and each product is computed once across
+all of them.  A call on another root graph empties the store, and so does
+the end of `verify.run_suite` (`_clear_store`); a spec swapped into
+`MONOIDS` is a new key.  The store holds structure-map values only, never
+an antipode value or a verdict.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -435,7 +438,7 @@ def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> dict:
     spec.coproduct_key gives there, in `enumerators._ordered_bipartitions`
     order, the empty splits included; a vanishing split has no entry.
     spec.coproduct_key runs once per (g, key): the result is kept in table,
-    a dict the caller owns for one spec and drops when its call ends."""
+    spec's table in `_store` or a dict of the caller's own."""
     hit = table.get((g, key))
     if hit is None:
         coproduct_key = spec.coproduct_key
@@ -450,10 +453,38 @@ def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> dict:
 def _with_cached_products(spec: MonoidSpec) -> MonoidSpec:
     """A copy of spec whose `product_key` remembers every result by its
     full argument tuple, so each product is computed once for as long as
-    the caller holds the copy; the copy's other maps are spec's own."""
+    the copy is held; the copy's other maps are spec's own."""
     twin = copy.copy(spec)
     twin.product_key = cache(spec.product_key)
     return twin
+
+
+# spec object -> (its product-cached copy, its coproduct table), for the
+# graphs induced from _store_root only
+_STORE: dict = {}
+_store_root: Graph | None = None
+
+
+def _store(spec: MonoidSpec, g: Graph) -> tuple[MonoidSpec, dict]:
+    """(product-cached copy of spec, coproduct table) for g and every graph
+    induced from g's root: one pair per spec object, made on first use and
+    kept until a call on another root graph, or `_clear_store`, empties the
+    store."""
+    global _store_root
+    if g._root is not _store_root:
+        _clear_store()
+        _store_root = g._root
+    hit = _STORE.get(spec)
+    if hit is None:
+        hit = _STORE[spec] = (_with_cached_products(spec), {})
+    return hit
+
+
+def _clear_store() -> None:
+    """Drop every product-cached copy and coproduct table of `_store`."""
+    global _store_root
+    _STORE.clear()
+    _store_root = None
 
 
 # ---------------------------------------------------------------- wrappers

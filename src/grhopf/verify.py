@@ -6,19 +6,21 @@ agreement and convolution identities, (co)commutativity flavors, morphism
 axioms and pasted diagrams, complementation functor identities, the
 orientation-count/chromatic-polynomial identity, and basis-change round trips.
 
-Each check owns the caches it reads, made per check and dropped when it
-returns.  `check_bimonoid`, `check_commutativity` and `check_antipode`
-each read coproducts from one coproduct table (`monoids._coproducts`:
+Products and coproducts come from the store of the graph's root
+(`monoids._store`): per monoid one coproduct table (`monoids._coproducts`:
 every non-vanishing split of a (subgraph, key), keyed by its S mask) and
-products from one product-cached copy of the monoid
-(`monoids._with_cached_products`).  `check_morphism` owns one table per
-end of each route and maps each (graph, key) once.  These hold
-structure-map values only, never an antipode value or a verdict.  The
-bimonoid and morphism laws compare whole table rows, or maps built from
-them (coassociativity compares a key's two iterated coproducts as maps
-over tripartitions), and only where they differ rank the differences to
-name the first witness in the law's split and key order; commutativity
-reads both directions of a split from one row.
+one product-cached copy of the monoid.  `check_bimonoid`,
+`check_commutativity`, `check_antipode` and both ends of each route of
+`check_morphism` read it, so each structure-map value of a graph is
+computed once across all its checks; `run_suite` empties it when it
+returns.  The store holds structure-map values only, never an antipode
+value or a verdict; the antipode check's recursion memos and the morphism
+check's map memo are made per check.  The bimonoid and morphism laws
+compare whole table rows, or maps built from them (coassociativity
+compares a key's two iterated coproducts as maps over tripartitions), and
+only where they differ rank the differences to name the first witness in
+the law's split and key order; commutativity reads both directions of a
+split from one row.
 
 Each check looks for a witness, its first counterexample, and `_record`
 turns that witness (or None) into the check's `CheckRecord`.  `_splits`
@@ -69,9 +71,10 @@ from .monoids import (
     _basis_cached,
     _braiding,
     _change_route,
+    _clear_store,
     _coproducts,
     _rebased,
-    _with_cached_products,
+    _store,
     get_monoid,
 )
 from .morphisms import DIAGRAMS, MORPHISMS, get_morphism
@@ -497,10 +500,9 @@ def _closure_witness(spec, g: Graph, key_cap, table) -> dict | None:
 def check_bimonoid(mid: str, g: Graph, key_cap: int | None = None) -> CheckRecord:
     """Associativity, coassociativity, (co)unit laws, braided compatibility,
     and (for sub-monoids) closure, on one graph.  One record; the detail
-    carries the first failing axiom's counterexample.  The axioms share one
-    product-cached spec and one coproduct table, both dropped on return."""
-    spec = _with_cached_products(get_monoid(mid))
-    table: dict = {}
+    carries the first failing axiom's counterexample.  The axioms read the
+    product-cached spec and the coproduct table of `monoids._store`."""
+    spec, table = _store(get_monoid(mid), g)
     witness = (
         _assoc_witness(spec, g, key_cap)
         or _coassoc_witness(spec, g, key_cap, table)
@@ -523,13 +525,10 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
 
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
-    spec = _with_cached_products(get_monoid(mid))
-    # one recursion memo per side, one coproduct table and one product-cached
-    # spec for the whole check: the routes, the convolution laws and the
-    # involution share each (subgraph, key) map, each (subgraph, key)
-    # coproduct and each product
+    spec, table = _store(get_monoid(mid), g)
+    # one recursion memo per side for the whole check: the routes, the
+    # convolution laws and the involution share each (subgraph, key) map
     memos = {"left": {}, "right": {}}
-    table: dict = {}
     has_closed = mid in CLOSED_FORM_IDS
     gated = mid in ORACLE_GATED_IDS
     closed_witness: dict | None = None
@@ -634,10 +633,9 @@ def check_commutativity(
     Returns {flavor: (holds, witness-or-None)}.  Interpretation against the
     per-monoid expectation tables happens in the suite driver, which also
     aggregates corpus-wide witnesses for the must-fail flavors.  Products
-    come from one product-cached spec, and each key's coproducts in both
-    directions from one coproduct table row, both dropped on return."""
-    spec = _with_cached_products(get_monoid(mid))
-    table: dict = {}
+    come from the product-cached spec of `monoids._store`, and each key's
+    coproducts in both directions from one row of its coproduct table."""
+    spec, table = _store(get_monoid(mid), g)
     rows = [(key, _coproducts(spec, g, key, table)) for key in _capped_basis(mid, g, key_cap)]
     # flavor -> its first witness; built only when some flavor first fails
     found: dict[str, dict] = {}
@@ -718,7 +716,8 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
     comparison of its domain table row, pushed through the map, with its
     image's codomain table row; the witness is the least failing split,
     then the least key, unless the product law fails on or before that
-    split.  Each (graph, key) is mapped once per check."""
+    split.  Both ends read products and coproducts from `monoids._store`,
+    and each (graph, key) is mapped once per check."""
     splits = _splits(g)
     halves = {s: (gs, gt) for s, _, gs, gt in splits}
     images: dict = {}
@@ -731,7 +730,8 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
 
     for dom_id in sorted(morphism.routes):
         cod_id = morphism.routes[dom_id]
-        dom, cod = MONOIDS[dom_id], MONOIDS[cod_id]
+        dom, dom_table = _store(MONOIDS[dom_id], g)
+        cod, cod_table = _store(MONOIDS[cod_id], g)
         route = [dom_id, cod_id]
         q_one, t_one = morphism.specialization(dom_id)
         basis = _capped_basis(dom_id, g, key_cap)
@@ -746,8 +746,6 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
                     "error": str(exc),
                 }
         # both sides specialize: q = 1 (t = 1) sets the q (t) exponent to 0
-        dom_table: dict = {}
-        cod_table: dict = {}
         rank = None
         cut = None  # (split rank, key, coproduct then map, map then coproduct)
         for key in basis:
@@ -1118,14 +1116,18 @@ def run_suite(
     observed: list[tuple[str, str, dict]] = []
     # the pool forks all its workers at its first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        results = map(_worker, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_worker, tasks, chunksize=8))
-    for recs, obs in results:
-        records.extend(recs)
-        observed.extend(obs)
+    try:
+        if workers <= 1:
+            results = map(_worker, tasks)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as executor:
+                results = list(executor.map(_worker, tasks, chunksize=8))
+        for recs, obs in results:
+            records.extend(recs)
+            observed.extend(obs)
+    finally:
+        # the last task's structure maps: no later call of this run needs them
+        _clear_store()
 
     # corpus-level witness records: flavors expected to fail must actually
     # fail somewhere, provided the corpus contains graphs that can show it

@@ -442,8 +442,9 @@ class _LReversedProduct(type(MONOIDS["L"])):
 
 
 def test_no_product_outlives_its_call(monkeypatch):
-    # products are cached per call: a product mutant put into MONOIDS
-    # after a first answer must change the next one
+    # products are cached per spec object in the store: a product mutant
+    # put into MONOIDS after a first answer on the same graph is a new
+    # spec, so it must change the next one
     g = path3()
     k = key("L", "a<b<c")
     x = elem("L", g, "a<b<c")

@@ -52,6 +52,8 @@ from grhopf.verify import (
     _unit_counit_witness,
 )
 
+from .test_antipode import _LReversedProduct
+
 
 @pytest.fixture(scope="module")
 def bimonoid3():
@@ -506,14 +508,15 @@ def test_antipode_check_expands_each_recursion_step_once(monkeypatch):
 
 def _count_map(monkeypatch, name) -> Counter:
     """Put a copy of every monoid whose structure map name counts its calls
-    into MONOIDS; returns the live {argument tuple: calls} counter."""
+    into MONOIDS; returns the live {(monoid id, *arguments): calls}
+    counter."""
     computed = Counter()
 
     def counted(spec):
         inner = getattr(spec, name)
 
         def wrapper(*args):
-            computed[args] += 1
+            computed[spec.id, *args] += 1
             return inner(*args)
 
         twin = copy.copy(spec)
@@ -552,21 +555,39 @@ def test_antipode_check_computes_each_product_once(monkeypatch):
 
 
 def test_antipode_calls_compute_each_product_once(monkeypatch):
-    # antipode_table and a multi-key antipode_element share one
-    # product-cached spec across their keys
+    # antipode_table and every antipode_element call on one root graph read
+    # one product-cached spec from the store: the first call computes
+    # products, and no product is computed twice over all the calls
     computed = _count_map(monkeypatch, "product_key")
     g = corpus(4)[-1]
     for mid in MONOID_IDS:
         basis = get_monoid(mid).basis(g)
         computed.clear()
         antipode_table(mid, g)
-        assert g.n == 4 and max(computed.values(), default=1) == 1, mid
+        assert g.n == 4 and computed, mid
         x = Element(mid, g, dict.fromkeys(basis, 1))
         for method in ("takeuchi", "milnor-moore-left", "milnor-moore-right"):
-            computed.clear()
             antipode_element(mid, g, x, method)
-            assert max(computed.values(), default=1) == 1, (mid, method)
-            assert len(basis) == 1 or computed, (mid, method)
+        assert max(computed.values()) == 1, mid
+
+
+def test_checks_of_one_graph_compute_each_structure_map_once(monkeypatch):
+    # the bimonoid, commutativity, antipode and morphism checks of one graph
+    # read one store: each (graph, split, key) coproduct and each product of
+    # a monoid is computed at most once over all of them
+    coproducts = _count_map(monkeypatch, "coproduct_key")
+    products = _count_map(monkeypatch, "product_key")
+    for g in corpus(3):
+        coproducts.clear()
+        products.clear()
+        for mid in MONOID_IDS:
+            assert check_bimonoid(mid, g).passed, (mid, g)
+            check_commutativity(mid, g)
+            assert all(r.passed for r in check_antipode(mid, g)), (mid, g)
+        for name in MORPHISMS:
+            assert check_morphism(name, g).passed, (name, g)
+        assert coproducts and max(coproducts.values()) == 1, g
+        assert g.n == 0 or max(products.values()) == 1, g
 
 
 def test_basis_changes_do_no_polynomial_arithmetic(monkeypatch):
@@ -649,17 +670,29 @@ def _reversed_order_inclusion():
     )
 
 
+# the first witnesses of `_SigmaDroppingT` on _P3
+_COASSOCIATIVITY_WITNESS = {
+    "axiom": "coassociativity",
+    "parts": [["v1"], ["v2"], ["v3"]],
+    "key": "v2,v3|v1",
+    "path_first_then_rest": "(q) v1 (x) v2 (x) v3",
+    "path_rest_then_first": "(q*t) v1 (x) v2 (x) v3",
+}
+_MORPHISM_COPRODUCT_WITNESS = {
+    "law": "coproduct_intertwines",
+    "route": ["SSigma", "Sigma"],
+    "split": [["v1"], ["v2", "v3"]],
+    "key": "v2,v3|v1",
+    "map_then_coproduct": "(q) v1 (x) v2,v3",
+    "coproduct_then_map": "(q*t) v1 (x) v2,v3",
+}
+
+
 def test_bimonoid_coassociativity_witness(monkeypatch):
     monkeypatch.setitem(MONOIDS, "Sigma", _SigmaDroppingT("Sigma", stable=False))
     record = check_bimonoid("Sigma", _P3)
     assert not record.passed
-    assert record.detail == {
-        "axiom": "coassociativity",
-        "parts": [["v1"], ["v2"], ["v3"]],
-        "key": "v2,v3|v1",
-        "path_first_then_rest": "(q) v1 (x) v2 (x) v3",
-        "path_rest_then_first": "(q*t) v1 (x) v2 (x) v3",
-    }
+    assert record.detail == _COASSOCIATIVITY_WITNESS
 
 
 class _SigmaShiftedBraiding(type(MONOIDS["Sigma"])):
@@ -795,14 +828,7 @@ def test_morphism_witness_takes_the_earlier_split(monkeypatch):
     # the product law fails on a later split than the coproduct law, and
     # the laws run split by split
     monkeypatch.setitem(MONOIDS, "Sigma", _SigmaBrokenTwice("Sigma", stable=False))
-    assert check_morphism("iota_SSigma_Sigma", _P3).detail == {
-        "law": "coproduct_intertwines",
-        "route": ["SSigma", "Sigma"],
-        "split": [["v1"], ["v2", "v3"]],
-        "key": "v2,v3|v1",
-        "map_then_coproduct": "(q) v1 (x) v2,v3",
-        "coproduct_then_map": "(q*t) v1 (x) v2,v3",
-    }
+    assert check_morphism("iota_SSigma_Sigma", _P3).detail == _MORPHISM_COPRODUCT_WITNESS
 
 
 def test_morphism_product_witness(monkeypatch):
@@ -823,14 +849,55 @@ def test_morphism_coproduct_witness(monkeypatch):
     monkeypatch.setitem(MONOIDS, "Sigma", _SigmaDroppingT("Sigma", stable=False))
     record = check_morphism("iota_SSigma_Sigma", _P3)
     assert not record.passed
-    assert record.detail == {
-        "law": "coproduct_intertwines",
-        "route": ["SSigma", "Sigma"],
-        "split": [["v1"], ["v2", "v3"]],
-        "key": "v2,v3|v1",
-        "map_then_coproduct": "(q) v1 (x) v2,v3",
-        "coproduct_then_map": "(q*t) v1 (x) v2,v3",
+    assert record.detail == _MORPHISM_COPRODUCT_WITNESS
+
+
+def test_no_structure_map_outlives_its_spec(monkeypatch):
+    # the store keeps each graph's structure maps per spec object, so a
+    # mutant put into MONOIDS after a first pass on the same graph gets
+    # fresh ones and fails as it does on a cold store; the L product mutant
+    # is the one that moves a commutativity witness on _P3
+    def run():
+        return (
+            check_bimonoid("Sigma", _P3),
+            check_commutativity("L", _P3),
+            check_morphism("iota_SSigma_Sigma", _P3),
+            check_antipode("L", _P3),
+        )
+
+    bimonoid, commutativity, morphism, (antipode_record,) = run()
+    assert bimonoid.passed and morphism.passed and antipode_record.passed
+    monkeypatch.setitem(MONOIDS, "Sigma", _SigmaDroppingT("Sigma", stable=False))
+    monkeypatch.setitem(MONOIDS, "L", _LReversedProduct())
+    warm = run()
+    bimonoid, mutant_commutativity, morphism, (antipode_record,) = warm
+    assert bimonoid.detail == _COASSOCIATIVITY_WITNESS
+    assert mutant_commutativity != commutativity
+    assert morphism.detail == _MORPHISM_COPRODUCT_WITNESS
+    assert antipode_record.detail == {
+        "law": "method_agreement",
+        "key": "v1<v2<v3",
+        "takeuchi": "(-q*t^2 + q*t + t^2 - 1) v1<v2<v3 + (-q*t + q) v1<v3<v2"
+        " + (-t^2 + t) v2<v1<v3 + (-t + 1) v2<v3<v1 + (-q + 1) v3<v1<v2"
+        " + (-1) v3<v2<v1",
+        "closed": "(-q*t^2) v3<v2<v1",
     }
+    monoids._clear_store()
+    assert run() == warm
+
+
+def test_store_holds_one_root_graph_until_the_run_ends():
+    first = Graph(["a1", "a2", "a3"], [("a1", "a2")])
+    second = Graph(["b1", "b2"], [("b1", "b2")])
+    check_bimonoid("Sigma", first)
+    made_on_first = monoids._STORE[MONOIDS["Sigma"]]
+    check_bimonoid("Sigma", second)
+    assert monoids._store_root is second
+    assert monoids._STORE[MONOIDS["Sigma"]] is not made_on_first
+    for _spec, table in monoids._STORE.values():
+        assert table and all(h.mask & second.mask == h.mask for h, _key in table)
+    run_suite("bimonoid", 2, monoids=["Sigma"])
+    assert monoids._STORE == {} and monoids._store_root is None
 
 
 def test_diagram_witness(monkeypatch):
