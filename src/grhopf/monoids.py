@@ -35,16 +35,16 @@ over the lattice, from p to m by the Moebius expansion `_p_in_m`.
 The coproduct table (`_coproducts`) holds, per (graph, key), the
 `coproduct_key` value of every non-vanishing split of the key, keyed by the
 split's S mask in bipartition order, so a law can walk a row or look one
-split up.  Products come from a product-cached copy of the monoid
-(`_with_cached_products`), whose `product_key` remembers each result by its
-full argument tuple.  For a species these are fixed values, so one store
-(`_store`) owns them: per spec object one table and one copy, for the
-graphs induced from one root graph.  The antipode calls and the verifier's
-checks read it, so each coproduct and each product is computed once across
-all of them.  A call on another root graph empties the store, and so does
-the end of `verify.run_suite` (`_clear_store`); a spec swapped into
-`MONOIDS` is a new key.  The store holds structure-map values only, never
-an antipode value or a verdict.
+split up.  Products come from a product-cached copy of the monoid, whose
+`product_key` remembers each result by its full argument tuple.  For a
+species these are fixed values, so one store (`_store`) owns them: per
+spec object one table and one copy, for the graphs induced from one root
+graph.  The antipode calls and the verifier's checks read it, so each
+coproduct and each product is computed once across all of them.  A call on
+another root graph empties the store, and so does the end of
+`verify.run_suite` (`_clear_store`); a spec swapped into `MONOIDS` is a
+new key.  The store holds structure-map values only, never an antipode
+value or a verdict.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -450,15 +450,6 @@ def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> dict:
     return hit
 
 
-def _with_cached_products(spec: MonoidSpec) -> MonoidSpec:
-    """A copy of spec whose `product_key` remembers every result by its
-    full argument tuple, so each product is computed once for as long as
-    the copy is held; the copy's other maps are spec's own."""
-    twin = copy.copy(spec)
-    twin.product_key = cache(spec.product_key)
-    return twin
-
-
 # spec object -> (its product-cached copy, its coproduct table), for the
 # graphs induced from _store_root only
 _STORE: dict = {}
@@ -469,14 +460,17 @@ def _store(spec: MonoidSpec, g: Graph) -> tuple[MonoidSpec, dict]:
     """(product-cached copy of spec, coproduct table) for g and every graph
     induced from g's root: one pair per spec object, made on first use and
     kept until a call on another root graph, or `_clear_store`, empties the
-    store."""
+    store.  The copy's `product_key` remembers every result by its full
+    argument tuple; its other maps are spec's own."""
     global _store_root
     if g._root is not _store_root:
         _clear_store()
         _store_root = g._root
     hit = _STORE.get(spec)
     if hit is None:
-        hit = _STORE[spec] = (_with_cached_products(spec), {})
+        twin = copy.copy(spec)
+        twin.product_key = cache(spec.product_key)
+        hit = _STORE[spec] = (twin, {})
     return hit
 
 
