@@ -12,13 +12,12 @@ polynomial arithmetic.  `antipode` looks the route up in `_ROUTES`,
 validates the key once and builds the `Element` (`elements._element`);
 the verifier compares the maps themselves.
 
-The alternating sum and the recursions read every coproduct from a
-coproduct table (`monoids._coproducts`) and every product from a
-product-cached copy of the monoid, both from the store of the graph's root
-(`monoids._store`): each (subgraph, key) is split once and each (graph, S,
-T, x, y) product computed once across all the calls and checks on one root
-graph.  The store holds structure-map values only; no antipode value is
-remembered there.
+The alternating sum and the recursions read every coproduct row
+(`coproducts`) and every product from the cached copy of the monoid in the
+store of the graph's root (`monoids._store`): each (subgraph, key) is split
+once and each (graph, S, T, x, y) product computed once across all the
+calls and checks on one root graph.  The store holds structure-map values
+only; no antipode value is remembered there.
 
 The alternating sum walks set compositions depth-first over their first
 blocks, so compositions sharing a prefix share that prefix's coproducts,
@@ -52,13 +51,7 @@ from .keys import (
     PartitionM,
     SetCompositionKey,
 )
-from .monoids import (
-    _coproducts,
-    _crossing_exponents,
-    _rebased,
-    _store,
-    get_monoid,
-)
+from .monoids import _crossing_exponents, _rebased, _store, get_monoid
 
 # Closed forms compared unconditionally against the general methods; the
 # composition and flat-m forms are oracle-gated (verdict recorded by the
@@ -78,17 +71,12 @@ CLOSED_FORM_IDS = (
 )
 ORACLE_GATED_IDS = ("Sigma", "SSigma", "FL_M")
 
-# method -> route: (spec, g, basis key of g, recursion memo, coproduct
-# table) -> exponent map
+# method -> route: (spec, g, basis key of g, recursion memo) -> exponent map
 _ROUTES = {
-    "takeuchi": lambda spec, g, key, memo, table: _takeuchi_sums(spec, g, key, {}, table),
-    "milnor-moore-left": (
-        lambda spec, g, key, memo, table: _mm(spec, g, key, "left", memo, table)
-    ),
-    "milnor-moore-right": (
-        lambda spec, g, key, memo, table: _mm(spec, g, key, "right", memo, table)
-    ),
-    "closed": lambda spec, g, key, memo, table: _closed_sums(spec, g, key),
+    "takeuchi": lambda spec, g, key, memo: _takeuchi_sums(spec, g, key, {}),
+    "milnor-moore-left": lambda spec, g, key, memo: _mm(spec, g, key, "left", memo),
+    "milnor-moore-right": lambda spec, g, key, memo: _mm(spec, g, key, "right", memo),
+    "closed": lambda spec, g, key, memo: _closed_sums(spec, g, key),
 }
 METHODS = tuple(_ROUTES)
 
@@ -106,29 +94,30 @@ def antipode(mid: str, g: Graph, key: BasisKey, method: str = "takeuchi") -> Ele
     for an unknown method, an unknown monoid, a key that is not a basis key
     of g, and a monoid without a closed form when that route is asked."""
     route = _route(method)
-    spec, table = _store(get_monoid(mid), g)
+    spec = _store(get_monoid(mid), g)
     spec.validate_key(g, key)
-    return _element(mid, g, route(spec, g, key, {}, table))
+    return _element(mid, g, route(spec, g, key, {}))
 
 
 def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -> Element:
     """The antipode of x by one route of METHODS, refused as `antipode`
-    refuses; every key of x is validated before any is computed, and the
-    terms share one recursion memo."""
+    refuses, and for an element that does not live on g in monoid mid; x
+    and every key of it are checked before any is computed, and the terms
+    share one recursion memo."""
     route = _route(method)
-    spec, table = _store(get_monoid(mid), g)
+    spec = _store(get_monoid(mid), g)
+    if x.monoid != mid or x.graph != g:
+        raise InputError("element does not live on this graph/monoid")
     for k in x.terms:
         spec.validate_key(g, k)
     memo: dict = {}
-    return linear_extend(lambda k: _element(mid, g, route(spec, g, k, memo, table)), x)
+    return linear_extend(lambda k: _element(mid, g, route(spec, g, k, memo)), x)
 
 
 # ---------------------------------------------------------------- alternating sum
 
 
-def _takeuchi_sums(
-    spec, g: Graph, key: BasisKey, sums: dict, table: dict | None = None
-) -> dict:
+def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
     """Sum the alternating sum into the exponent map sums, {(product key,
     qe, te): summed sign}, and return it: each set composition whose
     iterated coproduct does not vanish reads its entry once and adds its
@@ -145,14 +134,14 @@ def _takeuchi_sums(
     prunes every composition that starts with that prefix.
 
     Each coproduct is the value `coproduct_key` gives for its arguments,
-    read from table (`monoids._coproducts`; a fresh one when None), so a
-    (subgraph, key) reached by several prefixes, or by several calls that
-    share the table, is split once.  No partial sum is remembered (see the
+    read from spec's row of the (subgraph, key) (`coproducts`).  On the
+    store's cached copy a (subgraph, key) reached by several prefixes, or by
+    several calls on one root graph, is split once; on a spec of `MONOIDS`
+    it is split afresh each time.  No partial sum is remembered (see the
     module docstring).
     """
-    if table is None:
-        table = {}
     product_key = spec.product_key
+    coproducts = spec.coproducts
     # (rest graph, its key, mask of the placed vertices, product key of the
     # placed blocks or None, the prefix's q and t exponents, the sign of the
     # node's own composition: -1 for an odd number of blocks, and +1 for
@@ -172,10 +161,8 @@ def _takeuchi_sums(
             sums[term] = acc
         else:
             del sums[term]
-        # a table hit skips the call: this loop runs once per composition
-        row = table.get((rest_g, rest_key)) or _coproducts(spec, rest_g, rest_key, table)
         rest = rest_g.mask
-        for s, (lk, rk, cq, ct) in row.items():
+        for s, (lk, rk, cq, ct) in coproducts(rest_g, rest_key).items():
             if not s or s == rest:
                 continue
             done = placed | s
@@ -191,34 +178,33 @@ def _takeuchi_sums(
 # ---------------------------------------------------------------- recursions
 
 
-def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict) -> dict:
+def _mm(spec, g: Graph, key: BasisKey, side: str, memo: dict) -> dict:
     """The exponent map of key's antipode on g by the one-sided recursion
     of side ("left" or "right"): peel a bipartition, recurse on the
-    strictly smaller factor.  Memoized per (g, key) in memo, with the
-    coproducts read from table; the returned map is shared with the memo
-    and must not be changed."""
+    strictly smaller factor.  Memoized per (g, key) in memo; the returned
+    map is shared with the memo and must not be changed."""
     if g.n == 0:
         return {(key, 0, 0): 1}
     mk = (g, key)
     hit = memo.get(mk)
     if hit is None:
-        hit = memo[mk] = _accumulate({}, _mm_terms(spec, g, key, side, memo, table))
+        hit = memo[mk] = _accumulate({}, _mm_terms(spec, g, key, side, memo))
     return hit
 
 
-def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict):
+def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict):
     """For each peeled bipartition with coproduct monomial q^qe t^te, one
     ((product key, qe + qe', te + te'), -c') pair per term c' q^qe' t^te'
     of the recursed factor's exponent map, multiplied back with the other
     factor's key."""
     left = side == "left"
     product_key = spec.product_key
-    for s, (lk, rk, qe, te) in _coproducts(spec, g, key, table).items():
+    for s, (lk, rk, qe, te) in spec.coproducts(g, key).items():
         t = g.mask ^ s
         # the recursed factor must be strictly smaller than g
         if not (t if left else s):
             continue
-        rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo, table)
+        rec = _mm(spec, g._induced(s if left else t), lk if left else rk, side, memo)
         for (k2, q2, t2), c2 in rec.items():
             x, y = (k2, rk) if left else (lk, k2)
             yield (product_key(g, s, t, x, y), qe + q2, te + t2), -c2
@@ -227,11 +213,9 @@ def _mm_terms(spec, g: Graph, key: BasisKey, side: str, memo: dict, table: dict)
 def antipode_table(mid: str, g: Graph) -> dict[BasisKey, Element]:
     """Antipode of every basis key of g by the left recursion, sharing one
     memo across the basis."""
-    spec, table = _store(get_monoid(mid), g)
+    spec = _store(get_monoid(mid), g)
     memo: dict = {}
-    return {
-        k: _element(mid, g, _mm(spec, g, k, "left", memo, table)) for k in spec.basis(g)
-    }
+    return {k: _element(mid, g, _mm(spec, g, k, "left", memo)) for k in spec.basis(g)}
 
 
 # ---------------------------------------------------------------- closed forms

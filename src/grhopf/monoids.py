@@ -32,19 +32,19 @@ The m/p (and M/P) basis changes rebase {payload: coefficient} maps
 over the lattice, from p to m by the Moebius expansion `_p_in_m`.
 `basis_change` builds an Element only at the public boundary.
 
-The coproduct table (`_coproducts`) holds, per (graph, key), the
+A coproduct row (`MonoidSpec.coproducts`) holds, per (graph, key), the
 `coproduct_key` value of every non-vanishing split of the key, keyed by the
 split's S mask in bipartition order, so a law can walk a row or look one
-split up.  Products come from a product-cached copy of the monoid, whose
-`product_key` remembers each result by its full argument tuple.  For a
-species these are fixed values, so one store (`_store`) owns them: per
-spec object one table and one copy, for the graphs induced from one root
-graph.  The antipode calls and the verifier's checks read it, so each
-coproduct and each product is computed once across all of them.  A call on
-another root graph empties the store, and so does the end of
-`verify.run_suite` (`_clear_store`); a spec swapped into `MONOIDS` is a
-new key.  The store holds structure-map values only, never an antipode
-value or a verdict.
+split up.  For a species the products and the rows are fixed values, so one
+store (`_store`) owns them: per spec object one cached copy of the monoid,
+whose `product_key` and `coproducts` remember each result by its argument
+tuple, for the graphs induced from one root graph.  The antipode calls and
+the verifier's checks read that copy, so each coproduct and each product is
+computed once across all of them; the spec in `MONOIDS` computes both
+afresh on every call.  A call on another root graph empties the store, and
+so does the end of `verify.run_suite` (`_clear_store`); a spec swapped into
+`MONOIDS` is a new key.  The store holds structure-map values only, never
+an antipode value or a verdict.
 
 Deformation is per structure: linear orders and set compositions pick up a
 q power per crossing edge and a t power per crossing non-edge, orientations
@@ -182,6 +182,18 @@ class MonoidSpec:
         """None, or (left_key, right_key, qe, te): the two factors and the
         exponents of their coefficient q^qe t^te."""
         raise NotImplementedError
+
+    def coproducts(self, g: Graph, key: BasisKey) -> dict:
+        """The row of key on g: a dict from the S mask of each split (S, T)
+        where `coproduct_key` does not vanish to its value there, in
+        `enumerators._ordered_bipartitions` order, the empty splits
+        included.  Computed afresh; the copy in `_store` caches it."""
+        coproduct_key = self.coproduct_key
+        return {
+            s: res
+            for s, t in enumerators._ordered_bipartitions(g.mask)
+            if (res := coproduct_key(g, s, t, key)) is not None
+        }
 
     def braiding(self, g: Graph, s: int, t: int) -> tuple[int, int]:
         """The exponent pair (qe, te) of the structure's own braiding weight
@@ -432,50 +444,31 @@ def _basis_cached(mid: str, g: Graph) -> tuple[BasisKey, ...]:
     return tuple(MONOIDS[mid]._enumerate_basis(g))
 
 
-def _coproducts(spec: MonoidSpec, g: Graph, key: BasisKey, table: dict) -> dict:
-    """The non-vanishing coproduct components of key on g: a dict from the
-    S mask of each split (S, T) to the (left key, right key, qe, te) that
-    spec.coproduct_key gives there, in `enumerators._ordered_bipartitions`
-    order, the empty splits included; a vanishing split has no entry.
-    spec.coproduct_key runs once per (g, key): the result is kept in table,
-    spec's table in `_store` or a dict of the caller's own."""
-    hit = table.get((g, key))
-    if hit is None:
-        coproduct_key = spec.coproduct_key
-        hit = table[g, key] = {
-            s: res
-            for s, t in enumerators._ordered_bipartitions(g.mask)
-            if (res := coproduct_key(g, s, t, key)) is not None
-        }
-    return hit
-
-
-# spec object -> (its product-cached copy, its coproduct table), for the
-# graphs induced from _store_root only
+# spec object -> its cached copy, for the graphs induced from _store_root only
 _STORE: dict = {}
 _store_root: Graph | None = None
 
 
-def _store(spec: MonoidSpec, g: Graph) -> tuple[MonoidSpec, dict]:
-    """(product-cached copy of spec, coproduct table) for g and every graph
-    induced from g's root: one pair per spec object, made on first use and
-    kept until a call on another root graph, or `_clear_store`, empties the
-    store.  The copy's `product_key` remembers every result by its full
-    argument tuple; its other maps are spec's own."""
+def _store(spec: MonoidSpec, g: Graph) -> MonoidSpec:
+    """The cached copy of spec for g and every graph induced from g's root:
+    one per spec object, made on first use and kept until a call on another
+    root graph, or `_clear_store`, empties the store.  The copy's
+    `product_key` and `coproducts` remember every result by their argument
+    tuple; its other maps are spec's own."""
     global _store_root
     if g._root is not _store_root:
         _clear_store()
         _store_root = g._root
-    hit = _STORE.get(spec)
-    if hit is None:
-        twin = copy.copy(spec)
+    twin = _STORE.get(spec)
+    if twin is None:
+        twin = _STORE[spec] = copy.copy(spec)
         twin.product_key = cache(spec.product_key)
-        hit = _STORE[spec] = (twin, {})
-    return hit
+        twin.coproducts = cache(spec.coproducts)
+    return twin
 
 
 def _clear_store() -> None:
-    """Drop every product-cached copy and coproduct table of `_store`."""
+    """Drop every cached copy of `_store`."""
     global _store_root
     _STORE.clear()
     _store_root = None

@@ -9,6 +9,11 @@ A morphism respects products and coproducts after the deformation
 parameters not shared by both ends are set to one: q survives only if both
 ends deform along edges, t only if both deform along non-edges.  The
 verifier uses `specialization(...)` for exactly that comparison.
+
+One walker (`_along`) takes a key along a path of morphisms; `apply_path`,
+`morphism_apply` (its one-step case) and the verifier's diagram check all
+use it, so an image that is no basis key of its monoid is refused with the
+name of the morphism that made it.
 """
 
 from __future__ import annotations
@@ -156,23 +161,42 @@ def get_morphism(name: str) -> Morphism:
     return MORPHISMS[name]
 
 
+def _along(path: tuple, mid: str, g: Graph, key) -> tuple:
+    """(monoid id, key) at the end of path from a basis key of mid on g.
+    Each morphism sends a key to one key with coefficient one, so this is
+    the path applied to the key's element; an image that is no basis key
+    of its monoid is refused with the morphism's name."""
+    for name in path:
+        morphism = get_morphism(name)
+        mid = morphism.codomain(mid)
+        key = morphism.map_key(g, key)
+        try:
+            MONOIDS[mid].validate_key(g, key)
+        except InputError as exc:
+            raise InputError(f"{name}: {exc}") from exc
+    return mid, key
+
+
 def morphism_apply(name: str, g: Graph, x: Element) -> Element:
     """Apply a named morphism to an element, validating the route."""
-    f = get_morphism(name)
-    cod = f.codomain(x.monoid)
+    return apply_path((name,), g, x)
+
+
+def apply_path(path: tuple[str, ...], g: Graph, x: Element) -> Element:
+    """Compose morphisms left to right along a route starting at x's monoid,
+    mapping each key of x along the whole path (`_along`).  Refused, in this
+    order: a first morphism that is unknown or does not apply to x's
+    monoid, an element not on g, a key of x that is no basis key of g, a
+    later morphism that is unknown or does not apply where the path has
+    reached, and an image that is no basis key of its monoid."""
+    cod = get_morphism(path[0]).codomain(x.monoid) if path else x.monoid
     if x.graph != g:
         raise InputError("element does not live on the stated graph")
     dom_spec = MONOIDS[x.monoid]
     for k in x.terms:
         dom_spec.validate_key(g, k)
+    for name in path[1:]:
+        cod = get_morphism(name).codomain(cod)
     out = Element.zero(cod, g)
-    _accumulate(out.terms, ((f.map_key(g, k), c) for k, c in x.terms.items()))
+    _accumulate(out.terms, ((_along(path, x.monoid, g, k)[1], c) for k, c in x.terms.items()))
     return out
-
-
-def apply_path(path: tuple[str, ...], g: Graph, x: Element) -> Element:
-    """Compose morphisms left to right along a route starting at x's monoid."""
-    cur = x
-    for name in path:
-        cur = morphism_apply(name, g, cur)
-    return cur

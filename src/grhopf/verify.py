@@ -6,21 +6,20 @@ agreement and convolution identities, (co)commutativity flavors, morphism
 axioms and pasted diagrams, complementation functor identities, the
 orientation-count/chromatic-polynomial identity, and basis-change round trips.
 
-Products and coproducts come from the store of the graph's root
-(`monoids._store`): per monoid one coproduct table (`monoids._coproducts`:
-every non-vanishing split of a (subgraph, key), keyed by its S mask) and
-one product-cached copy of the monoid.  `check_bimonoid`,
-`check_commutativity`, `check_antipode` and both ends of each route of
-`check_morphism` read it, so each structure-map value of a graph is
-computed once across all its checks; `run_suite` empties it when it
-returns.  The store holds structure-map values only, never an antipode
-value or a verdict; the antipode check's recursion memos and the morphism
-check's map memo are made per check.  The bimonoid and morphism laws
-compare whole table rows, or maps built from them (coassociativity
-compares a key's two iterated coproducts as maps over tripartitions), and
-only where they differ rank the differences to name the first witness in
-the law's split and key order; commutativity reads both directions of a
-split from one row.
+Products and coproducts come from one cached copy of each monoid in the
+store of the graph's root (`monoids._store`), whose `product_key` and
+`coproducts` (every non-vanishing split of a (subgraph, key), keyed by its
+S mask) remember their values.  `check_bimonoid`, `check_commutativity`,
+`check_antipode` and both ends of each route of `check_morphism` read it,
+so each structure-map value of a graph is computed once across all its
+checks; `run_suite` empties it when it returns.  The store holds
+structure-map values only, never an antipode value or a verdict; the
+antipode check's recursion memos and the morphism check's map memo are made
+per check.  The bimonoid and morphism laws compare whole coproduct rows, or
+maps built from them (coassociativity compares a key's two iterated
+coproducts as maps over tripartitions), and only where they differ rank
+the differences to name the first witness in the law's split and key
+order; commutativity reads both directions of a split from one row.
 
 Each check looks for a witness, its first counterexample, and `_record`
 turns that witness (or None) into the check's `CheckRecord`.  `_splits`
@@ -72,12 +71,11 @@ from .monoids import (
     _braiding,
     _change_route,
     _clear_store,
-    _coproducts,
     _rebased,
     _store,
     get_monoid,
 )
-from .morphisms import DIAGRAMS, MORPHISMS, get_morphism
+from .morphisms import DIAGRAMS, MORPHISMS, _along, get_morphism
 from .qtpoly import QTPolynomial
 
 MAX_CORPUS_N = 5
@@ -327,7 +325,7 @@ def _assoc_witness(spec, g: Graph, key_cap=None) -> dict | None:
     return None
 
 
-def _coassoc_witness(spec, g: Graph, key_cap, table) -> dict | None:
+def _coassoc_witness(spec, g: Graph, key_cap) -> dict | None:
     """Both iterated coproducts of each key, as maps from a tripartition
     (A, B, C) to (keys, qe, te) over the tripartitions where they do not
     vanish.  The witness is the least failing tripartition in
@@ -336,20 +334,18 @@ def _coassoc_witness(spec, g: Graph, key_cap, table) -> dict | None:
     least = None  # (tripartition rank, key, (A, B), both paths there)
     rank = None
     for key in _capped_basis(spec.id, g, key_cap):
-        row = _coproducts(spec, g, key, table)
+        row = spec.coproducts(g, key)
         # split off A first, then cut B|C; a tripartition is keyed by (A, B)
         first_then_rest = {
             (a, b): (ka, kb, kc, q1 + q2, t1 + t2)
             for a, (ka, k_bc, q1, t1) in row.items()
-            for b, (kb, kc, q2, t2) in _coproducts(
-                spec, g._induced(full ^ a), k_bc, table
-            ).items()
+            for b, (kb, kc, q2, t2) in spec.coproducts(g._induced(full ^ a), k_bc).items()
         }
         # cut C off first, then split A|B
         rest_then_first = {
             (a, ab ^ a): (ka, kb, kc, q1 + q2, t1 + t2)
             for ab, (k_ab, kc, q1, t1) in row.items()
-            for a, (ka, kb, q2, t2) in _coproducts(spec, g._induced(ab), k_ab, table).items()
+            for a, (ka, kb, q2, t2) in spec.coproducts(g._induced(ab), k_ab).items()
         }
         if first_then_rest == rest_then_first:
             continue
@@ -370,7 +366,7 @@ def _coassoc_witness(spec, g: Graph, key_cap, table) -> dict | None:
     }
 
 
-def _unit_counit_witness(spec, g: Graph, key_cap, table) -> dict | None:
+def _unit_counit_witness(spec, g: Graph, key_cap) -> dict | None:
     empty = 0
     full = g.mask
     e_key = spec.empty_key()
@@ -379,7 +375,7 @@ def _unit_counit_witness(spec, g: Graph, key_cap, table) -> dict | None:
             return {"axiom": "left_unit", "key": key.literal()}
         if spec.product_key(g, full, empty, key, e_key) != key:
             return {"axiom": "right_unit", "key": key.literal()}
-        row = _coproducts(spec, g, key, table)
+        row = spec.coproducts(g, key)
         left = row.get(empty)
         if left != (e_key, key, 0, 0):
             return {
@@ -398,12 +394,12 @@ def _unit_counit_witness(spec, g: Graph, key_cap, table) -> dict | None:
     return None
 
 
-def _compat_witness(spec, g: Graph, key_cap, table) -> dict | None:
+def _compat_witness(spec, g: Graph, key_cap) -> dict | None:
     """Per product split (S, T) and keys x, y: the coproduct of x*y at each
     split (A, B) against the braided exchange of x's and y's coproducts at
     their parts of (A, B).  The witness is the least (S, T), then (A, B),
     then x, then y."""
-    product_key = spec.product_key
+    product_key, coproducts = spec.product_key, spec.coproducts
     splits = _splits(g)
     for s_set, t_set, gs, gt in splits:
         # each coproduct split with its parts on S and T and the braiding of
@@ -414,11 +410,11 @@ def _compat_witness(spec, g: Graph, key_cap, table) -> dict | None:
             ta, tb = t_set & a_set, t_set & b_set
             cuts.append((a_set, sa, ta, ga, gb, sb, tb, *spec.braiding(g, sb, ta)))
         least = None  # (cut rank, x rank, y rank, x, y, lhs, rhs)
-        ys = [(y, _coproducts(spec, gt, y, table)) for y in _capped_basis(spec.id, gt, key_cap)]
+        ys = [(y, coproducts(gt, y)) for y in _capped_basis(spec.id, gt, key_cap)]
         for i, x in enumerate(_capped_basis(spec.id, gs, key_cap)):
-            x_row = _coproducts(spec, gs, x, table)
+            x_row = coproducts(gs, x)
             for j, (y, y_row) in enumerate(ys):
-                prod_row = _coproducts(spec, g, product_key(g, s_set, t_set, x, y), table)
+                prod_row = coproducts(g, product_key(g, s_set, t_set, x, y))
                 for k, (a_set, sa, ta, ga, gb, sb, tb, beta_q, beta_t) in enumerate(cuts):
                     lhs = prod_row.get(a_set)
                     left_x, right_y = x_row.get(sa), y_row.get(ta)
@@ -453,7 +449,7 @@ def _compat_witness(spec, g: Graph, key_cap, table) -> dict | None:
     return None
 
 
-def _closure_witness(spec, g: Graph, key_cap, table) -> dict | None:
+def _closure_witness(spec, g: Graph, key_cap) -> dict | None:
     # products of basis keys and coproduct factors must land back in the
     # basis; each (graph, key) is validated once, so its refusal is the
     # same wherever it recurs
@@ -468,7 +464,7 @@ def _closure_witness(spec, g: Graph, key_cap, table) -> dict | None:
                 refusals[h, key] = str(exc)
         return refusals[h, key]
 
-    rows = [(key, _coproducts(spec, g, key, table)) for key in _capped_basis(spec.id, g, key_cap)]
+    rows = [(key, spec.coproducts(g, key)) for key in _capped_basis(spec.id, g, key_cap)]
     for s_set, t_set, gs, gt in _splits(g):
         for x in _capped_basis(spec.id, gs, key_cap):
             for y in _capped_basis(spec.id, gt, key_cap):
@@ -501,16 +497,16 @@ def check_bimonoid(mid: str, g: Graph, key_cap: int | None = None) -> CheckRecor
     """Associativity, coassociativity, (co)unit laws, braided compatibility,
     and (for sub-monoids) closure, on one graph.  One record; the detail
     carries the first failing axiom's counterexample.  The axioms read the
-    product-cached spec and the coproduct table of `monoids._store`."""
-    spec, table = _store(get_monoid(mid), g)
+    cached copy of `monoids._store`."""
+    spec = _store(get_monoid(mid), g)
     witness = (
         _assoc_witness(spec, g, key_cap)
-        or _coassoc_witness(spec, g, key_cap, table)
-        or _unit_counit_witness(spec, g, key_cap, table)
-        or _compat_witness(spec, g, key_cap, table)
+        or _coassoc_witness(spec, g, key_cap)
+        or _unit_counit_witness(spec, g, key_cap)
+        or _compat_witness(spec, g, key_cap)
     )
     if witness is None and mid in CLOSURE_IDS:
-        witness = _closure_witness(spec, g, key_cap, table)
+        witness = _closure_witness(spec, g, key_cap)
     return _record("bimonoid", mid, g, witness)
 
 
@@ -525,7 +521,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
 
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
-    spec, table = _store(get_monoid(mid), g)
+    spec = _store(get_monoid(mid), g)
     # one recursion memo per side for the whole check: the routes, the
     # convolution laws and the involution share each (subgraph, key) map
     memos = {"left": {}, "right": {}}
@@ -539,9 +535,9 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # each route maps a basis key, which needs no validation, to an
         # exponent map with no zero entry: equal maps are equal Elements
         for key in basis:
-            reference = _takeuchi_sums(spec, g, key, {}, table)
+            reference = _takeuchi_sums(spec, g, key, {})
             for side in ("left", "right"):
-                other = _mm(spec, g, key, side, memos[side], table)
+                other = _mm(spec, g, key, side, memos[side])
                 if other != reference:
                     # no reference to judge the closed form against
                     closed_witness = {"verdict": "skipped: methods disagree"}
@@ -573,7 +569,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
         # such factors, whose closure `_closure_witness` checks.
         if g.n > 0:
             for key in basis:
-                splits = _coproducts(spec, g, key, table).items()
+                splits = spec.coproducts(g, key).items()
                 for law, side, s_on_left in (
                     ("convolution_left", "right", True),
                     ("convolution_right", "left", False),
@@ -583,7 +579,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
                     for s_set, (lk, rk, qe, te) in splits:
                         t_set = g.mask ^ s_set
                         h, hk = (s_set, lk) if s_on_left else (t_set, rk)
-                        rec = _mm(spec, g._induced(h), hk, side, memos[side], table)
+                        rec = _mm(spec, g._induced(h), hk, side, memos[side])
                         for (sk, sq, st), c in rec.items():
                             x, y = (sk, rk) if s_on_left else (lk, sk)
                             prod = spec.product_key(g, s_set, t_set, x, y)
@@ -601,10 +597,10 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
             left = memos["left"]
             for key in basis:
                 twice: dict = {}
-                for (k, qe, te), c in _mm(spec, g, key, "left", left, table).items():
+                for (k, qe, te), c in _mm(spec, g, key, "left", left).items():
                     pairs = (
                         ((k2, qe + q2, te + t2), c * c2)
-                        for (k2, q2, t2), c2 in _mm(spec, g, k, "left", left, table).items()
+                        for (k2, q2, t2), c2 in _mm(spec, g, k, "left", left).items()
                     )
                     _accumulate(twice, pairs)
                 if twice != {(key, 0, 0): 1}:
@@ -633,10 +629,10 @@ def check_commutativity(
     Returns {flavor: (holds, witness-or-None)}.  Interpretation against the
     per-monoid expectation tables happens in the suite driver, which also
     aggregates corpus-wide witnesses for the must-fail flavors.  Products
-    come from the product-cached spec of `monoids._store`, and each key's
-    coproducts in both directions from one row of its coproduct table."""
-    spec, table = _store(get_monoid(mid), g)
-    rows = [(key, _coproducts(spec, g, key, table)) for key in _capped_basis(mid, g, key_cap)]
+    and coproducts come from the cached copy of `monoids._store`, each
+    key's coproducts in both directions from one row."""
+    spec = _store(get_monoid(mid), g)
+    rows = [(key, spec.coproducts(g, key)) for key in _capped_basis(mid, g, key_cap)]
     # flavor -> its first witness; built only when some flavor first fails
     found: dict[str, dict] = {}
 
@@ -713,11 +709,11 @@ def check_commutativity(
 def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
     """Per route: the images of the basis keys, then split by split the
     product law before the coproduct law.  Each key's coproduct law is one
-    comparison of its domain table row, pushed through the map, with its
-    image's codomain table row; the witness is the least failing split,
-    then the least key, unless the product law fails on or before that
-    split.  Both ends read products and coproducts from `monoids._store`,
-    and each (graph, key) is mapped once per check."""
+    comparison of its domain row, pushed through the map, with its image's
+    codomain row; the witness is the least failing split, then the least
+    key, unless the product law fails on or before that split.  Both ends
+    are cached copies from `monoids._store`, and each (graph, key) is
+    mapped once per check."""
     splits = _splits(g)
     halves = {s: (gs, gt) for s, _, gs, gt in splits}
     images: dict = {}
@@ -730,8 +726,8 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
 
     for dom_id in sorted(morphism.routes):
         cod_id = morphism.routes[dom_id]
-        dom, dom_table = _store(MONOIDS[dom_id], g)
-        cod, cod_table = _store(MONOIDS[cod_id], g)
+        dom = _store(MONOIDS[dom_id], g)
+        cod = _store(MONOIDS[cod_id], g)
         route = [dom_id, cod_id]
         q_one, t_one = morphism.specialization(dom_id)
         basis = _capped_basis(dom_id, g, key_cap)
@@ -750,12 +746,12 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
         cut = None  # (split rank, key, coproduct then map, map then coproduct)
         for key in basis:
             pushed = {}
-            for s, (lk, rk, qe, te) in _coproducts(dom, g, key, dom_table).items():
+            for s, (lk, rk, qe, te) in dom.coproducts(g, key).items():
                 gs, gt = halves[s]
                 pushed[s] = (image(gs, lk), image(gt, rk), 0 if q_one else qe, 0 if t_one else te)
             direct = {
                 s: (lk, rk, 0 if q_one else qe, 0 if t_one else te)
-                for s, (lk, rk, qe, te) in _coproducts(cod, g, image(g, key), cod_table).items()
+                for s, (lk, rk, qe, te) in cod.coproducts(g, image(g, key)).items()
             }
             if pushed == direct:
                 continue
@@ -802,22 +798,6 @@ def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckReco
     whenever the two ends disagree on them."""
     witness = _morphism_witness(get_morphism(name), g, key_cap)
     return _record("morphism", name, g, witness)
-
-
-def _along(path: tuple, mid: str, g: Graph, key) -> tuple:
-    """(monoid id, key) at the end of path from a basis key of mid on g.
-    Each morphism sends a key to one key with coefficient one, so this is
-    the path applied to the key's element; an image that is no basis key
-    of its monoid is refused with the morphism's name."""
-    for name in path:
-        morphism = get_morphism(name)
-        mid = morphism.codomain(mid)
-        key = morphism.map_key(g, key)
-        try:
-            MONOIDS[mid].validate_key(g, key)
-        except InputError as exc:
-            raise InputError(f"{name}: {exc}") from exc
-    return mid, key
 
 
 def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> CheckRecord:

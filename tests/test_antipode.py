@@ -381,6 +381,27 @@ def test_antipode_element_is_linear():
     assert antipode_element("L", g, Element.zero("L", g)).is_zero
 
 
+@pytest.mark.parametrize(
+    "mid, x",
+    [
+        ("L", Element.zero("L", k2())),
+        ("L", elem("L", path3().complement(), "a<b<c")),
+        ("Sigma", elem("SSigma", path3(), "a,c|b")),
+    ],
+    ids=["zero-on-another-graph", "on-another-graph", "in-another-monoid"],
+)
+def test_antipode_element_refuses_another_context_before_computing(monkeypatch, mid, x):
+    # the element's monoid and graph are checked as coproduct_component
+    # checks them, before any route runs; the nonzero elements' keys are
+    # basis keys of the stated monoid and graph
+    module = importlib.import_module("grhopf.antipode")
+    for name in ("_takeuchi_sums", "_mm"):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("a route ran"))
+    for method in ("takeuchi", "milnor-moore-left"):
+        with pytest.raises(InputError, match="^element does not live on this graph/monoid$"):
+            antipode_element(mid, path3(), x, method)
+
+
 def test_cache_refuses_a_key_that_is_not_a_basis_key_of_the_graph():
     # an order of three labels is no basis key of the path a-b; both
     # recursions answer like every other antipode route: they refuse

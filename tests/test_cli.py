@@ -140,7 +140,7 @@ def test_antipode_all_skips_missing_closed_form(capsys, p3_path):
 
 def test_antipode_all_reports_disagreement(capsys, tmp_path, monkeypatch):
     # the mutant's two recursions differ on three edgeless vertices; the
-    # routes share a coproduct table and products but each recursion keeps
+    # routes share coproduct rows and products but each recursion keeps
     # its own memo, so neither side is handed the other's answer
     monkeypatch.setitem(MONOIDS, "Match_M", _MatchMWithExtraQ("Match_M", "M", True))
     path = tmp_path / "d3.graph"

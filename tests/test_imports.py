@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and nothing it defines goes unreferenced."""
+nothing it defines goes unreferenced, and what only tests or demos reach
+is public."""
 
 import ast
 from collections import Counter
@@ -120,3 +121,77 @@ def test_an_unreferenced_definition_is_caught(tmp_path):
     )
     (tmp_path / "use.py").write_text("from pkg.mod import used\nused()\n", encoding="utf-8")
     assert _unreferenced(package, (tmp_path,)) == [("mod.py", "unused"), ("mod.py", "Box.put")]
+
+
+def _public(package: Path) -> set[str]:
+    """The names in the `__all__` of package/__init__.py, and every class of
+    package that an exported class inherits from: their methods are the
+    exported classes' own."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    public = set()
+    for node in trees["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = set(ast.literal_eval(node.value))
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    new = public & bases.keys()
+    while new:
+        new = set().union(*(bases.get(name, ()) for name in new)) - public
+        public |= new
+    return public
+
+
+def _private_unreached(package: Path) -> list[tuple[str, str]]:
+    """(file, qualified name) of every definition in package/*.py that no
+    module of the package reads and that is not public (`_public`): one
+    that only tests or demos keep alive."""
+    public = _public(package)
+    return [
+        (name, qualname)
+        for name, qualname in _unreferenced(package, (package,))
+        if qualname.partition(".")[0] not in public
+    ]
+
+
+def test_what_no_module_reaches_is_public():
+    assert _private_unreached(SRC) == []
+
+
+def test_a_private_definition_only_tests_reach_is_caught(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        'from .mod import Box, api\n__all__ = ["Box", "api"]\n', encoding="utf-8"
+    )
+    (package / "mod.py").write_text(
+        "def api():\n"
+        "    return _helper()\n"
+        "def _helper():\n"
+        "    return 0\n"
+        "def _for_tests():\n"
+        "    return 1\n"
+        "def not_exported():\n"
+        "    return 2\n"
+        "class _Base:\n"
+        "    def inherited(self):\n"
+        "        return 3\n"
+        "class Box(_Base):\n"
+        "    def put(self):\n"
+        "        pass\n"
+        "class _Hidden:\n"
+        "    def get(self):\n"
+        "        return 4\n",
+        encoding="utf-8",
+    )
+    assert _private_unreached(package) == [
+        ("mod.py", "_for_tests"),
+        ("mod.py", "not_exported"),
+        ("mod.py", "_Hidden"),
+        ("mod.py", "_Hidden.get"),
+    ]

@@ -23,6 +23,7 @@ from grhopf import (
     antipode,
     antipode_element,
     antipode_table,
+    apply_path,
     check_antipode,
     check_basis_change,
     check_bimonoid,
@@ -33,6 +34,7 @@ from grhopf import (
     check_stanley,
     corpus,
     get_monoid,
+    morphism_apply,
     ordered_bipartitions,
     run_suite,
     sampled_graphs,
@@ -47,8 +49,11 @@ from grhopf.verify import (
     MAX_CORPUS_N,
     SUITES,
     _assoc_witness,
+    _closure_witness,
     _coassoc_witness,
     _compat_witness,
+    _mm,
+    _takeuchi_sums,
     _unit_counit_witness,
 )
 
@@ -360,17 +365,18 @@ def test_suites_tuple():
     )
 
 
-def test_coproduct_table_rows_equal_the_raw_map():
+def test_coproduct_rows_equal_the_raw_map():
     # a row keys the raw coproduct_key value of each non-vanishing split by
     # its S mask, in the order of ordered_bipartitions; a vanishing split
-    # has no entry
+    # has no entry.  The spec computes a row afresh on every call, the
+    # store's copy once
     vanishing = 0
     for mid in MONOID_IDS:
         spec = get_monoid(mid)
         for g in corpus(3):
-            table = {}
+            cached = monoids._store(spec, g)
             for key in spec.basis(g):
-                row = monoids._coproducts(spec, g, key, table)
+                row = spec.coproducts(g, key)
                 expected = []
                 for s_labels, t_labels in ordered_bipartitions(g.vertices):
                     s, t = _mask_of(s_labels), _mask_of(t_labels)
@@ -380,7 +386,9 @@ def test_coproduct_table_rows_equal_the_raw_map():
                     else:
                         expected.append((s, res))
                 assert list(row.items()) == expected, (mid, g, key)
-                assert monoids._coproducts(spec, g, key, table) is row
+                assert spec.coproducts(g, key) is not row
+                assert list(cached.coproducts(g, key).items()) == expected
+                assert cached.coproducts(g, key) is cached.coproducts(g, key)
     assert vanishing
 
 
@@ -396,20 +404,45 @@ class _SigmaDroppingT(type(MONOIDS["Sigma"])):
         return res
 
 
+_LAWS = (_assoc_witness, _coassoc_witness, _unit_counit_witness, _compat_witness, _closure_witness)
+
+
+def _raw_and_cached_agree(spec, g: Graph) -> list:
+    """Every bimonoid law's witness and every key's alternating sum and
+    recursions on g, on spec itself (the uncached reference) and on its
+    cached copy from the store; asserts they agree and returns the
+    witnesses."""
+    cached = monoids._store(spec, g)
+    witnesses = [law(spec, g, None) for law in _LAWS]
+    assert [law(cached, g, None) for law in _LAWS] == witnesses, (spec.id, g)
+    for key in spec.basis(g):
+        for route in (
+            lambda s: _takeuchi_sums(s, g, key, {}),
+            lambda s: _mm(s, g, key, "left", {}),
+            lambda s: _mm(s, g, key, "right", {}),
+        ):
+            assert route(cached) == route(spec), (spec.id, g, key)
+    return witnesses
+
+
 def test_memoized_checks_report_the_raw_witnesses(monkeypatch):
+    for mid in MONOID_IDS:
+        for g in corpus(3):
+            assert _raw_and_cached_agree(MONOIDS[mid], g) == [None] * len(_LAWS), (mid, g)
+
     broken = _SigmaDroppingT("Sigma", stable=False)
     monkeypatch.setitem(MONOIDS, "Sigma", broken)
-    g = Graph(["v1", "v2", "v3"], [("v1", "v2")])
+    coassociativity_fails = 0
+    for g in corpus(3):
+        witnesses = _raw_and_cached_agree(broken, g)
+        # the first law witness is the one the check reports
+        assert check_bimonoid("Sigma", g).detail == next(
+            (w for w in witnesses[:4] if w is not None), None
+        ), g
+        coassociativity_fails += witnesses[1] is not None
+    assert coassociativity_fails
 
-    record = check_bimonoid("Sigma", g)
-    assert not record.passed
-    # each law alone, on the monoid itself and a fresh coproduct table
-    raw = [_assoc_witness(broken, g)] + [
-        fn(broken, g, None, {}) for fn in (_coassoc_witness, _unit_counit_witness, _compat_witness)
-    ]
-    assert record.detail == next(w for w in raw if w is not None)
-
-    assert not check_commutativity("Sigma", g)["cocommutative_exact"][0]
+    assert not check_commutativity("Sigma", _P3)["cocommutative_exact"][0]
 
 
 def test_functors_build_no_basis_where_no_count_is_expected():
@@ -426,14 +459,10 @@ def test_functors_build_no_basis_where_no_count_is_expected():
 def test_gated_antipode_keeps_its_verdict_when_a_convolution_fails(monkeypatch):
     # every route agrees on the identity, which is not the antipode: the
     # convolution law fails after the closed form has been judged
-    monkeypatch.setattr(
-        verify, "_takeuchi_sums", lambda spec, g, key, sums, table: {(key, 0, 0): 1}
-    )
+    monkeypatch.setattr(verify, "_takeuchi_sums", lambda spec, g, key, sums: {(key, 0, 0): 1})
     # the recursions' exponent maps for method agreement and for the
     # convolution and involution laws
-    monkeypatch.setattr(
-        verify, "_mm", lambda spec, g, key, side, memo, table: {(key, 0, 0): 1}
-    )
+    monkeypatch.setattr(verify, "_mm", lambda spec, g, key, side, memo: {(key, 0, 0): 1})
     g = Graph(["v1", "v2"], [("v1", "v2")])
     main, verdict = check_antipode("Sigma", g)
     assert not main.passed and main.detail["law"] == "convolution_left"
@@ -493,9 +522,9 @@ def test_antipode_check_expands_each_recursion_step_once(monkeypatch):
     expand = module._mm_terms
     expanded = Counter()
 
-    def counted(spec, g, key, side, memo, table):
+    def counted(spec, g, key, side, memo):
         expanded[g, key, side] += 1
-        return expand(spec, g, key, side, memo, table)
+        return expand(spec, g, key, side, memo)
 
     monkeypatch.setattr(module, "_mm_terms", counted)
     for mid in MONOID_IDS:
@@ -529,7 +558,7 @@ def _count_map(monkeypatch, name) -> Counter:
 
 
 def test_antipode_check_computes_each_coproduct_once(monkeypatch):
-    # one coproduct table spans the alternating sum, both recursions, both
+    # one cached copy's rows span the alternating sum, both recursions, both
     # convolution laws and the involution: each (graph, split, key) is
     # computed once per check
     computed = _count_map(monkeypatch, "coproduct_key")
@@ -886,16 +915,35 @@ def test_no_structure_map_outlives_its_spec(monkeypatch):
     assert run() == warm
 
 
-def test_store_holds_one_root_graph_until_the_run_ends():
+class _SigmaRecordingRows(type(MONOIDS["Sigma"])):
+    """Sigma, recording the (graph, key) of every row it computes."""
+
+    def __init__(self):
+        super().__init__("Sigma", stable=False)
+        self.computed = []
+
+    def coproducts(self, g, key):
+        self.computed.append((g, key))
+        return super().coproducts(g, key)
+
+
+def test_store_holds_one_root_graph_until_the_run_ends(monkeypatch):
+    recording = _SigmaRecordingRows()
+    monkeypatch.setitem(MONOIDS, "Sigma", recording)
     first = Graph(["a1", "a2", "a3"], [("a1", "a2")])
     second = Graph(["b1", "b2"], [("b1", "b2")])
     check_bimonoid("Sigma", first)
-    made_on_first = monoids._STORE[MONOIDS["Sigma"]]
+    made_on_first = monoids._STORE[recording]
+    recording.computed.clear()
     check_bimonoid("Sigma", second)
     assert monoids._store_root is second
-    assert monoids._STORE[MONOIDS["Sigma"]] is not made_on_first
-    for _spec, table in monoids._STORE.values():
-        assert table and all(h.mask & second.mask == h.mask for h, _key in table)
+    held = monoids._STORE[recording]
+    assert list(monoids._STORE) == [recording] and held is not made_on_first
+    # the copy holds the rows it missed, which are the rows computed since
+    # the root changed: every one lies in the second graph
+    assert held.coproducts.cache_info().currsize == len(recording.computed)
+    assert recording.computed
+    assert all(h.mask & second.mask == h.mask for h, _key in recording.computed)
     run_suite("bimonoid", 2, monoids=["Sigma"])
     assert monoids._STORE == {} and monoids._store_root is None
 
@@ -950,6 +998,26 @@ def test_morphism_image_outside_its_codomain_fails_the_check(monkeypatch, capsys
     argv = ["verify", "--suite", "morphisms", "--nmax", "3", "--monoid", "L", "--jobs", "1"]
     assert cli_main(argv) == 1
     assert "failed=36 -> FAIL" in capsys.readouterr().out
+
+
+def test_morphism_image_outside_its_codomain_is_refused_with_its_name(
+    monkeypatch, capsys, tmp_path
+):
+    # the element-level entries walk every key along the path as the
+    # diagram check does, so each refuses the invalid image by the name of
+    # the morphism that made it
+    monkeypatch.setitem(MORPHISMS, "iota_L_SSigma", _one_block_inclusion())
+    x = Element.of("L", _P3, get_monoid("L").parse_key("v1<v2<v3"))
+    message = "^iota_L_SSigma: block v1,v2,v3 is not independent$"
+    with pytest.raises(InputError, match=message):
+        morphism_apply("iota_L_SSigma", _P3, x)
+    with pytest.raises(InputError, match=message):
+        apply_path(("iota_L_SSigma", "iota_SSigma_Sigma"), _P3, x)
+    path = tmp_path / "p3.graph"
+    path.write_text("v v1\nv v2\nv v3\ne v1 v2\n", encoding="utf-8")
+    argv = ["morphism", "--name", "iota_L_SSigma", "--monoid", "L", "--graph", str(path)]
+    assert cli_main([*argv, "--key", "v1<v2<v3"]) == 2
+    assert capsys.readouterr().err == f"error: {message[1:-1]}\n"
 
 
 class _LWithTCoproduct(type(MONOIDS["L"])):
