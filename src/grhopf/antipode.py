@@ -22,8 +22,11 @@ only; no antipode value is remembered there.
 The alternating sum walks set compositions depth-first over their first
 blocks, so compositions sharing a prefix share that prefix's coproducts,
 products and coefficient exponents, and a vanishing coproduct prunes every
-composition that starts with it.  It stays the alternating sum, not a
-third recursion: no partial sum is remembered across branches, and every
+composition that starts with it.  A prefix adds the term of each
+composition one block longer where it peels that block, and only a prefix
+with at least two vertices left to place is walked further, so no
+one-vertex rest is ever split.  It stays the alternating sum, not a third
+recursion: no partial sum is remembered across branches, and every
 non-vanishing composition adds exactly one signed term.  The recursions
 memoize their maps per (induced subgraph, key) in a dict made per call:
 `antipode` gives each query a fresh memo, `antipode_element` and
@@ -128,10 +131,15 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
     A node is a composition prefix: the graph on the vertices still to
     place with its right coproduct key, the placed vertices with their
     left-folded product key, and the exponents of the prefix's coefficient,
-    which are the sums of its coproducts' exponents.  Each node counts the
-    composition ending with all remaining vertices as one block, then peels
-    every nonempty proper first block off the rest; a vanishing coproduct
-    prunes every composition that starts with that prefix.
+    which are the sums of its coproducts' exponents.  A node peels every
+    nonempty proper first block off the rest.  For each it folds the block
+    into the prefix's product and adds, there and then, the term of the
+    child's composition that ends with all vertices left as one block; the
+    child becomes a node of its own only if at least two vertices are left,
+    as only then can a proper block follow.  The one-block composition of g
+    (the length-zero one when g is empty) is added before the walk.  A
+    vanishing coproduct prunes every composition that starts with that
+    prefix.
 
     Each coproduct is the value `coproduct_key` gives for its arguments,
     read from spec's row of the (subgraph, key) (`coproducts`).  On the
@@ -142,25 +150,20 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
     """
     product_key = spec.product_key
     coproducts = spec.coproducts
-    # (rest graph, its key, mask of the placed vertices, product key of the
-    # placed blocks or None, the prefix's q and t exponents, the sign of the
-    # node's own composition: -1 for an odd number of blocks, and +1 for
-    # the empty graph's length-zero composition)
-    stack = [(g, key, 0, None, 0, 0, -1 if g.n else 1)]
+    term = (key, 0, 0)
+    acc = sums.get(term, 0) + (-1 if g.n else 1)
+    if acc:
+        sums[term] = acc
+    else:
+        del sums[term]
+    # (rest graph of at least two vertices, its key, mask of the placed
+    # vertices, product key of the placed blocks or None, the prefix's q
+    # and t exponents, the sign of the compositions of its children)
+    stack = [(g, key, 0, None, 0, 0, 1)] if g.n > 1 else []
     # placed mask -> the subgraphs on the placed vertices and on the rest
     halves: dict = {}
     while stack:
         rest_g, rest_key, placed, pk, qe, te, sign = stack.pop()
-        last = rest_key if pk is None else product_key(
-            g, placed, rest_g.mask, pk, rest_key
-        )
-        term = (last, qe, te)
-        # a sign is +-1, so a sum cancels only where the entry was there
-        acc = sums.get(term, 0) + sign
-        if acc:
-            sums[term] = acc
-        else:
-            del sums[term]
         rest = rest_g.mask
         for s, (lk, rk, cq, ct) in coproducts(rest_g, rest_key).items():
             if not s or s == rest:
@@ -171,7 +174,18 @@ def _takeuchi_sums(spec, g: Graph, key: BasisKey, sums: dict) -> dict:
                 pair = halves[done] = (g._induced(done), g._induced(g.mask ^ done))
             if pk is not None:
                 lk = product_key(pair[0], placed, s, pk, lk)
-            stack.append((pair[1], rk, done, lk, qe + cq, te + ct, -sign))
+            left = rest ^ s
+            cq += qe
+            ct += te
+            # a sign is +-1, so a sum cancels only where the entry was there
+            term = (product_key(g, done, left, lk, rk), cq, ct)
+            acc = sums.get(term, 0) + sign
+            if acc:
+                sums[term] = acc
+            else:
+                del sums[term]
+            if left & (left - 1):
+                stack.append((pair[1], rk, done, lk, cq, ct, -sign))
     return sums
 
 

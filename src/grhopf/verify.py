@@ -43,8 +43,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .antipode import (
@@ -140,13 +138,37 @@ EXPECTED_FAILING: dict[str, frozenset[str]] = {
 }
 
 
-@dataclass
-class CheckRecord:
-    check: str
-    monoid: str
-    graph: str
-    passed: bool
-    detail: dict | None = None
+class _Fields:
+    """Equality and repr over the fields named in `__slots__`, in order, as
+    a dataclass gives them; unhashable, as a dataclass with eq is."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CheckRecord(_Fields):
+    __slots__ = ("check", "monoid", "graph", "passed", "detail")
+
+    def __init__(
+        self, check: str, monoid: str, graph: str, passed: bool, detail: dict | None = None
+    ):
+        self.check = check
+        self.monoid = monoid
+        self.graph = graph
+        self.passed = passed
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {
@@ -158,15 +180,26 @@ class CheckRecord:
         }
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    n_max: int
-    seed: int
-    selection: tuple[str, ...]
-    graph_count: int
-    records: list[CheckRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
+class VerificationReport(_Fields):
+    __slots__ = ("suite", "n_max", "seed", "selection", "graph_count", "records", "wall_time_s")
+
+    def __init__(
+        self,
+        suite: str,
+        n_max: int,
+        seed: int,
+        selection: tuple[str, ...],
+        graph_count: int,
+        records: list[CheckRecord] | None = None,
+        wall_time_s: float = 0.0,
+    ):
+        self.suite = suite
+        self.n_max = n_max
+        self.seed = seed
+        self.selection = selection
+        self.graph_count = graph_count
+        self.records = [] if records is None else records
+        self.wall_time_s = wall_time_s
 
     @property
     def passed_count(self) -> int:
@@ -1100,6 +1133,9 @@ def run_suite(
         if workers <= 1:
             results = map(_worker, tasks)
         else:
+            # imported only here, so that importing grhopf loads no process pool
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 results = list(executor.map(_worker, tasks, chunksize=8))
         for recs, obs in results:

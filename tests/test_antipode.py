@@ -5,6 +5,7 @@ sum; the suite freezes them so the implementations cannot drift.
 """
 
 import importlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -175,9 +176,13 @@ def test_all_methods_agree_on_small_corpus():
 
 def _flat_takeuchi_terms(spec, g, key):
     # the alternating sum as one independent loop per set composition:
-    # left-iterated coproducts along the blocks, then left-iterated products
+    # left-iterated coproducts along the blocks, then left-iterated products;
+    # one ((product key, qe, te), sign) per composition that does not vanish
     for comp in set_compositions(g.vertices):
         parts = comp.blocks
+        if not parts:  # the empty graph's length-zero composition
+            yield (key, 0, 0), 1
+            continue
         qe = te = 0
         pieces = []
         cur_graph, cur_key = g, key
@@ -200,37 +205,59 @@ def _flat_takeuchi_terms(spec, g, key):
                 s = _mask_of(block)
                 pk = spec.product_key(g.induced(_labels_of(acc_set | s)), acc_set, s, pk, piece)
                 acc_set = acc_set | s
-            yield pk, QTPolynomial.monomial(qe, te, -1 if len(parts) % 2 else 1)
+            yield (pk, qe, te), -1 if len(parts) % 2 else 1
 
 
-class _ReadCountingDict(dict):
-    """A term map that counts its `get` calls: the walk reads the entry of
-    each composition's term once, as it adds the sign."""
+class _ReadRecordingDict(dict):
+    """A term map that records the term of each `get` call: the walk reads
+    the entry of each composition's term once, as it adds the sign."""
 
-    reads = 0
+    def __init__(self):
+        super().__init__()
+        self.reads = Counter()
 
-    def get(self, *args):
-        self.reads += 1
-        return super().get(*args)
+    def get(self, term, *default):
+        self.reads[term] += 1
+        return super().get(term, *default)
 
 
 def _assert_walk_matches_flat_reference(mid, g, keys):
     spec = get_monoid(mid)
     for k in keys:
         flat = list(_flat_takeuchi_terms(spec, g, k))
-        # one signed term per composition whose coproducts do not vanish
-        sums = _ReadCountingDict()
+        # one read of its term per composition whose coproducts do not vanish
+        sums = _ReadRecordingDict()
         _takeuchi_sums(spec, g, k, sums)
-        assert sums.reads == len(flat), (mid, g, k)
-        assert antipode(mid, g, k, "takeuchi") == Element(mid, g, flat), (mid, g, k)
+        assert sums.reads == Counter(term for term, _ in flat), (mid, g, k)
+        expected = Element(
+            mid, g, [(pk, QTPolynomial.monomial(qe, te, c)) for (pk, qe, te), c in flat]
+        )
+        assert antipode(mid, g, k, "takeuchi") == expected, (mid, g, k)
 
 
 def test_prefix_walk_equals_flat_alternating_sum_on_corpus3():
     for g in corpus(3):
-        if g.n == 0:
-            continue
         for mid in MONOID_IDS:
             _assert_walk_matches_flat_reference(mid, g, get_monoid(mid).basis(g))
+
+
+_N4 = ["v1", "v2", "v3", "v4"]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("v1", "v2")],
+        [("v1", "v2"), ("v2", "v3"), ("v3", "v4")],
+        [("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v2", "v3"), ("v2", "v4")],
+    ],
+    ids=["edge", "path", "k4_minus_edge"],
+)
+def test_prefix_walk_equals_flat_alternating_sum_on_four_vertices(edges):
+    # every key of every basis: Fubini(4) = 75 compositions per key
+    g = Graph(_N4, edges)
+    for mid in MONOID_IDS:
+        _assert_walk_matches_flat_reference(mid, g, get_monoid(mid).basis(g))
 
 
 @pytest.mark.parametrize(

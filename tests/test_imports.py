@@ -1,8 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-nothing it defines goes unreferenced, and what only tests or demos reach
-is public."""
+nothing it defines goes unreferenced, what only tests or demos reach is
+public, and importing the package loads no process pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -195,3 +198,22 @@ def test_a_private_definition_only_tests_reach_is_caught(tmp_path):
         ("mod.py", "_Hidden"),
         ("mod.py", "_Hidden.get"),
     ]
+
+
+def test_import_loads_no_process_pool_or_dataclasses():
+    # a serial run never starts a process, so it need not import the pool;
+    # CheckRecord and VerificationReport are plain classes
+    script = (
+        "import sys, grhopf\n"
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses')"
+        " if m in sys.modules])\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "\n"

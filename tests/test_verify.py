@@ -1,5 +1,6 @@
 """Verification harness: corpora, record counts, determinism, reporting."""
 
+import concurrent.futures
 import copy
 import importlib
 import os
@@ -257,9 +258,11 @@ class _SerialPool:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of each pool `run_suite` opens, on a host of 8 CPUs."""
+    """The worker count of each pool `run_suite` opens, on a host of 8 CPUs;
+    `run_suite` imports the pool class from `concurrent.futures` when it
+    opens one."""
     sizes = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", partial(_SerialPool, sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(_SerialPool, sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     return sizes
 
