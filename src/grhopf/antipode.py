@@ -4,7 +4,12 @@ formula, two one-sided recursions and per-structure closed forms.
 The verifier confronts the routes with each other on every key of every
 corpus graph.  The closed forms are the fast route; the composition and
 flat-m forms are gated on agreement with the alternating sum wherever the
-verifier runs.
+verifier runs.  The partition m form is the product formula
+S(m_x) = sum over z <= x of (-1)^l(z) prod_B c_B(z)! m_z, with c_B(z) the
+blocks of z inside the block B of x, in one pass over the lattice below x:
+going to the p basis, flipping Pi_p's sign and coming back by the Moebius
+function collapses block by block to it, since [z, x] is a product of
+partition lattices (Rota 1964).  It reads no basis-change table.
 
 Every route computes an exponent map {(key, qe, te): nonzero int}, the
 coefficient of q^qe t^te on key, by adding exponents and integers, with no
@@ -38,11 +43,13 @@ two recursions would hand one side's maps to the other.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .elements import Element, _accumulate, _element, linear_extend
 from .enumerators import (
     _refinements,
+    _refining_payloads,
     acyclic_orientations,
-    compositions_refining,
     flats,
 )
 from .errors import InputError
@@ -54,7 +61,7 @@ from .keys import (
     PartitionM,
     SetCompositionKey,
 )
-from .monoids import _crossing_exponents, _rebased, _store, get_monoid
+from .monoids import _crossing_exponents, _store, get_monoid
 
 # Closed forms compared unconditionally against the general methods; the
 # composition and flat-m forms are oracle-gated (verdict recorded by the
@@ -253,21 +260,28 @@ def _closed_sums(spec, g: Graph, key: BasisKey) -> dict:
         qe, te = _crossing_exponents(
             {v: i for i, b in enumerate(key.blocks) for v in b}, g.edges
         )
-        reverse = SetCompositionKey._of(key.masks[::-1])
         return {
-            (ref, qe, te): 1 if len(ref.masks) % 2 == 0 else -1
-            for ref in compositions_refining(reverse)
+            (SetCompositionKey._of(ref), qe, te): 1 if len(ref) % 2 == 0 else -1
+            for ref in _refining_payloads(key.masks[::-1])
         }
 
     if mid in ("Pi_p", "SPi_p"):
         return {(key, 0, 0): 1 if len(key.masks) % 2 == 0 else -1}
 
     if mid == "Pi_m":
-        # through the p basis on integer maps: m -> p, Pi_p's sign, p -> m
-        as_p = _rebased(_refinements, True, {key.masks: 1})
-        flipped = {y: c if len(y) % 2 == 0 else -c for y, c in as_p.items()}
-        as_m = _rebased(_refinements, False, flipped)
-        return {(PartitionM._of(y), 0, 0): c for y, c in as_m.items()}
+        # S(m_x) = sum over z <= x of (-1)^l(z) prod_B c_B(z)! m_z, where
+        # c_B(z) counts the blocks of z inside the block B of x.  It is
+        # m -> p, Pi_p's sign and p -> m collapsed: [z, x] is the product
+        # of the lattices Pi_{c_B}, on which mu(0, pi) = prod (-1)^(|b|-1)
+        # (|b|-1)! and the sum of prod (|b|-1)! is c!, the permutations of c
+        # points counted by cycle type.
+        out = {}
+        for z in _refinements(key.masks):
+            c = -1 if len(z) % 2 else 1
+            for top in key.masks:
+                c *= factorial(sum(1 for b in z if b & top))
+            out[PartitionM._of(z), 0, 0] = c
+        return out
 
     if mid == "FL_M":
         sub = Graph(g.vertices, key.edges)

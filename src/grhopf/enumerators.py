@@ -118,10 +118,10 @@ def _is_acyclic(arcs) -> bool:
     return seen == len(indeg)
 
 
-def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
-    """All acyclic orientations of g: its sorted edges are oriented one at a
-    time, each both ways, and an arc set is dropped as soon as it holds a
-    directed cycle."""
+def _acyclic_arc_sets(g: Graph) -> list[tuple[tuple[str, str], ...]]:
+    """The arc tuples of all acyclic orientations of g, unsorted and not
+    made into keys: its sorted edges are oriented one at a time, each both
+    ways, and an arc set is dropped as soon as it holds a directed cycle."""
     partial = [()]
     for u, v in sorted(g.edges):
         partial = [
@@ -130,7 +130,12 @@ def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
             for grown in (arcs + ((u, v),), arcs + ((v, u),))
             if _is_acyclic(grown)
         ]
-    return _keys_by_literal(AcyclicOrientation, map(frozenset, partial))
+    return partial
+
+
+def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
+    """All acyclic orientations of g (`_acyclic_arc_sets`) as keys."""
+    return _keys_by_literal(AcyclicOrientation, map(frozenset, _acyclic_arc_sets(g)))
 
 
 # ---------------------------------------------------------------- compositions
@@ -163,14 +168,18 @@ def stable_compositions(g: Graph) -> list[SetCompositionKey]:
     return _keys_by_literal(SetCompositionKey, _block_sequences(g.mask, g._independent))
 
 
+def _refining_payloads(masks):
+    """The payloads of all compositions below the one with these block
+    masks, in enumeration order: each block split into its own composition,
+    concatenated in block order."""
+    per_block = [list(_block_sequences(b, bool)) for b in masks]
+    for choice in product(*per_block):
+        yield tuple(b for piece in choice for b in piece)
+
+
 def compositions_refining(coarse: SetCompositionKey) -> list[SetCompositionKey]:
-    """All compositions below coarse: each block split into its own
-    composition, concatenated in block order."""
-    per_block = [list(_block_sequences(b, bool)) for b in coarse.masks]
-    return _keys_by_literal(
-        SetCompositionKey,
-        (tuple(b for piece in choice for b in piece) for choice in product(*per_block)),
-    )
+    """All compositions below coarse (`_refining_payloads`), sorted."""
+    return _keys_by_literal(SetCompositionKey, _refining_payloads(coarse.masks))
 
 
 # ---------------------------------------------------------------- partitions

@@ -21,6 +21,7 @@ from grhopf import (
     Graph,
     InputError,
     LinearOrder,
+    PartitionM,
     Q,
     QTPolynomial,
     SetCompositionKey,
@@ -29,13 +30,16 @@ from grhopf import (
     antipode_table,
     compositions_refining,
     corpus,
+    discrete_graph,
     get_monoid,
     make_element,
     ordered_bipartitions,
     set_compositions,
     unit_element,
 )
-from grhopf.antipode import _takeuchi_sums
+from grhopf import monoids
+from grhopf.antipode import _closed_sums, _takeuchi_sums
+from grhopf.enumerators import _refinements
 from grhopf.graphs import _labels_of, _mask_of
 from grhopf.monoids import _crossing_exponents
 
@@ -301,6 +305,39 @@ def test_missing_closed_forms_raise():
         antipode("Match_M", g, key("Match_M", "()"), "closed")
     with pytest.raises(InputError):
         antipode("L", g, key("L", "a<b"), "no-such-method")
+
+
+def _pi_m_antipode_through_p(key):
+    # the two rebasings the product formula collapses: m -> p by the zeta
+    # sum, Pi_p's sign (-1)^l(y), then p -> m by the Moebius expansion
+    as_p = monoids._rebased(_refinements, True, {key.masks: 1})
+    flipped = {y: c if len(y) % 2 == 0 else -c for y, c in as_p.items()}
+    as_m = monoids._rebased(_refinements, False, flipped)
+    return {(PartitionM._of(y), 0, 0): c for y, c in as_m.items()}
+
+
+def test_pi_m_closed_form_equals_the_two_rebasings(monkeypatch):
+    calls = Counter()
+    p_in_m = monoids._p_in_m
+
+    def counted(below, top):
+        calls["_p_in_m"] += 1
+        return p_in_m(below, top)
+
+    monkeypatch.setattr(monoids, "_p_in_m", counted)
+    spec = get_monoid("Pi_m")
+    cases = [(g, k) for g in corpus(4) for k in spec.basis(g)]
+    for n in (5, 6, 7):
+        # fresh labels, so no lattice or Moebius table below them is warm
+        g = discrete_graph([f"pi_m_closed_{n}_{i}" for i in range(n)])
+        cases.append((g, PartitionM([g.vertices])))
+    for g, k in cases:
+        closed = _closed_sums(spec, g, k)
+        assert calls["_p_in_m"] == 0, (g, k)
+        assert closed == _pi_m_antipode_through_p(k), (g, k)
+        calls.clear()
+    # the reference did expand: the counter sees the Moebius route
+    assert _pi_m_antipode_through_p(cases[-1][1]) and calls["_p_in_m"] > 0
 
 
 def test_per_refinement_reweighting_is_wrong():

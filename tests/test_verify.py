@@ -13,6 +13,7 @@ from grhopf import (
     MONOID_IDS,
     MONOIDS,
     MORPHISMS,
+    AcyclicOrientation,
     CheckRecord,
     Element,
     Graph,
@@ -21,6 +22,7 @@ from grhopf import (
     QTPolynomial,
     SetCompositionKey,
     VerificationReport,
+    acyclic_orientations,
     antipode,
     antipode_element,
     antipode_table,
@@ -42,6 +44,7 @@ from grhopf import (
 )
 from grhopf import monoids, verify
 from grhopf.cli import main as cli_main
+from grhopf.enumerators import _acyclic_arc_sets
 from grhopf.graphs import _mask_of
 from grhopf.verify import (
     COMMUTATIVITY_FLAVORS,
@@ -193,6 +196,17 @@ def test_stanley_when_a_label_spells_a_merged_block():
     # distinct from the existing vertex "ab"
     g = Graph(["a", "b", "ab"], [("a", "b"), ("b", "ab")])
     assert check_stanley(g).passed
+
+
+def test_stanley_counts_the_orientation_kernel_without_interning_keys():
+    for g in corpus(4):
+        assert len(_acyclic_arc_sets(g)) == len(acyclic_orientations(g)), g
+    # fresh labels: an orientation key of this graph would be a new entry
+    labels = [f"stanley_fresh_{i}" for i in range(5)]
+    g = Graph(labels, [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]])
+    interned = len(AcyclicOrientation._keys)
+    assert check_stanley(g).passed
+    assert len(AcyclicOrientation._keys) == interned
 
 
 def test_monoid_selection():
