@@ -269,12 +269,10 @@ def _closed_sums(spec, g: Graph, key: BasisKey) -> dict:
         return {(key, 0, 0): 1 if len(key.masks) % 2 == 0 else -1}
 
     if mid == "Pi_m":
-        # S(m_x) = sum over z <= x of (-1)^l(z) prod_B c_B(z)! m_z, where
-        # c_B(z) counts the blocks of z inside the block B of x.  It is
-        # m -> p, Pi_p's sign and p -> m collapsed: [z, x] is the product
-        # of the lattices Pi_{c_B}, on which mu(0, pi) = prod (-1)^(|b|-1)
-        # (|b|-1)! and the sum of prod (|b|-1)! is c!, the permutations of c
-        # points counted by cycle type.
+        # S(m_x) = sum over z <= x of (-1)^l(z) prod_B c_B(z)! m_z, c_B(z)
+        # the blocks of z inside the block B of x: [z, x] is the product of
+        # the lattices Pi_{c_B}, where mu(0, pi) = prod (-1)^(|b|-1) (|b|-1)!
+        # and the sum of prod (|b|-1)! is c!, permutations by cycle type.
         out = {}
         for z in _refinements(key.masks):
             c = -1 if len(z) % 2 else 1
