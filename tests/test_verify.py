@@ -4,6 +4,7 @@ import concurrent.futures
 import copy
 import importlib
 import os
+import pickle
 from collections import Counter
 from functools import partial
 
@@ -357,6 +358,70 @@ def test_summary_text_failure_lines():
     lines = rep.summary_text().splitlines()
     assert lines[0] == "FAIL bimonoid monoid=L graph=[v a; v b]"
     assert lines[-1].endswith("-> FAIL")
+
+
+def test_records_keep_repr_equality_json_and_pickling():
+    rec = CheckRecord("bimonoid", "L", "v a", False, {"error": "boom"})
+    assert repr(rec) == (
+        "CheckRecord(check='bimonoid', monoid='L', graph='v a', passed=False,"
+        " detail={'error': 'boom'})"
+    )
+    assert rec == CheckRecord("bimonoid", "L", "v a", False, {"error": "boom"})
+    assert CheckRecord("stanley", "AO", "v a", True).detail is None
+    as_json = rec.to_json()
+    assert list(as_json) == ["check", "monoid", "graph", "passed", "detail"]
+    assert as_json == {
+        "check": "bimonoid",
+        "monoid": "L",
+        "graph": "v a",
+        "passed": False,
+        "detail": {"error": "boom"},
+    }
+    others = dict(check="antipode", monoid="AO", graph="v b", passed=True, detail=None)
+    for field, other in others.items():
+        assert CheckRecord(**{**as_json, field: other}) != rec, field
+
+    fields = dict(
+        suite="bimonoid",
+        n_max=1,
+        seed=0,
+        selection=("L",),
+        graph_count=1,
+        records=[rec],
+        wall_time_s=0.5,
+    )
+    rep = VerificationReport(**fields)
+    assert repr(rep) == (
+        "VerificationReport(suite='bimonoid', n_max=1, seed=0, selection=('L',),"
+        f" graph_count=1, records=[{rec!r}], wall_time_s=0.5)"
+    )
+    assert rep == VerificationReport(**fields)
+    others = dict(
+        suite="antipode", n_max=2, seed=1, selection=("AO",), graph_count=2, records=[],
+        wall_time_s=0.25,
+    )
+    for field, other in others.items():
+        assert VerificationReport(**{**fields, field: other}) != rep, field
+    assert rep.to_json() == {
+        "schema": "grhopf.report/1",
+        "suite": "bimonoid",
+        "n_max": 1,
+        "seed": 0,
+        "selection": ["L"],
+        "graph_count": 1,
+        "records": [as_json],
+        "summary": {"checks": 1, "passed": 0, "failed": 1},
+        "wall_time_s": 0.5,
+    }
+    empty = VerificationReport("bimonoid", 1, 0, ("L",), 1)
+    assert (empty.records, empty.wall_time_s) == ([], 0.0)
+    # each report gets its own record list
+    assert empty.records is not VerificationReport("bimonoid", 1, 0, ("L",), 1).records
+
+    for obj in (rec, rep, empty):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        with pytest.raises(TypeError):
+            hash(obj)
 
 
 def test_expected_commutativity_tables_partition_flavors():
