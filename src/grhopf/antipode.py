@@ -46,12 +46,7 @@ from __future__ import annotations
 from math import factorial
 
 from .elements import Element, _accumulate, _element, linear_extend
-from .enumerators import (
-    _refinements,
-    _refining_payloads,
-    acyclic_orientations,
-    flats,
-)
+from .enumerators import _acyclic_arc_sets, _refinements, _refining_payloads, flats
 from .errors import InputError
 from .graphs import Graph, components_partition
 from .keys import (
@@ -287,7 +282,7 @@ def _closed_sums(spec, g: Graph, key: BasisKey) -> dict:
         for h in flats(sub):
             comp = components_partition(g.vertices, h)
             # the quotient is a simple graph, so o_hf >= 1: no zero entry
-            o_hf = len(acyclic_orientations(sub.quotient(comp)))
+            o_hf = len(_acyclic_arc_sets(sub.quotient(comp)))
             out[type(key)._of(h), 0, 0] = o_hf if len(comp) % 2 == 0 else -o_hf
         return out
 

@@ -10,8 +10,8 @@ implementation of the module operations.  Zero coefficients are dropped
 everywhere, so equality of term maps is equality of elements; arithmetic
 across different contexts is an input error.
 
-`_accumulate` is the one place where (key, coefficient) pairs are merged
-into a term map; every structure map builds its result through it.
+`qtpoly._accumulate` is the one place where (key, coefficient) pairs are
+merged into a term map; every structure map builds its result through it.
 `_element` is the one place where an exponent map {(key, qe, te): int},
 the form every antipode route computes, becomes an Element.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from .errors import InputError
 from .graphs import Graph
 from .keys import BasisKey
-from .qtpoly import QTPolynomial
+from .qtpoly import QTPolynomial, _accumulate
 
 
 def _coeff(c) -> QTPolynomial:
@@ -30,19 +30,6 @@ def _coeff(c) -> QTPolynomial:
     if isinstance(c, int):
         return QTPolynomial.const(c)
     raise InputError(f"bad coefficient {c!r}")
-
-
-def _accumulate(terms: dict, pairs) -> dict:
-    """Add each (key, coefficient) pair into `terms`, dropping keys whose
-    coefficient cancels to zero; returns `terms`."""
-    for k, c in pairs:
-        acc = terms.get(k)
-        acc = c if acc is None else acc + c
-        if acc:
-            terms[k] = acc
-        elif k in terms:
-            del terms[k]
-    return terms
 
 
 def _merged(terms) -> dict:

@@ -15,8 +15,8 @@ edges.  Labels are decoded at the boundary, where a repeated one is refused.
 
 A split is a pair of submasks.  `_ordered_bipartitions(mask)` lists them
 sorted by (labels of S, labels of T), the order that every split loop, and
-so every witness, follows; `ordered_bipartitions` and
-`ordered_tripartitions` decode the same lists to label sets.
+so every witness, follows; `ordered_bipartitions` decodes the same list to
+label sets.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .graphs import Graph, _labels_of, _mask_of, components_partition
 from .keys import (
     AcyclicOrientation,
     LinearOrder,
-    PartitionM,
     SetCompositionKey,
     _block_masks,
     _edges_literal,
@@ -49,7 +48,7 @@ def _keys_by_literal(cls, payloads) -> list:
 def ordered_bipartitions(labels) -> list[tuple[frozenset, frozenset]]:
     """All 2^n ordered pairs (S, T) with S disjoint-union T = labels."""
     (mask,) = _block_masks([labels], "twice in split")
-    return [tuple(map(_label_set, st)) for st in _ordered_bipartitions(mask)]
+    return [tuple(frozenset(_labels_of(m)) for m in st) for st in _ordered_bipartitions(mask)]
 
 
 @lru_cache(maxsize=None)
@@ -66,13 +65,6 @@ def _ordered_bipartitions(mask: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def ordered_tripartitions(labels) -> list[tuple[frozenset, frozenset, frozenset]]:
-    """All 3^n ordered triples (A, B, C) of disjoint (possibly empty) parts
-    covering labels, in (sorted A, sorted B) order."""
-    (mask,) = _block_masks([labels], "twice in split")
-    return [tuple(map(_label_set, abc)) for abc in _ordered_tripartitions(mask)]
-
-
 def _ordered_tripartitions(mask: int) -> list[tuple[int, int, int]]:
     """The (A, B, C) submask triples of mask: each split (A, rest) with rest
     split again, which lists them in (labels of A, labels of B) order."""
@@ -81,10 +73,6 @@ def _ordered_tripartitions(mask: int) -> list[tuple[int, int, int]]:
         for a, rest in _ordered_bipartitions(mask)
         for b, c in _ordered_bipartitions(rest)
     ]
-
-
-def _label_set(mask: int) -> frozenset:
-    return frozenset(_labels_of(mask))
 
 
 # ---------------------------------------------------------------- orders
@@ -177,11 +165,6 @@ def _refining_payloads(masks):
         yield tuple(b for piece in choice for b in piece)
 
 
-def compositions_refining(coarse: SetCompositionKey) -> list[SetCompositionKey]:
-    """All compositions below coarse (`_refining_payloads`), sorted."""
-    return _keys_by_literal(SetCompositionKey, _refining_payloads(coarse.masks))
-
-
 # ---------------------------------------------------------------- partitions
 
 
@@ -219,23 +202,6 @@ def _refinements(masks) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sorted([b for piece in c for b in piece])) for c in product(*per_block)
     )
-
-
-def set_partitions(labels) -> list[tuple[tuple[str, ...], ...]]:
-    """All set partitions of labels, each as canonical blocks."""
-    (mask,) = _block_masks([labels], "twice in partition")
-    return [k.blocks for k in _partition_keys(PartitionM, mask, bool)]
-
-
-def stable_partitions(g: Graph) -> list[tuple[tuple[str, ...], ...]]:
-    return [k.blocks for k in _partition_keys(PartitionM, g.mask, g._independent)]
-
-
-def partitions_refining(blocks) -> list[tuple[tuple[str, ...], ...]]:
-    """All partitions below the partition with these blocks: each block
-    partitioned independently.  Blocks that share a label are refused."""
-    below = _refinements(PartitionM(blocks).masks)
-    return [k.blocks for k in _keys_by_literal(PartitionM, below)]
 
 
 # ---------------------------------------------------------------- flats
@@ -285,7 +251,7 @@ def matchings(g: Graph) -> list[frozenset]:
 
 
 def bell_number(n: int) -> int:
-    """Bell number via the Bell triangle (independent of set_partitions)."""
+    """Bell number via the Bell triangle (independent of the enumerators)."""
     if n == 0:
         return 1
     row = [1]

@@ -26,11 +26,12 @@ induced graph (every edge both ways round) and counts its arcs in
 exponent, and an orientation's product adds `_leaving(root, S)` cut to the
 graph's arcs.
 
-The m/p (and M/P) basis changes rebase {payload: coefficient} maps
-(`_rebased`) over two graph-independent lattices cached per top element,
-`enumerators._refinements` and `_flats_below`: from m to p by the zeta sum
-over the lattice, from p to m by the Moebius expansion `_p_in_m`.
-`basis_change` builds an Element only at the public boundary.
+The m/p (and M/P) basis changes rebase {payload: coefficient} maps:
+`_rebased(mid_from, terms)` picks the lattice of mid_from's family and the
+direction itself.  The two graph-independent lattices are cached per top
+element, `enumerators._refinements` and `_flats_below`; from m to p it
+takes the zeta sum over the lattice, from p to m the Moebius expansion
+`_p_in_m`.  `basis_change` builds an Element only at the public boundary.
 
 A coproduct row (`MonoidSpec.coproducts`) holds, per (graph, key), the
 `coproduct_key` value of every non-vanishing split of the key, keyed by the
@@ -598,21 +599,17 @@ def _p_in_m(below, top) -> tuple[tuple[object, int], ...]:
     return tuple(acc.items())
 
 
-def _change_route(mid_from: str):
-    """(below, m_to_p) for a basis change out of mid_from: the cached
-    lattice of its family (`enumerators._refinements` on partition masks,
-    `_flats_below` on edge sets) and whether it runs from m to p."""
-    partitions = get_monoid(mid_from).key_cls in (PartitionM, PartitionP)
-    below = enumerators._refinements if partitions else _flats_below
-    return below, mid_from.endswith(("_m", "_M"))
-
-
-def _rebased(below, m_to_p: bool, terms: dict) -> dict:
-    """The map {payload: coefficient} of terms rewritten in the partner
-    basis.  From m to p it is the zeta sum, m_x = the sum of p_y over every
+def _rebased(mid_from: str, terms: dict) -> dict:
+    """The map {payload: coefficient} of terms of mid_from rewritten in its
+    partner basis, over the cached lattice of its family
+    (`enumerators._refinements` on partition masks, `_flats_below` on edge
+    sets).  From m to p it is the zeta sum, m_x = the sum of p_y over every
     y in below(x); from p to m the Moebius expansion of `_p_in_m`.  Neither
     route reads the other's table.  Coefficients may be integers or
     `QTPolynomial`s; integers keep the sum free of polynomial arithmetic."""
+    partitions = get_monoid(mid_from).key_cls in (PartitionM, PartitionP)
+    below = enumerators._refinements if partitions else _flats_below
+    m_to_p = mid_from.endswith(("_m", "_M"))
     out: dict = {}
     for top, c in terms.items():
         if m_to_p:
@@ -631,7 +628,7 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     src = get_monoid(mid_from)
     for k in x.terms:
         src.validate_key(g, k)
-    rebased = _rebased(*_change_route(mid_from), {k._payload: c for k, c in x.terms.items()})
+    rebased = _rebased(mid_from, {k._payload: c for k, c in x.terms.items()})
     key_of = get_monoid(mid_to).key_cls._of
     out = Element.zero(mid_to, g)
     _accumulate(out.terms, ((key_of(y), c) for y, c in rebased.items()))

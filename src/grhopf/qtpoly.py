@@ -6,29 +6,36 @@ nonnegative.  Python integers keep every coefficient exact at any size.
 Instances are immutable and hash as they compare (a constant equals and
 hashes as its integer), so they can key dicts and be compared for exact
 equality.
+
+`_accumulate` merges (key, coefficient) pairs into a term map, dropping
+what cancels.  Polynomial construction, sums and products build their
+exponent maps through it, and `elements` its key maps.
 """
 
 from __future__ import annotations
+
+
+def _accumulate(terms: dict, pairs) -> dict:
+    """Add each (key, coefficient) pair into `terms`, dropping keys whose
+    coefficient cancels to zero; returns `terms`."""
+    for k, c in pairs:
+        acc = terms.get(k)
+        acc = c if acc is None else acc + c
+        if acc:
+            terms[k] = acc
+        elif k in terms:
+            del terms[k]
+    return terms
 
 
 class QTPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (qe, te), c in items:
-            if qe < 0 or te < 0:
-                raise ValueError("exponents must be nonnegative")
-            if not c:
-                continue
-            key = (qe, te)
-            acc = data.get(key, 0) + c
-            if acc:
-                data[key] = acc
-            elif key in data:
-                del data[key]
-        self._terms = data
+        items = list(terms.items() if isinstance(terms, dict) else terms)
+        if any(qe < 0 or te < 0 for (qe, te), _c in items):
+            raise ValueError("exponents must be nonnegative")
+        self._terms = _accumulate({}, items)
 
     # ------------------------------------------------------------ constructors
 
@@ -68,22 +75,6 @@ class QTPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def q_free(self) -> bool:
-        return all(qe == 0 for (qe, _te) in self._terms)
-
-    @property
-    def t_free(self) -> bool:
-        return all(te == 0 for (_qe, te) in self._terms)
-
-    def constant_value(self) -> int:
-        """The integer value, if the polynomial is constant."""
-        if not self._terms:
-            return 0
-        if set(self._terms) == {(0, 0)}:
-            return self._terms[(0, 0)]
-        raise ValueError(f"not a constant polynomial: {self}")
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -114,15 +105,8 @@ class QTPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._terms)
-        for k, c in o._terms.items():
-            acc = data.get(k, 0) + c
-            if acc:
-                data[k] = acc
-            elif k in data:
-                del data[k]
         out = QTPolynomial.__new__(QTPolynomial)
-        out._terms = data
+        out._terms = _accumulate(dict(self._terms), o._terms.items())
         return out
 
     __radd__ = __add__
@@ -150,17 +134,15 @@ class QTPolynomial:
             return NotImplemented
         if not self._terms or not o._terms:
             return _ZERO
-        data = {}
-        for (q1, t1), c1 in self._terms.items():
-            for (q2, t2), c2 in o._terms.items():
-                k = (q1 + q2, t1 + t2)
-                acc = data.get(k, 0) + c1 * c2
-                if acc:
-                    data[k] = acc
-                elif k in data:
-                    del data[k]
         out = QTPolynomial.__new__(QTPolynomial)
-        out._terms = data
+        out._terms = _accumulate(
+            {},
+            (
+                ((q1 + q2, t1 + t2), c1 * c2)
+                for (q1, t1), c1 in self._terms.items()
+                for (q2, t2), c2 in o._terms.items()
+            ),
+        )
         return out
 
     __rmul__ = __mul__

@@ -33,7 +33,8 @@ a witness prints the pair as a `QTPolynomial` (`_coeff_str`).
 Checks are grouped into named suites.  `run_suite` returns a
 `VerificationReport` holding one `CheckRecord` per (check, monoid, graph)
 triple; record order is deterministic for a given (suite, n_max, seed),
-including under --jobs parallelism.
+including under --jobs parallelism.  Both are named tuples, so they
+compare, print and pickle by their fields.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import math
 import os
 import random
 import time
+from collections import namedtuple
 from functools import lru_cache
 
 from .antipode import (
@@ -67,7 +69,6 @@ from .monoids import (
     MONOIDS,
     _basis_cached,
     _braiding,
-    _change_route,
     _clear_store,
     _rebased,
     _store,
@@ -138,68 +139,30 @@ EXPECTED_FAILING: dict[str, frozenset[str]] = {
 }
 
 
-class _Fields:
-    """Equality and repr over the fields named in `__slots__`, in order, as
-    a dataclass gives them; unhashable, as a dataclass with eq is."""
+class CheckRecord(namedtuple("CheckRecord", "check monoid graph passed detail", defaults=[None])):
+    __slots__ = ()
+    # unhashable, as a dataclass with eq is: a record's detail and a
+    # report's records are mutable
+    __hash__ = None
 
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "suite n_max seed selection graph_count records wall_time_s",
+        defaults=[None, 0.0],
+    )
+):
     __slots__ = ()
     __hash__ = None
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class CheckRecord(_Fields):
-    __slots__ = ("check", "monoid", "graph", "passed", "detail")
-
-    def __init__(
-        self, check: str, monoid: str, graph: str, passed: bool, detail: dict | None = None
-    ):
-        self.check = check
-        self.monoid = monoid
-        self.graph = graph
-        self.passed = passed
-        self.detail = detail
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "monoid": self.monoid,
-            "graph": self.graph,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
-
-class VerificationReport(_Fields):
-    __slots__ = ("suite", "n_max", "seed", "selection", "graph_count", "records", "wall_time_s")
-
-    def __init__(
-        self,
-        suite: str,
-        n_max: int,
-        seed: int,
-        selection: tuple[str, ...],
-        graph_count: int,
-        records: list[CheckRecord] | None = None,
-        wall_time_s: float = 0.0,
-    ):
-        self.suite = suite
-        self.n_max = n_max
-        self.seed = seed
-        self.selection = selection
-        self.graph_count = graph_count
-        self.records = [] if records is None else records
-        self.wall_time_s = wall_time_s
+    def __new__(cls, *args, **kwargs):
+        # a report built without records gets a list of its own
+        report = super().__new__(cls, *args, **kwargs)
+        return report._replace(records=[]) if report.records is None else report
 
     @property
     def passed_count(self) -> int:
@@ -967,16 +930,15 @@ def check_basis_change(mid: str, g: Graph) -> CheckRecord:
     spec = get_monoid(mid)
     partner = BASIS_PARTNER[mid]
     partner_spec = get_monoid(partner)
-    below, m_to_p = _change_route(mid)
     partner_payloads = {k._payload for k in partner_spec.basis(g)}
     for key in spec.basis(g):
         one = {key._payload: 1}
-        over = _rebased(below, m_to_p, one)
+        over = _rebased(mid, one)
         outside = next((y for y in over if y not in partner_payloads), None)
         if outside is not None:
             witness = {"outside_basis": partner_spec.key_cls._of(outside).literal()}
         else:
-            back = _rebased(below, not m_to_p, over)
+            back = _rebased(partner, over)
             if back == one:
                 continue
             round_trip = Element(mid, g, ((spec.key_cls._of(y), c) for y, c in back.items()))

@@ -28,7 +28,6 @@ from grhopf import (
     antipode,
     antipode_element,
     antipode_table,
-    compositions_refining,
     corpus,
     discrete_graph,
     get_monoid,
@@ -39,7 +38,7 @@ from grhopf import (
 )
 from grhopf import monoids
 from grhopf.antipode import _closed_sums, _takeuchi_sums
-from grhopf.enumerators import _refinements
+from grhopf.enumerators import _refining_payloads
 from grhopf.graphs import _labels_of, _mask_of
 from grhopf.monoids import _crossing_exponents
 
@@ -310,9 +309,9 @@ def test_missing_closed_forms_raise():
 def _pi_m_antipode_through_p(key):
     # the two rebasings the product formula collapses: m -> p by the zeta
     # sum, Pi_p's sign (-1)^l(y), then p -> m by the Moebius expansion
-    as_p = monoids._rebased(_refinements, True, {key.masks: 1})
+    as_p = monoids._rebased("Pi_m", {key.masks: 1})
     flipped = {y: c if len(y) % 2 == 0 else -c for y, c in as_p.items()}
-    as_m = monoids._rebased(_refinements, False, flipped)
+    as_m = monoids._rebased("Pi_p", flipped)
     return {(PartitionM._of(y), 0, 0): c for y, c in as_m.items()}
 
 
@@ -348,7 +347,7 @@ def test_per_refinement_reweighting_is_wrong():
     k = key("Sigma", "a,b")
     reverse = SetCompositionKey(reversed(k.blocks))
     terms = []
-    for ref in compositions_refining(reverse):
+    for ref in map(SetCompositionKey._of, _refining_payloads(reverse.masks)):
         rank = {v: i for i, b in enumerate(ref.blocks) for v in b}
         qe, te = _crossing_exponents(rank, g.edges)
         sign = 1 if len(ref.blocks) % 2 == 0 else -1

@@ -21,7 +21,6 @@ from grhopf import (
     chromatic_value,
     complete_graph,
     components_partition,
-    compositions_refining,
     corpus,
     discrete_graph,
     flats,
@@ -32,14 +31,15 @@ from grhopf import (
     linear_orders,
     matchings,
     ordered_bipartitions,
-    ordered_tripartitions,
-    partitions_refining,
     set_compositions,
-    set_partitions,
     stable_compositions,
-    stable_partitions,
 )
-from grhopf.enumerators import _ordered_bipartitions, _ordered_tripartitions, _refinements
+from grhopf.enumerators import (
+    _ordered_bipartitions,
+    _ordered_tripartitions,
+    _refinements,
+    _refining_payloads,
+)
 from grhopf.graphs import _BIT, _labels_of, _mask_of
 from grhopf.monoids import _flats_below, _p_in_m
 
@@ -72,7 +72,7 @@ def test_ordered_bipartitions_count_and_disjointness():
 
 
 def test_ordered_tripartitions_count():
-    trips = ordered_tripartitions("abc")
+    trips = _decoded(_ordered_tripartitions(_mask_of("abc")))
     assert len(trips) == 27
     for a, b, c in trips:
         assert a | b | c == frozenset("abc")
@@ -107,17 +107,14 @@ def test_mask_splits_follow_label_order_not_bit_order():
             mask = _mask_of(labels)
             got = _decoded(_ordered_bipartitions(mask))
             assert got == _splits_by_labels(labels, 2) == ordered_bipartitions(labels)
-            got = _decoded(_ordered_tripartitions(mask))
-            assert got == _splits_by_labels(labels, 3) == ordered_tripartitions(labels)
+            assert _decoded(_ordered_tripartitions(mask)) == _splits_by_labels(labels, 3)
 
 
 @pytest.mark.parametrize(
     "enumerate_labels, where",
     [
-        (set_partitions, "twice in partition"),
         (set_compositions, "twice in composition"),
         (ordered_bipartitions, "twice in split"),
-        (ordered_tripartitions, "twice in split"),
     ],
 )
 def test_label_enumerators_refuse_a_repeated_label(enumerate_labels, where):
@@ -159,17 +156,11 @@ def test_set_compositions_count_is_fubini():
 
 def test_set_partitions_count_is_bell():
     for n, labels in [(0, ""), (1, "a"), (2, "ab"), (3, "abc"), (4, "abcd"), (5, "abcde")]:
-        assert len(set_partitions(labels)) == bell_number(n)
-    refs = partitions_refining((("a", "b", "c"),))
-    assert len(refs) == bell_number(3)
-    # canonical blocks in literal order: "a,b/c" before "a/b/c"
-    assert partitions_refining((("a", "b"), ("c",))) == [
-        (("a", "b"), ("c",)),
-        (("a",), ("b",), ("c",)),
-    ]
-    # overlapping blocks are no partition to refine
-    with pytest.raises(InputError, match="label 'a' appears in two blocks"):
-        partitions_refining((("a", "b"), ("a",)))
+        for mid in ("Pi_m", "Pi_p"):
+            assert len(get_monoid(mid).basis(discrete_graph(labels))) == bell_number(n)
+    assert len(_refinements(PartitionM([("a", "b", "c")]).masks)) == bell_number(3)
+    below = _refinements(PartitionM([("a", "b"), ("c",)]).masks)
+    assert sorted(PartitionM._of(p).literal() for p in below) == ["a,b/c", "a/b/c"]
 
 
 def test_partitions_refining_keeps_literal_order_against_bit_order():
@@ -181,15 +172,16 @@ def test_partitions_refining_keeps_literal_order_against_bit_order():
     literals = [PartitionM._of(p).literal() for p in lattice]
     # the cached lattice is in enumeration order, which is not literal order
     assert literals != sorted(literals)
-    refs = partitions_refining([labels])
-    assert refs == set_partitions(labels)
-    assert refs == sorted(refs, key=lambda p: "/".join(map(",".join, p)))
-    assert len(refs) == bell_number(4)
+    # the basis lists the same partitions by literal
+    basis = [k.literal() for k in get_monoid("Pi_m").basis(discrete_graph(labels))]
+    assert basis == sorted(literals)
+    assert len(basis) == bell_number(4)
 
 
 def test_stable_structures_on_path():
     g = path3()
     # blocks must avoid edges ab, bc: {a,c} is the only nonsingleton block
+    stable_partitions = get_monoid("SPi_m").basis
     assert len(stable_partitions(g)) == 2
     assert len(stable_compositions(g)) == 8
     assert len(stable_partitions(complete_graph("abc"))) == 1
@@ -197,12 +189,17 @@ def test_stable_structures_on_path():
     assert len(stable_partitions(discrete_graph("abc"))) == bell_number(3)
 
 
+def _refining_keys(coarse):
+    return [SetCompositionKey._of(p) for p in _refining_payloads(coarse.masks)]
+
+
 def test_compositions_refining_counts():
     # refinements of one k-block composition multiply per-block counts
-    assert len(compositions_refining(comp("a,b,c"))) == fubini_number(3)
-    assert len(compositions_refining(comp("a,b|c,d"))) == 9
-    allc = compositions_refining(comp("a,b|c"))
+    assert len(_refining_keys(comp("a,b,c"))) == fubini_number(3)
+    assert len(_refining_keys(comp("a,b|c,d"))) == 9
+    allc = _refining_keys(comp("a,b|c"))
     assert comp("b|a|c") in allc and comp("a|c|b") not in allc
+    assert len(set(allc)) == len(allc)
 
 
 def test_every_basis_and_enumerator_is_sorted_by_literal():
@@ -214,18 +211,11 @@ def test_every_basis_and_enumerator_is_sorted_by_literal():
     )
     for g in graphs:
         listings = {mid: [k.literal() for k in get_monoid(mid).basis(g)] for mid in MONOID_IDS}
-        coarse = SetCompositionKey([g.vertices])
         listings.update(
             linear_orders=[k.literal() for k in linear_orders(g.vertices)],
             acyclic_orientations=[k.literal() for k in acyclic_orientations(g)],
             set_compositions=[k.literal() for k in set_compositions(g.vertices)],
             stable_compositions=[k.literal() for k in stable_compositions(g)],
-            compositions_refining=[k.literal() for k in compositions_refining(coarse)],
-            set_partitions=[PartitionM(p).literal() for p in set_partitions(g.vertices)],
-            stable_partitions=[PartitionM(p).literal() for p in stable_partitions(g)],
-            partitions_refining=[
-                PartitionM(p).literal() for p in partitions_refining([g.vertices])
-            ],
             flats=[FlatM(es).literal() for es in flats(g)],
             matchings=[FlatM(es).literal() for es in matchings(g)],
         )
@@ -288,10 +278,10 @@ def test_stable_partitions_are_partitions_with_independent_blocks(mask):
     names = "abcd"
     pairs = [(names[i], names[j]) for i in range(4) for j in range(i + 1, 4)]
     g = Graph(names, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
-    stable = stable_partitions(g)
-    assert set(stable) <= set(set_partitions(names))
+    stable = get_monoid("SPi_m").basis(g)
+    assert set(stable) <= set(get_monoid("Pi_m").basis(g))
     for p in stable:
-        for block in p:
+        for block in p.blocks:
             for i, u in enumerate(block):
                 for v in block[i + 1 :]:
                     assert not g.has_edge(u, v)
@@ -352,12 +342,14 @@ def test_mask_kernels_agree_with_label_level_brute_force(g):
         return not any(g.has_edge(u, v) for i, u in enumerate(block) for v in block[i + 1 :])
 
     every = _by_literal(map(_canonical, _partitions_by_labels(g.vertices)), "/")
-    assert set_partitions(g.vertices) == every
-    assert stable_partitions(g) == [p for p in every if all(map(independent, p))]
+    assert [k.blocks for k in get_monoid("Pi_m").basis(g)] == every
+    stable = [p for p in every if all(map(independent, p))]
+    assert [k.blocks for k in get_monoid("SPi_m").basis(g)] == stable
     for coarse in every:
         per_block = [list(_partitions_by_labels(b)) for b in coarse]
         below = {_canonical(b for piece in choice for b in piece) for choice in product(*per_block)}
-        assert partitions_refining(coarse) == _by_literal(below, "/"), coarse
+        lattice = [PartitionM._of(p).blocks for p in _refinements(PartitionM(coarse).masks)]
+        assert _by_literal(lattice, "/") == _by_literal(below, "/"), coarse
     compositions = [c for p in every for c in permutations(p) if all(map(independent, c))]
     assert [k.blocks for k in stable_compositions(g)] == _by_literal(compositions, "|")
 
@@ -391,7 +383,7 @@ def test_mask_kernels_agree_with_label_level_brute_force(g):
             parts[a].append(v)
         triples.append(tuple(frozenset(p) for p in parts))
     triples.sort(key=lambda abc: tuple(sorted(p) for p in abc))
-    assert ordered_tripartitions(g.vertices) == triples
+    assert _decoded(_ordered_tripartitions(g.mask)) == triples
 
 
 # ---------------------------------------------------------------- identities

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
 nothing it defines goes unreferenced, what only tests or demos reach is
-public, and importing the package loads no process pool machinery."""
+public, what only tests reach is kept on purpose, and importing the package
+loads no process pool machinery."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -200,9 +202,43 @@ def test_a_private_definition_only_tests_reach_is_caught(tmp_path):
     ]
 
 
+# The public definitions that no module or demo reads and README.md does not
+# name, each with the reason it stays.  Any other such definition is API
+# that only tests keep alive.
+KEPT_FOR_TESTS = {
+    "ordered_bipartitions": "five test modules take it as the reference split order",
+    "complete_graph": "graph fixture",
+    "discrete_graph": "graph fixture",
+    "Graph.has_edge": "graph fixture",
+    "unit_element": "the Hopf unit",
+    "counit_value": "the Hopf counit",
+    "_LinearCombination.is_zero": "element API (Element.is_zero)",
+    "_LinearCombination.specialize": "element API (Element.specialize)",
+    "QTPolynomial.is_zero": "polynomial API",
+}
+
+
+def _only_tests_reach(package: Path, demos: Path, readme: Path) -> list[str]:
+    """Qualified names of the definitions in package/*.py that no module of
+    the package and no demo reads, and whose name appears in no inline code
+    span of readme."""
+    spans = re.findall(r"`+([^`]+)`+", readme.read_text(encoding="utf-8"))
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    return [
+        qualname
+        for _file, qualname in _unreferenced(package, (package, demos))
+        if qualname.rpartition(".")[2] not in named
+    ]
+
+
+def test_what_only_tests_reach_is_kept_on_purpose():
+    found = _only_tests_reach(SRC, ROOT / "demos", ROOT / "README.md")
+    assert sorted(found) == sorted(KEPT_FOR_TESTS)
+
+
 def test_import_loads_no_process_pool_or_dataclasses():
     # a serial run never starts a process, so it need not import the pool;
-    # CheckRecord and VerificationReport are plain classes
+    # CheckRecord and VerificationReport are named tuples
     script = (
         "import sys, grhopf\n"
         "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses')"

@@ -210,6 +210,16 @@ def test_stanley_counts_the_orientation_kernel_without_interning_keys():
     assert len(AcyclicOrientation._keys) == interned
 
 
+def test_fl_m_closed_form_counts_orientations_without_interning_keys():
+    for n in (4, 5):
+        # fresh labels: an orientation key of a quotient would be a new entry
+        labels = [f"fl_m_fresh_{n}_{i}" for i in range(n)]
+        g = Graph(labels, [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]])
+        interned = len(AcyclicOrientation._keys)
+        assert all(r.passed for r in check_antipode("FL_M", g)), n
+        assert len(AcyclicOrientation._keys) == interned, n
+
+
 def test_monoid_selection():
     rep = run_suite("bimonoid", 2, monoids=["L", "AO", "L"])
     assert rep.selection == ("L", "AO")
