@@ -32,9 +32,10 @@ class QTPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        items = list(terms.items() if isinstance(terms, dict) else terms)
-        if any(qe < 0 or te < 0 for (qe, te), _c in items):
-            raise ValueError("exponents must be nonnegative")
+        items = terms.items() if isinstance(terms, dict) else list(terms)
+        for (qe, te), _c in items:
+            if qe < 0 or te < 0:
+                raise ValueError("exponents must be nonnegative")
         self._terms = _accumulate({}, items)
 
     # ------------------------------------------------------------ constructors
