@@ -220,8 +220,8 @@ KEPT_FOR_TESTS = {
 
 def _only_tests_reach(package: Path, demos: Path, readme: Path) -> list[str]:
     """Qualified names of the definitions in package/*.py that no module of
-    the package and no demo reads, and whose name appears in no inline code
-    span of readme."""
+    the package and no demo reads, and whose name appears in no code span
+    or block of readme."""
     spans = re.findall(r"`+([^`]+)`+", readme.read_text(encoding="utf-8"))
     named = {word for span in spans for word in re.findall(r"\w+", span)}
     return [
