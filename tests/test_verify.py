@@ -2,9 +2,12 @@
 
 import concurrent.futures
 import copy
+import hashlib
 import importlib
+import json
 import os
 import pickle
+import random
 from collections import Counter
 from functools import partial
 
@@ -442,6 +445,32 @@ def test_expected_commutativity_tables_partition_flavors():
         failing = EXPECTED_FAILING[mid]
         assert always | failing == set(COMMUTATIVITY_FLAVORS)
         assert not (always & failing)
+
+
+# sha256 of the JSON list of every record's [check, monoid, graph, passed] in
+# run_suite("all", 5, monoids=["E"], seed=3, samples6=2)
+WORK_LIST_DIGEST = "c275fd46ad73a403e0d757208dce963895795de850c74d697c2d9932005abccb"
+
+
+def test_all_suites_walk_one_work_list():
+    rep = run_suite("all", 5, monoids=["E"], seed=3, samples6=2)
+    rows = [[r.check, r.monoid, r.graph, r.passed] for r in rep.records]
+    assert len(rows) == 2570
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == WORK_LIST_DIGEST
+    five = [g for g in corpus(5) if g.n == 5]
+    sample = [g.to_text() for g in random.Random(3).sample(five, verify.SAMPLE_GRAPHS_5)]
+    five_texts = {g.to_text() for g in five}
+
+    def five_vertex_graphs(check):
+        return [r.graph for r in rep.records if r.check == check and r.graph in five_texts]
+
+    # the expensive suites name the same seeded sample, in its order
+    for check in ("bimonoid", "antipode", "commutativity", "morphism"):
+        assert five_vertex_graphs(check) == sample, check
+    # the light suites walk every five-vertex graph in corpus order
+    everything = [g.to_text() for g in five]
+    for check in ("functors", "stanley"):
+        assert five_vertex_graphs(check) == everything, check
 
 
 def test_suites_tuple():
