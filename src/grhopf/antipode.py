@@ -56,7 +56,7 @@ from .keys import (
     PartitionM,
     SetCompositionKey,
 )
-from .monoids import _crossing_exponents, _store, get_monoid
+from .monoids import _checked, _crossing_exponents, _store, get_monoid
 
 # Closed forms compared unconditionally against the general methods; the
 # composition and flat-m forms are oracle-gated (verdict recorded by the
@@ -111,10 +111,7 @@ def antipode_element(mid: str, g: Graph, x: Element, method: str = "takeuchi") -
     share one recursion memo."""
     route = _route(method)
     spec = _store(get_monoid(mid), g)
-    if x.monoid != mid or x.graph != g:
-        raise InputError("element does not live on this graph/monoid")
-    for k in x.terms:
-        spec.validate_key(g, k)
+    _checked(spec, g, x)
     memo: dict = {}
     return linear_extend(lambda k: _element(mid, g, route(spec, g, k, memo)), x)
 

@@ -9,8 +9,9 @@ integers, and so does the braiding; only element-level code, and a
 witness that prints one, turns an exponent pair into a `QTPolynomial`.
 Each structure names its key class; `validate_key` is where a key is
 checked against a graph (a key constructor only refuses a repeat), and the
-element-level wrappers extend the key-level maps linearly after validating
-every term they are given.
+element-level wrappers extend the key-level maps linearly after `_checked`
+has refused any element of another monoid or graph and validated every
+term they are given; the morphisms and the antipode use it too.
 
 A split (S, T) is a pair of vertex masks at the key level (`product_key`,
 `coproduct_key`, `braiding`) and a pair of label sets at the element level
@@ -488,6 +489,15 @@ def _check_split(g: Graph, S, T) -> tuple[int, int]:
     return _mask_of(s), _mask_of(t)
 
 
+def _checked(spec: MonoidSpec, g: Graph, x: Element) -> None:
+    """Refuse x unless it is an element of spec's monoid on g whose every
+    key is a basis key of g: the one refusal of a foreign element."""
+    if x.monoid != spec.id or x.graph != g:
+        raise InputError("element does not live on this graph/monoid")
+    for k in x.terms:
+        spec.validate_key(g, k)
+
+
 def make_element(mid: str, g: Graph, key_or_terms, coeff=1) -> Element:
     """Validated Element constructor."""
     spec = get_monoid(mid)
@@ -507,15 +517,8 @@ def product(mid: str, g: Graph, S, T, x: Element, y: Element) -> Element:
     """The (S, T) product component applied to elements on G_S and G_T."""
     spec = get_monoid(mid)
     s, t = _check_split(g, S, T)
-    gs, gt = g._induced(s), g._induced(t)
-    if x.graph != gs or y.graph != gt:
-        raise InputError("factors do not live on the induced subgraphs of the split")
-    if x.monoid != mid or y.monoid != mid:
-        raise InputError("factors belong to a different monoid")
-    for k in x.terms:
-        spec.validate_key(gs, k)
-    for k in y.terms:
-        spec.validate_key(gt, k)
+    _checked(spec, g._induced(s), x)
+    _checked(spec, g._induced(t), y)
     out = Element.zero(mid, g)
     _accumulate(
         out.terms,
@@ -532,10 +535,7 @@ def coproduct_component(mid: str, g: Graph, S, T, x: Element) -> TensorElement:
     """The (S, T) coproduct component applied to an element on g."""
     spec = get_monoid(mid)
     s, t = _check_split(g, S, T)
-    if x.monoid != mid or x.graph != g:
-        raise InputError("element does not live on this graph/monoid")
-    for k in x.terms:
-        spec.validate_key(g, k)
+    _checked(spec, g, x)
     out = TensorElement.zero(mid, g._induced(s), g._induced(t))
     _accumulate(
         out.terms,
@@ -623,11 +623,7 @@ def basis_change(mid_from: str, mid_to: str, g: Graph, x: Element) -> Element:
     """Rewrite x between the m/p (or M/P) bases of the same family."""
     if BASIS_PARTNER.get(mid_from) != mid_to:
         raise InputError(f"no basis change from {mid_from} to {mid_to}")
-    if x.monoid != mid_from or x.graph != g:
-        raise InputError("element does not match the stated source basis")
-    src = get_monoid(mid_from)
-    for k in x.terms:
-        src.validate_key(g, k)
+    _checked(get_monoid(mid_from), g, x)
     rebased = _rebased(mid_from, {k._payload: c for k, c in x.terms.items()})
     key_of = get_monoid(mid_to).key_cls._of
     out = Element.zero(mid_to, g)

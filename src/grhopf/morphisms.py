@@ -29,7 +29,7 @@ from .keys import (
     SetCompositionKey,
     UnitKey,
 )
-from .monoids import MONOIDS, get_monoid
+from .monoids import MONOIDS, _checked, get_monoid
 
 
 class Morphism:
@@ -190,11 +190,7 @@ def apply_path(path: tuple[str, ...], g: Graph, x: Element) -> Element:
     later morphism that is unknown or does not apply where the path has
     reached, and an image that is no basis key of its monoid."""
     cod = get_morphism(path[0]).codomain(x.monoid) if path else x.monoid
-    if x.graph != g:
-        raise InputError("element does not live on the stated graph")
-    dom_spec = MONOIDS[x.monoid]
-    for k in x.terms:
-        dom_spec.validate_key(g, k)
+    _checked(get_monoid(x.monoid), g, x)
     for name in path[1:]:
         cod = get_morphism(name).codomain(cod)
     out = Element.zero(cod, g)

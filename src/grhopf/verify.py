@@ -30,11 +30,18 @@ maps give each coefficient as its exponent pair (qe, te), so the checks add
 exponents where a law multiplies monomials and compare tuples of integers;
 a witness prints the pair as a `QTPolynomial` (`_coeff_str`).
 
-Checks are grouped into named suites.  `run_suite` returns a
-`VerificationReport` holding one `CheckRecord` per (check, monoid, graph)
-triple; record order is deterministic for a given (suite, n_max, seed),
-including under --jobs parallelism.  Both are named tuples, so they
-compare, print and pickle by their fields.
+Checks are grouped into named suites.  One table, `_SUITE_RECORDS`, maps
+each concrete suite to its record builder, (monoid ids, graph, key cap) ->
+(records, observed commutativity failures); `SUITES` is its keys in order,
+then "all".  `run_suite` builds one work list per run: the corpus once, the
+seeded sample of five-vertex graphs for the expensive suites once, and the
+stanley suite's six-vertex samples only when that suite runs.  Each task is
+a (suite, monoid ids, graph, key cap) tuple, which a worker process looks
+up in the table by suite name.  `run_suite` returns a `VerificationReport`
+holding one `CheckRecord` per (check, monoid, graph) triple; record order
+is deterministic for a given (suite, n_max, seed), including under --jobs
+parallelism.  Both are named tuples, so they compare, print and pickle by
+their fields.
 """
 
 from __future__ import annotations
@@ -78,17 +85,6 @@ from .morphisms import DIAGRAMS, MORPHISMS, _along, get_morphism
 from .qtpoly import QTPolynomial
 
 MAX_CORPUS_N = 5
-
-SUITES = (
-    "bimonoid",
-    "antipode",
-    "commutativity",
-    "morphisms",
-    "functors",
-    "stanley",
-    "basis-change",
-    "all",
-)
 
 # suites whose per-graph cost explodes at n=5; they run on a seeded sample
 # of 5-vertex graphs with a per-basis key cap instead of the full 1024
@@ -253,6 +249,13 @@ def sampled_graphs(n: int, count: int, seed: int) -> list[Graph]:
 def _capped_basis(mid: str, g: Graph, key_cap: int | None):
     # a tuple's slice covering all of it is the tuple itself
     return _basis_cached(mid, g)[:key_cap]
+
+
+def _refuse_bad_cap(key_cap: int | None) -> None:
+    """Refuse a key cap below 1, which would slice off the basis's last
+    keys, or all of them, and let the check pass on what is left."""
+    if key_cap is not None and key_cap < 1:
+        raise InputError(f"key_cap must be positive, got {key_cap}")
 
 
 def _record(check: str, subject: str, g: Graph, witness: dict | None) -> CheckRecord:
@@ -494,6 +497,7 @@ def check_bimonoid(mid: str, g: Graph, key_cap: int | None = None) -> CheckRecor
     and (for sub-monoids) closure, on one graph.  One record; the detail
     carries the first failing axiom's counterexample.  The axioms read the
     cached copy of `monoids._store`."""
+    _refuse_bad_cap(key_cap)
     spec = _store(get_monoid(mid), g)
     witness = (
         _assoc_witness(spec, g, key_cap)
@@ -517,6 +521,7 @@ def check_antipode(mid: str, g: Graph, key_cap: int | None = None) -> list[Check
 
     Returns the main `antipode` record plus, for monoids whose closed form
     is oracle-gated, a separate `antipode_closed_form_verdict` record."""
+    _refuse_bad_cap(key_cap)
     spec = _store(get_monoid(mid), g)
     # one recursion memo per side for the whole check: the routes, the
     # convolution laws and the involution share each (subgraph, key) map
@@ -627,6 +632,7 @@ def check_commutativity(
     aggregates corpus-wide witnesses for the must-fail flavors.  Products
     and coproducts come from the cached copy of `monoids._store`, each
     key's coproducts in both directions from one row."""
+    _refuse_bad_cap(key_cap)
     spec = _store(get_monoid(mid), g)
     rows = [(key, spec.coproducts(g, key)) for key in _capped_basis(mid, g, key_cap)]
     # flavor -> its first witness; built only when some flavor first fails
@@ -792,12 +798,14 @@ def check_morphism(name: str, g: Graph, key_cap: int | None = None) -> CheckReco
     """One morphism, one graph: the induced map must intertwine products and
     coproducts on every route, with deformation parameters specialized away
     whenever the two ends disagree on them."""
+    _refuse_bad_cap(key_cap)
     witness = _morphism_witness(get_morphism(name), g, key_cap)
     return _record("morphism", name, g, witness)
 
 
 def check_diagram(diagram_name: str, g: Graph, key_cap: int | None = None) -> CheckRecord:
     """Both composites around one pasted diagram agree on every basis key."""
+    _refuse_bad_cap(key_cap)
     for name, dom_id, path_a, path_b in DIAGRAMS:
         if name == diagram_name:
             break
@@ -926,9 +934,12 @@ def check_basis_change(mid: str, g: Graph) -> CheckRecord:
     """Round trip through the partner basis is the identity on every key,
     and every key's image lies in the partner basis of g.  The round trip
     runs on {payload: int} maps, out by one route and back by the other
-    (`monoids._rebased`); an `Element` is built only for a witness."""
+    (`monoids._rebased`); an `Element` is built only for a witness.  Refused
+    for a monoid without a partner basis."""
     spec = get_monoid(mid)
-    partner = BASIS_PARTNER[mid]
+    partner = BASIS_PARTNER.get(mid)
+    if partner is None:
+        raise InputError(f"{mid} has no partner basis")
     partner_spec = get_monoid(partner)
     partner_payloads = {k._payload for k in partner_spec.basis(g)}
     for key in spec.basis(g):
@@ -956,94 +967,64 @@ def check_basis_change(mid: str, g: Graph) -> CheckRecord:
 # suite driver
 
 
-def _graph_records(
-    suite: str,
-    mids: tuple[str, ...],
-    g: Graph,
-    key_cap: int | None,
-) -> tuple[list[CheckRecord], list[tuple[str, str, dict]]]:
-    """All records for one concrete suite on one graph, plus observed
-    (monoid, flavor, witness) commutativity failures for corpus aggregation.
-    The morphisms suite checks the morphisms with a domain in `mids` and the
-    diagrams rooted in `mids`."""
+def _commutativity_records(mids, g: Graph, key_cap):
+    """One commutativity record per monoid, plus the observed (monoid,
+    flavor, witness) failures of its must-fail flavors, which `run_suite`
+    gathers into corpus-level witness records."""
     records: list[CheckRecord] = []
-    observed_failures: list[tuple[str, str, dict]] = []
-    if suite == "bimonoid":
-        for mid in mids:
-            records.append(check_bimonoid(mid, g, key_cap))
-    elif suite == "antipode":
-        for mid in mids:
-            records.extend(check_antipode(mid, g, key_cap))
-    elif suite == "commutativity":
-        for mid in mids:
-            flavor_results = check_commutativity(mid, g, key_cap)
-            bad = None
-            for flavor in sorted(EXPECTED_ALWAYS[mid]):
-                holds, witness = flavor_results[flavor]
-                if not holds:
-                    bad = {"flavor": flavor, **witness}
-                    break
-            # a passing record lists every flavor that holds on g
-            holding = sorted(f for f, (ok, _) in flavor_results.items() if ok)
-            records.append(
-                CheckRecord(
-                    "commutativity",
-                    mid,
-                    g.to_text(),
-                    bad is None,
-                    bad or {"holds": holding},
-                )
-            )
-            for flavor in sorted(EXPECTED_FAILING[mid]):
-                holds, witness = flavor_results[flavor]
-                if not holds:
-                    observed_failures.append((mid, flavor, witness or {}))
-    elif suite == "morphisms":
-        for name, morphism in MORPHISMS.items():
-            if any(d in mids for d in morphism.routes):
-                records.append(check_morphism(name, g, key_cap))
-        for name, dom, _, _ in DIAGRAMS:
-            if dom in mids:
-                records.append(check_diagram(name, g, key_cap))
-    elif suite == "functors":
-        for mid in mids:
-            records.append(check_functors(mid, g))
-    elif suite == "stanley":
-        records.append(check_stanley(g))
-    elif suite == "basis-change":
-        for mid in mids:
-            if mid in BASIS_PARTNER:
-                records.append(check_basis_change(mid, g))
-    else:
-        raise InputError(f"unknown concrete suite {suite!r}")
-    return records, observed_failures
+    observed: list[tuple[str, str, dict]] = []
+    for mid in mids:
+        flavor_results = check_commutativity(mid, g, key_cap)
+        bad = None
+        for flavor in sorted(EXPECTED_ALWAYS[mid]):
+            holds, witness = flavor_results[flavor]
+            if not holds:
+                bad = {"flavor": flavor, **witness}
+                break
+        # a passing record lists every flavor that holds on g
+        holding = sorted(f for f, (ok, _) in flavor_results.items() if ok)
+        records.append(
+            CheckRecord("commutativity", mid, g.to_text(), bad is None, bad or {"holds": holding})
+        )
+        for flavor in sorted(EXPECTED_FAILING[mid]):
+            holds, witness = flavor_results[flavor]
+            if not holds:
+                observed.append((mid, flavor, witness))
+    return records, observed
+
+
+# each concrete suite's record builder: (monoid ids, graph, key cap) ->
+# (records, observed commutativity failures).  The morphisms suite checks
+# the morphisms with a domain in the selection and the diagrams rooted there.
+_SUITE_RECORDS = {
+    "bimonoid": lambda mids, g, cap: ([check_bimonoid(mid, g, cap) for mid in mids], []),
+    "antipode": lambda mids, g, cap: (
+        [r for mid in mids for r in check_antipode(mid, g, cap)], []
+    ),
+    "commutativity": _commutativity_records,
+    "morphisms": lambda mids, g, cap: (
+        [
+            check_morphism(name, g, cap)
+            for name, morphism in MORPHISMS.items()
+            if any(d in mids for d in morphism.routes)
+        ]
+        + [check_diagram(name, g, cap) for name, dom, _, _ in DIAGRAMS if dom in mids],
+        [],
+    ),
+    "functors": lambda mids, g, cap: ([check_functors(mid, g) for mid in mids], []),
+    "stanley": lambda mids, g, cap: ([check_stanley(g)], []),
+    "basis-change": lambda mids, g, cap: (
+        [check_basis_change(mid, g) for mid in mids if mid in BASIS_PARTNER], []
+    ),
+}
+
+SUITES = (*_SUITE_RECORDS, "all")
 
 
 def _worker(task):
-    return _graph_records(*task)
-
-
-def _suite_graphs(
-    suite: str, all_graphs: list[Graph], seed: int
-) -> list[tuple[Graph, int | None]]:
-    """The (graph, key cap) work list for one concrete suite.
-
-    Expensive suites keep every graph on at most 4 vertices but replace the
-    1024 five-vertex graphs by a seeded sample with a per-basis key cap."""
-    if suite in EXPENSIVE_SUITES:
-        small = [g for g in all_graphs if g.n <= 4]
-        big = [g for g in all_graphs if g.n >= 5]
-        tasks: list[tuple[Graph, int | None]] = [(g, None) for g in small]
-        if big:
-            rng = random.Random(seed)
-            chosen = (
-                big
-                if len(big) <= SAMPLE_GRAPHS_5
-                else rng.sample(big, SAMPLE_GRAPHS_5)
-            )
-            tasks.extend((g, KEY_CAP_5) for g in chosen)
-        return tasks
-    return [(g, None) for g in all_graphs]
+    # a task names its suite, so that it pickles without the builder
+    suite, mids, g, key_cap = task
+    return _SUITE_RECORDS[suite](mids, g, key_cap)
 
 
 def run_suite(
@@ -1077,16 +1058,21 @@ def run_suite(
             raise InputError("empty monoid selection")
 
     start = time.perf_counter()
-    base_graphs = corpus(n_max)
-    concrete = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-
-    tasks: list[tuple[str, tuple, Graph, int | None]] = []
-    for sub in concrete:
-        graphs = _suite_graphs(sub, base_graphs, seed)
-        if sub == "stanley" and samples6 > 0:
-            graphs = graphs + [(g, None) for g in sampled_graphs(6, samples6, seed)]
-        for g, cap in graphs:
-            tasks.append((sub, mids, g, cap))
+    graphs = corpus(n_max)
+    concrete = SUITES[:-1] if suite == "all" else (suite,)
+    # the run's one work list: the light suites walk the whole corpus; the
+    # expensive suites keep every graph on at most 4 vertices but replace the
+    # 1024 five-vertex graphs by one seeded sample with a per-basis key cap
+    small = [g for g in graphs if g.n <= 4]
+    big = graphs[len(small) :]
+    if len(big) > SAMPLE_GRAPHS_5:
+        big = random.Random(seed).sample(big, SAMPLE_GRAPHS_5)
+    sampled = [(g, None) for g in small] + [(g, KEY_CAP_5) for g in big]
+    exhaustive = [(g, None) for g in graphs]
+    work = {sub: sampled if sub in EXPENSIVE_SUITES else exhaustive for sub in concrete}
+    if "stanley" in work:
+        work["stanley"] = exhaustive + [(g, None) for g in sampled_graphs(6, samples6, seed)]
+    tasks = [(sub, mids, g, cap) for sub, pairs in work.items() for g, cap in pairs]
 
     records: list[CheckRecord] = []
     observed: list[tuple[str, str, dict]] = []
@@ -1109,28 +1095,19 @@ def run_suite(
         _clear_store()
 
     # corpus-level witness records: flavors expected to fail must actually
-    # fail somewhere, provided the corpus contains graphs that can show it
-    if ("commutativity" in concrete) and any(g.n >= 2 for g in base_graphs):
+    # fail somewhere, provided the corpus has graphs that can show it
+    if "commutativity" in work and n_max >= 2:
         found: dict[tuple[str, str], dict] = {}
         for mid, flavor, witness in observed:
             found.setdefault((mid, flavor), witness)
         for mid in mids:
             for flavor in sorted(EXPECTED_FAILING[mid]):
-                witness = found.get((mid, flavor))
-                detail = witness
-                if witness is None:
-                    detail = {"error": "no failing witness found in corpus"}
-                records.append(
-                    CheckRecord(
-                        "commutativity_witness",
-                        mid,
-                        "",
-                        witness is not None,
-                        {"flavor": flavor, **detail},
-                    )
-                )
+                witness = found.get((mid, flavor), {"error": "no failing witness found in corpus"})
+                detail = {"flavor": flavor, **witness}
+                passed = (mid, flavor) in found
+                records.append(CheckRecord("commutativity_witness", mid, "", passed, detail))
 
-    graph_count = len(base_graphs) + (samples6 if "stanley" in concrete else 0)
+    graph_count = len(graphs) + (samples6 if "stanley" in work else 0)
     return VerificationReport(
         suite=suite,
         n_max=n_max,

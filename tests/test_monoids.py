@@ -21,6 +21,8 @@ from grhopf import (
     QTPolynomial,
     T,
     TensorElement,
+    antipode_element,
+    apply_path,
     basis_change,
     bell_number,
     braiding_coeff,
@@ -32,6 +34,7 @@ from grhopf import (
     fubini_number,
     get_monoid,
     make_element,
+    morphism_apply,
     ordered_bipartitions,
     product,
     unit_element,
@@ -610,6 +613,37 @@ def test_product_and_coproduct_validate_every_term():
     short = Element.of("L", g, LinearOrder(("a", "x")))
     with pytest.raises(InputError, match="is not an order of"):
         coproduct_component("L", g, {"a"}, {"b", "c"}, short)
+
+
+def _foreign_element_cases():
+    g = p3()
+    ab = g.induced({"a", "b"})
+    y = one_term("L", g.induced({"c"}), "c")
+    return {
+        "product": ("L", ab, lambda x: product("L", g, {"a", "b"}, {"c"}, x, y)),
+        "coproduct_component": ("L", g, lambda x: coproduct_component("L", g, {"a"}, "bc", x)),
+        "basis_change": ("Pi_m", g, lambda x: basis_change("Pi_m", "Pi_p", g, x)),
+        "apply_path": ("L", g, lambda x: apply_path(("iota_L_SSigma", "pi_arrow_SSigma"), g, x)),
+        "morphism_apply": ("L", g, lambda x: morphism_apply("pi_arrow_L", g, x)),
+        "antipode_element": ("L", g, lambda x: antipode_element("L", g, x)),
+    }
+
+
+@pytest.mark.parametrize("element_map", list(_foreign_element_cases()))
+def test_element_maps_refuse_a_foreign_element(element_map):
+    mid, h, apply = _foreign_element_cases()[element_map]
+    apply(Element.of(mid, h, get_monoid(mid).basis(h)[0]))
+    # an element of another monoid: the morphisms do not apply to it
+    with pytest.raises(InputError):
+        apply(Element.of("E", h, get_monoid("E").basis(h)[0]))
+    # an element on another graph, whose key is a basis key there
+    other = h.complement()
+    with pytest.raises(InputError, match="^element does not live on this graph/monoid$"):
+        apply(Element.of(mid, other, get_monoid(mid).basis(other)[0]))
+    # a key over other labels, which an unvalidated Element holds
+    stray = get_monoid(mid).basis(Graph("xy", []))[0]
+    with pytest.raises(InputError):
+        apply(Element(mid, h, [(stray, 1)]))
 
 
 def test_unit_species_collapses_everything():

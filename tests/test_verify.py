@@ -8,8 +8,10 @@ import json
 import os
 import pickle
 import random
+import re
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -471,6 +473,12 @@ def test_all_suites_walk_one_work_list():
     everything = [g.to_text() for g in five]
     for check in ("functors", "stanley"):
         assert five_vertex_graphs(check) == everything, check
+
+
+def test_readme_names_every_suite_in_order():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Verification harness", 1)[1].split("\n## ", 1)[0]
+    assert tuple(re.findall(r"^- `([a-z-]+)`:", section, re.M)) == SUITES
 
 
 def test_suites_tuple():
@@ -1212,6 +1220,31 @@ def test_basis_change_image_outside_the_partner_basis_witness(monkeypatch):
         "partner_basis": "Pi_p",
         "outside_basis": "v1/v2/v3",
     }
+
+
+def test_basis_change_check_refuses_a_monoid_without_a_partner_basis():
+    for mid in ("L", "Sigma", "E"):
+        with pytest.raises(InputError, match=f"^{mid} has no partner basis$"):
+            check_basis_change(mid, _P3)
+
+
+@pytest.mark.parametrize("key_cap", [0, -1])
+@pytest.mark.parametrize(
+    "check, subject",
+    [
+        (check_bimonoid, "L"),
+        (check_antipode, "L"),
+        (check_commutativity, "L"),
+        (check_morphism, "iota_L_SSigma"),
+        (check_diagram, "order_composition_triangle"),
+    ],
+    ids=["bimonoid", "antipode", "commutativity", "morphism", "diagram"],
+)
+def test_checks_refuse_a_key_cap_below_one(check, subject, key_cap):
+    # a cap of -1 would check every key but the last, and 0 none at all
+    with pytest.raises(InputError, match=f"^key_cap must be positive, got {key_cap}$"):
+        check(subject, _P3, key_cap)
+    check(subject, _P3, 1)
 
 
 def test_stanley_witness(monkeypatch):
