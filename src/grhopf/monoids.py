@@ -492,7 +492,8 @@ def _check_split(g: Graph, S, T) -> tuple[int, int]:
 def _checked(spec: MonoidSpec, g: Graph, x: Element) -> None:
     """Refuse x unless it is an element of spec's monoid on g whose every
     key is a basis key of g: the one refusal of a foreign element."""
-    if not isinstance(x, Element) or x.monoid != spec.id or x.graph != g:
+    # an Element's context is (monoid, graph); graphs are interned
+    if not isinstance(x, Element) or x.context != (spec.id, g):
         raise InputError("element does not live on this graph/monoid")
     for k in x.terms:
         spec.validate_key(g, k)
