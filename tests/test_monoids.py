@@ -641,9 +641,8 @@ def test_element_maps_refuse_a_foreign_element(element_map):
     with pytest.raises(InputError, match="^element does not live on this graph/monoid$"):
         apply(Element.of(mid, other, get_monoid(mid).basis(other)[0]))
     # no element at all: a tensor of the monoid
-    tensor = TensorElement(mid, h, h, ())
     with pytest.raises(InputError, match="^element does not live on this graph/monoid$"):
-        apply(tensor)
+        apply(TensorElement(mid, h, h, ()))
     # a key over other labels, which an unvalidated Element holds
     stray = get_monoid(mid).basis(Graph("xy", []))[0]
     with pytest.raises(InputError):
