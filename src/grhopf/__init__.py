@@ -21,17 +21,13 @@ from .antipode import (
 )
 from .elements import Element, TensorElement, linear_extend
 from .enumerators import (
-    acyclic_orientations,
     bell_number,
     flats,
     fubini_number,
     is_flat,
     is_matching,
-    linear_orders,
     matchings,
     ordered_bipartitions,
-    set_compositions,
-    stable_compositions,
 )
 from .errors import GraphParseError, InputError
 from .graphs import (
@@ -134,7 +130,6 @@ __all__ = [
     "UnitKey",
     "VerificationReport",
     "ZERO",
-    "acyclic_orientations",
     "antipode",
     "antipode_element",
     "antipode_table",
@@ -166,7 +161,6 @@ __all__ = [
     "is_flat",
     "is_matching",
     "linear_extend",
-    "linear_orders",
     "make_element",
     "matchings",
     "morphism_apply",
@@ -175,7 +169,5 @@ __all__ = [
     "product",
     "run_suite",
     "sampled_graphs",
-    "set_compositions",
-    "stable_compositions",
     "unit_element",
 ]

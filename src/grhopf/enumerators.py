@@ -1,9 +1,9 @@
-"""Exhaustive enumeration of the combinatorial structures on small graphs.
+"""Exhaustive enumeration kernels for the structures on small graphs.
 
-Every enumerator returns a list sorted by the canonical literal of the
-produced object, so listings, iteration orders, and reports are
-deterministic across runs and platforms.  These are desk-scale algorithms:
-exact, exhaustive, and pruned as soon as a branch fails.
+The kernels yield payloads, never keys (`monoids._basis_cached` makes and
+orders those); only `flats`, `matchings` and `ordered_bipartitions` return
+a list sorted by literal.  These are desk-scale algorithms: exact,
+exhaustive, and pruned as soon as a branch fails.
 
 Compositions and partitions come from two kernels on vertex masks, each
 with a block predicate `keep` that prunes a block as soon as it is chosen:
@@ -22,24 +22,12 @@ label sets.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
+from math import comb
 
 from .errors import InputError
 from .graphs import Graph, _labels_of, _mask_of, components_partition
-from .keys import (
-    AcyclicOrientation,
-    LinearOrder,
-    SetCompositionKey,
-    _block_masks,
-    _edges_literal,
-)
-
-
-def _keys_by_literal(cls, payloads) -> list:
-    """The keys of cls on these payloads, sorted by literal."""
-    out = [cls._of(p) for p in payloads]
-    out.sort(key=cls.literal)
-    return out
+from .keys import _block_masks, _edges_literal
 
 
 # ---------------------------------------------------------------- splits
@@ -73,13 +61,6 @@ def _ordered_tripartitions(mask: int) -> list[tuple[int, int, int]]:
         for a, rest in _ordered_bipartitions(mask)
         for b, c in _ordered_bipartitions(rest)
     ]
-
-
-# ---------------------------------------------------------------- orders
-
-
-def linear_orders(labels) -> list[LinearOrder]:
-    return [LinearOrder(p) for p in sorted(permutations(labels), key="<".join)]
 
 
 # ---------------------------------------------------------------- orientations
@@ -121,11 +102,6 @@ def _acyclic_arc_sets(g: Graph) -> list[tuple[tuple[str, str], ...]]:
     return partial
 
 
-def acyclic_orientations(g: Graph) -> list[AcyclicOrientation]:
-    """All acyclic orientations of g (`_acyclic_arc_sets`) as keys."""
-    return _keys_by_literal(AcyclicOrientation, map(frozenset, _acyclic_arc_sets(g)))
-
-
 # ---------------------------------------------------------------- compositions
 
 
@@ -142,18 +118,6 @@ def _block_sequences(mask: int, keep):
             for tail in _block_sequences(mask ^ first, keep):
                 yield (first,) + tail
         first = (first - 1) & mask
-
-
-def set_compositions(labels) -> list[SetCompositionKey]:
-    """All set compositions into nonempty blocks (one empty composition for
-    the empty label set)."""
-    (mask,) = _block_masks([labels], "twice in composition")
-    return _keys_by_literal(SetCompositionKey, _block_sequences(mask, bool))
-
-
-def stable_compositions(g: Graph) -> list[SetCompositionKey]:
-    """Compositions all of whose blocks are independent sets of g."""
-    return _keys_by_literal(SetCompositionKey, _block_sequences(g.mask, g._independent))
 
 
 def _refining_payloads(masks):
@@ -183,12 +147,6 @@ def _block_sets(mask: int, keep):
         if not sub:
             return
         sub = (sub - 1) & rest
-
-
-def _partition_keys(cls, mask: int, keep) -> list:
-    """The keys of cls on the partitions of mask into blocks that pass
-    keep, sorted by literal."""
-    return _keys_by_literal(cls, (tuple(sorted(p)) for p in _block_sets(mask, keep)))
 
 
 @lru_cache(maxsize=None)
@@ -252,6 +210,8 @@ def matchings(g: Graph) -> list[frozenset]:
 
 def bell_number(n: int) -> int:
     """Bell number via the Bell triangle (independent of the enumerators)."""
+    if n < 0:
+        raise InputError(f"no Bell number of {n}")
     if n == 0:
         return 1
     row = [1]
@@ -265,8 +225,8 @@ def bell_number(n: int) -> int:
 
 def fubini_number(n: int) -> int:
     """Ordered Bell number via the double-sum recurrence."""
-    from math import comb
-
+    if n < 0:
+        raise InputError(f"no Fubini number of {n}")
     memo = [1]
     for m in range(1, n + 1):
         memo.append(sum(comb(m, k) * memo[m - k] for k in range(1, m + 1)))

@@ -14,7 +14,7 @@ The vertex-set keys (orders, compositions, partitions) hold vertex masks
 over the process-wide label map of `graphs`, under the name `masks`: an
 order is the tuple of its single-bit masks, a composition the tuple of its
 block masks, and a partition the sorted tuple of its block masks.  The
-enumerators and structure maps build them from masks through `_of`,
+basis cache and structure maps build them from masks through `_of`,
 which skips the label constructor.  Labels come back only at the
 boundary: literals, the `seq` and `blocks` label views, and pickles all
 decode the masks.  The edge-set keys (`arcs`, `edges`) hold frozensets of

@@ -11,7 +11,11 @@ Each structure names its key class; `validate_key` is where a key is
 checked against a graph (a key constructor only refuses a repeat), and the
 element-level wrappers extend the key-level maps linearly after `_checked`
 has refused any element of another monoid or graph and validated every
-term they are given; the morphisms and the antipode use it too.
+term they are given; the morphisms and the antipode use it too.  A
+structure's `_enumerate_basis(g)` yields payloads in any order, and
+`_basis_cached(spec, g)` is the one place that makes basis keys, orders
+them by literal and caches them, per spec object: a spec swapped into
+`MONOIDS` is asked for its own basis.
 
 A split (S, T) is a pair of vertex masks at the key level (`product_key`,
 `coproduct_key`, `braiding`) and a pair of label sets at the element level
@@ -63,6 +67,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from functools import cache, lru_cache, reduce
+from itertools import permutations
 from operator import or_
 
 from . import enumerators, keys
@@ -161,9 +166,10 @@ class MonoidSpec:
     # -- basis and validity
 
     def basis(self, g: Graph) -> tuple[BasisKey, ...]:
-        return _basis_cached(self.id, g)
+        return _basis_cached(self, g)
 
     def _enumerate_basis(self, g: Graph):
+        """The payloads of the basis keys on g, in any order."""
         raise NotImplementedError
 
     def empty_key(self) -> BasisKey:
@@ -232,7 +238,7 @@ class _OrderMonoid(_BlockSequenceMonoid):
     key_cls = LinearOrder
 
     def _enumerate_basis(self, g):
-        return enumerators.linear_orders(g.vertices)
+        return permutations([_BIT[v] for v in g.vertices])
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
@@ -247,7 +253,7 @@ class _OrientationMonoid(MonoidSpec):
     uses_t = False
 
     def _enumerate_basis(self, g):
-        return enumerators.acyclic_orientations(g)
+        return map(frozenset, enumerators._acyclic_arc_sets(g))
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
@@ -319,9 +325,7 @@ class _CompositionMonoid(_BlockSequenceMonoid):
         self.stable = stable
 
     def _enumerate_basis(self, g):
-        if self.stable:
-            return enumerators.stable_compositions(g)
-        return enumerators.set_compositions(g.vertices)
+        return enumerators._block_sequences(g.mask, g._independent if self.stable else bool)
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
@@ -337,7 +341,7 @@ class _PartitionMonoid(MonoidSpec):
 
     def _enumerate_basis(self, g):
         keep = g._independent if self.stable else bool
-        return enumerators._partition_keys(self.key_cls, g.mask, keep)
+        return [tuple(sorted(p)) for p in enumerators._block_sets(g.mask, keep)]
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
@@ -367,8 +371,7 @@ class _FlatMonoid(MonoidSpec):
             self.key_cls = FlatM if basis_tag == "M" else FlatP
 
     def _enumerate_basis(self, g):
-        sets = enumerators.matchings(g) if self.matchings_only else enumerators.flats(g)
-        return [self.key_cls._of(es) for es in sets]
+        return enumerators.matchings(g) if self.matchings_only else enumerators.flats(g)
 
     def validate_key(self, g, key):
         super().validate_key(g, key)
@@ -401,7 +404,7 @@ class _UnitSpeciesMonoid(MonoidSpec):
     key_cls = UnitKey
 
     def _enumerate_basis(self, g):
-        return [_UNIT]
+        return [None]
 
     def product_key(self, g, s, t, x, y):
         return _UNIT
@@ -442,8 +445,10 @@ def get_monoid(mid: str) -> MonoidSpec:
 
 
 @lru_cache(maxsize=None)
-def _basis_cached(mid: str, g: Graph) -> tuple[BasisKey, ...]:
-    return tuple(MONOIDS[mid]._enumerate_basis(g))
+def _basis_cached(spec: MonoidSpec, g: Graph) -> tuple[BasisKey, ...]:
+    """The basis of spec on g: its keys on `_enumerate_basis(g)`, by literal."""
+    cls = spec.key_cls
+    return tuple(sorted(map(cls._of, spec._enumerate_basis(g)), key=cls.literal))
 
 
 # spec object -> its cached copy, for the graphs induced from _store_root only
@@ -464,6 +469,7 @@ def _store(spec: MonoidSpec, g: Graph) -> MonoidSpec:
     twin = _STORE.get(spec)
     if twin is None:
         twin = _STORE[spec] = copy.copy(spec)
+        twin.basis = spec.basis  # one basis cache entry per spec, not per copy
         twin.product_key = cache(spec.product_key)
         twin.coproducts = cache(spec.coproducts)
     return twin
@@ -557,9 +563,10 @@ def unit_element(mid: str) -> Element:
 
 def counit_value(x: Element) -> QTPolynomial:
     """The counit: defined on the empty-graph component only."""
-    if x.graph.n != 0:
+    if not isinstance(x, Element) or x.graph.n != 0:
         raise InputError("counit applies to empty-graph elements only")
     spec = get_monoid(x.monoid)
+    _checked(spec, EMPTY_GRAPH, x)
     return x.coefficient(spec.empty_key())
 
 

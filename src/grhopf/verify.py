@@ -248,7 +248,7 @@ def sampled_graphs(n: int, count: int, seed: int) -> list[Graph]:
 
 def _capped_basis(mid: str, g: Graph, key_cap: int | None):
     # a tuple's slice covering all of it is the tuple itself
-    return _basis_cached(mid, g)[:key_cap]
+    return _basis_cached(MONOIDS[mid], g)[:key_cap]
 
 
 def _refuse_bad_cap(key_cap: int | None) -> None:
@@ -872,7 +872,7 @@ def _functor_witness(mid: str, g: Graph) -> dict | None:
             beta = spec.braiding(g, s_set, t_set)
             if beta[which]:
                 return {"law": law, "where": "braiding", "coefficient": _coeff_str(*beta)}
-            for key in _basis_cached(mid, g):
+            for key in _basis_cached(spec, g):
                 res = spec.coproduct_key(g, s_set, t_set, key)
                 if res is not None and res[2 + which]:
                     return {
@@ -903,7 +903,7 @@ def _functor_witness(mid: str, g: Graph) -> dict | None:
             "FL_P": 1,
         }.get(mid)
     if expected is not None:
-        count = len(_basis_cached(mid, g))
+        count = len(_basis_cached(spec, g))
         if count != expected:
             return {"law": "basis_count", "expected": expected, "got": count}
     return None

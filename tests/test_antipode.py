@@ -33,7 +33,6 @@ from grhopf import (
     get_monoid,
     make_element,
     ordered_bipartitions,
-    set_compositions,
     unit_element,
 )
 from grhopf import monoids
@@ -181,7 +180,7 @@ def _flat_takeuchi_terms(spec, g, key):
     # the alternating sum as one independent loop per set composition:
     # left-iterated coproducts along the blocks, then left-iterated products;
     # one ((product key, qe, te), sign) per composition that does not vanish
-    for comp in set_compositions(g.vertices):
+    for comp in get_monoid("Sigma").basis(g):
         parts = comp.blocks
         if not parts:  # the empty graph's length-zero composition
             yield (key, 0, 0), 1

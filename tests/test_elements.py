@@ -13,8 +13,9 @@ from grhopf import (
     QTPolynomial,
     T,
     TensorElement,
+    discrete_graph,
+    get_monoid,
     linear_extend,
-    linear_orders,
 )
 
 
@@ -141,7 +142,7 @@ def _element_module():
     g = p3()
     return (
         lambda terms: Element("L", g, terms),
-        linear_orders(g.vertices),
+        get_monoid("L").basis(g),
         lambda terms: Element("L", Graph("abc", [("a", "b")]), terms),
     )
 
@@ -149,7 +150,8 @@ def _element_module():
 def _tensor_module():
     g = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     gs, gt = g.induced({"a", "b"}), g.induced({"c", "d"})
-    pairs = [(x, y) for x in linear_orders("ab") for y in linear_orders("cd")]
+    orders = get_monoid("L").basis
+    pairs = [(x, y) for x in orders(discrete_graph("ab")) for y in orders(discrete_graph("cd"))]
     return (
         lambda terms: TensorElement("L", gs, gt, terms),
         pairs,

@@ -236,6 +236,19 @@ def test_what_only_tests_reach_is_kept_on_purpose():
     assert sorted(found) == sorted(KEPT_FOR_TESTS)
 
 
+def test_enumerators_bind_no_key_class():
+    # the enumerators yield payloads; monoids._basis_cached alone makes keys
+    from grhopf import enumerators
+    from grhopf.keys import BasisKey
+
+    bound = [
+        name
+        for name, obj in vars(enumerators).items()
+        if isinstance(obj, type) and issubclass(obj, BasisKey)
+    ]
+    assert bound == []
+
+
 def test_import_loads_no_process_pool_or_dataclasses():
     # a serial run never starts a process, so it need not import the pool;
     # CheckRecord and VerificationReport are named tuples

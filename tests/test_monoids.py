@@ -48,7 +48,7 @@ from grhopf.keys import (
     SetCompositionKey,
     UnitKey,
 )
-from grhopf.monoids import _basis_cached, _crossing_exponents, _split_blocks
+from grhopf.monoids import _basis_cached, _crossing_exponents, _split_blocks, _store
 
 from .test_graphs import fun_graph
 
@@ -96,7 +96,7 @@ def test_every_basis_key_passes_validation():
     for g in corpus(4):
         for mid in MONOID_IDS:
             spec = get_monoid(mid)
-            for k in _basis_cached(mid, g):
+            for k in _basis_cached(spec, g):
                 spec.validate_key(g, k)
 
 
@@ -122,6 +122,12 @@ def _candidate_keys(key_cls, g):
     if key_cls is UnitKey:
         return [UnitKey()]
     return [key_cls(es) for r in range(len(edges) + 1) for es in combinations(edges, r)]
+
+
+def test_a_store_copy_reads_its_specs_cached_basis():
+    g = p3()
+    spec = get_monoid("Sigma")
+    assert _store(spec, g).basis(g) is spec.basis(g)
 
 
 def test_every_valid_key_is_enumerated():
@@ -497,6 +503,16 @@ def test_unit_and_counit():
         x = Element.of(mid, g, get_monoid(mid).basis(g)[0])
         with pytest.raises(InputError):
             counit_value(x)
+
+
+def test_counit_refuses_a_tensor_and_a_key_outside_the_empty_basis():
+    u = unit_element("L")
+    with pytest.raises(InputError, match="^counit applies to empty-graph elements only$"):
+        counit_value(coproduct_component("L", EMPTY_GRAPH, (), (), u))
+    # an unvalidated Element may hold a key that is no basis key of the
+    # empty graph
+    with pytest.raises(InputError, match="is not an order of"):
+        counit_value(Element("L", EMPTY_GRAPH, [(LinearOrder("ab"), 1)]))
 
 
 def test_stable_monoids_reject_unstable_keys():
