@@ -43,6 +43,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_split(text: str, g: Graph) -> tuple[frozenset, frozenset]:
+    """The two label sets of a split `S|T` of g, tokens stripped of spaces;
+    `Graph._split` checks that they split g."""
     if text.count("|") != 1:
         raise InputError(
             f"split must contain exactly one '|' separating the two sides, got {text!r}"
@@ -50,17 +52,7 @@ def _parse_split(text: str, g: Graph) -> tuple[frozenset, frozenset]:
     left, right = text.split("|")
     s = frozenset(tok.strip() for tok in left.split(",") if tok.strip())
     t = frozenset(tok.strip() for tok in right.split(",") if tok.strip())
-    if s & t:
-        raise InputError(f"split sides overlap: {sorted(s & t)}")
-    if s | t != g.vertex_set:
-        missing = sorted(g.vertex_set - (s | t))
-        extra = sorted((s | t) - g.vertex_set)
-        parts = []
-        if missing:
-            parts.append(f"missing vertices {missing}")
-        if extra:
-            parts.append(f"unknown vertices {extra}")
-        raise InputError(f"split does not partition the vertex set: {'; '.join(parts)}")
+    g._split(s, t)
     return s, t
 
 

@@ -26,8 +26,8 @@ from itertools import product
 from math import comb
 
 from .errors import InputError
-from .graphs import Graph, _labels_of, _mask_of, components_partition
-from .keys import _block_masks, _edges_literal
+from .graphs import Graph, _block_masks, _labels_of, _mask_of, components_partition
+from .keys import _edges_literal
 
 
 # ---------------------------------------------------------------- splits

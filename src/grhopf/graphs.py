@@ -19,6 +19,10 @@ labels.  Masks never leave the process: graphs and keys pickle by labels.
 A split of a graph's vertices is a pair of masks inside the program: the
 private `Graph._induced` and `Graph._crossing` take masks, while the public
 `induced` and `crossing_edges` take labels, check them and convert them.
+`Graph._split(S, T)` is the one check of a split given by label sets (the
+CLI's and the element-level structure maps'), and `_block_masks` the one
+check of a list of label blocks (the quotient's, the key constructors' and
+`ordered_bipartitions`'), which refuses the first label met twice.
 
 The text format, one declaration per line::
 
@@ -100,6 +104,25 @@ def _labels_of(mask: int) -> tuple[str, ...]:
             rest ^= low
         labels = _MASK_LABELS[mask] = tuple(sorted(out))
     return labels
+
+
+def _block_masks(blocks, where: str, inside: str = "") -> list[int]:
+    """The mask of each block of labels, refusing the first label met twice
+    ("label 'a' appears <where>", or "... <inside>" if given and the repeat
+    is inside one block)."""
+    masks = []
+    seen = 0
+    for b in blocks:
+        before = seen
+        for v in b:
+            bit = _label_bit(v)
+            if seen & bit:
+                raise InputError(
+                    f"label {v!r} appears {inside if inside and not before & bit else where}"
+                )
+            seen |= bit
+        masks.append(seen ^ before)
+    return masks
 
 
 # (sorted vertices, edge set) -> the one graph on them.  The table only
@@ -230,7 +253,7 @@ class Graph:
         return self._induced(_mask_of(s))
 
     def complement(self) -> "Graph":
-        return _complement(self)
+        return Graph(self.vertices, complete_graph(self.vertices).edges - self.edges)
 
     def quotient(self, blocks) -> "Graph":
         """Merge each block to one vertex labeled by its smallest label.
@@ -239,25 +262,28 @@ class Graph:
         never share a label.  Edges are set-semantic: parallel edges
         collapse, internal edges drop.
         """
-        label = {}
-        for b in blocks:
-            bb = sorted(b)
-            if not bb:
-                raise InputError("empty block")
-            for i, v in enumerate(bb):
-                if v in label:
-                    # sorted, so a repeat inside this block follows itself
-                    where = "twice in one block" if i and bb[i - 1] == v else "in two blocks"
-                    raise InputError(f"label {v!r} appears {where}")
-                label[v] = bb[0]
-        if label.keys() != self._vset:
+        masks = _block_masks(blocks, "in two blocks", "twice in one block")
+        if not all(masks):
+            raise InputError("empty block")
+        if sum(masks) != self.mask:  # the blocks are disjoint
             raise InputError("partition does not cover the vertex set")
-        new_vertices = sorted({label[v] for v in self.vertices})
-        new_edges = set()
-        for u, v in self.edges:
-            if label[u] != label[v]:
-                new_edges.add(edge_pair(label[u], label[v]))
-        return Graph(new_vertices, new_edges)
+        label = {v: block[0] for block in map(_labels_of, masks) for v in block}
+        return Graph(
+            set(label.values()),
+            [(label[u], label[v]) for u, v in self.edges if label[u] != label[v]],
+        )
+
+    def _split(self, S, T) -> tuple[int, int]:
+        """The masks of the label sets S and T, refused unless they split
+        the vertex set: the one check of a split given by labels."""
+        s, t = frozenset(S), frozenset(T)
+        if s & t:
+            raise InputError(f"split sides overlap: {sorted(s & t)}")
+        if s | t != self._vset:
+            bad = {"missing": self._vset - s - t, "unknown": (s | t) - self._vset}
+            listed = "; ".join(f"{kind} vertices {sorted(vs)}" for kind, vs in bad.items() if vs)
+            raise InputError(f"split does not partition the vertex set: {listed}")
+        return _mask_of(s), _mask_of(t)
 
     def crossing_edges(self, S, T) -> int:
         """Number of edges with one endpoint in S and the other in T."""
@@ -329,17 +355,6 @@ def _subgraph(g: Graph, mask: int) -> Graph:
     )
     sub._root = g
     return sub
-
-
-def _complement(g: Graph) -> Graph:
-    vs = sorted(g.vertices)
-    non_edges = [
-        (vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-        if (vs[i], vs[j]) not in g.edges
-    ]
-    return Graph(g.vertices, non_edges)
 
 
 def complete_graph(labels) -> Graph:

@@ -24,15 +24,16 @@ and `|` against edge sets cached per graph and vertex mask (see
 `monoids`), never pair by pair.
 
 A mask cannot hold a label twice, so the label constructors of the
-vertex-set keys refuse a repeated label themselves, with `parse_key`'s
-messages, naming the first repeat in the order given.  The orientation and
-edge-set constructors likewise refuse a repeated arc or edge, an edge
-counted after `b-a` becomes `a-b`, so a literal never collapses into a
-smaller key.  No hot path calls a constructor: the structure maps build
-keys through `_of`.  The unit constructor checks nothing.  The rest is
-checked once where keys enter the program: `parse_key` refuses malformed
-literals and loops, and the structure catalog's `validate_key` refuses a
-key that is not a basis key of the graph, such as one with an empty block.
+vertex-set keys refuse a repeated label through `graphs._block_masks`,
+with `parse_key`'s messages, naming the first repeat in the order given.
+The orientation and edge-set constructors likewise refuse a repeated arc
+or edge, an edge counted after `b-a` becomes `a-b`, so a literal never
+collapses into a smaller key.  No hot path calls a constructor: the
+structure maps build keys through `_of`.  The unit constructor checks
+nothing.  The rest is checked once where keys enter the program:
+`parse_key` refuses malformed literals and loops, and the structure
+catalog's `validate_key` refuses a key that is not a basis key of the
+graph, such as one with an empty block.
 
 Canonical literals (also the CLI grammar)::
 
@@ -48,7 +49,7 @@ Canonical literals (also the CLI grammar)::
 from __future__ import annotations
 
 from .errors import InputError
-from .graphs import _bit_labels, _label_bit, _labels_of, edge_pair
+from .graphs import _bit_labels, _block_masks, _label_bit, _labels_of, edge_pair
 
 
 class BasisKey:
@@ -129,25 +130,6 @@ def _distinct(pairs, message: str) -> frozenset:
             raise InputError(message.format(*p))
         seen.add(p)
     return frozenset(seen)
-
-
-def _block_masks(blocks, where: str, inside: str = "") -> list[int]:
-    """The mask of each block of labels, refusing the first label met twice
-    ("label 'a' appears <where>", or "... <inside>" if given and the repeat
-    is inside one block)."""
-    masks = []
-    seen = 0
-    for b in blocks:
-        before = seen
-        for v in b:
-            bit = _label_bit(v)
-            if seen & bit:
-                raise InputError(
-                    f"label {v!r} appears {inside if inside and not before & bit else where}"
-                )
-            seen |= bit
-        masks.append(seen ^ before)
-    return masks
 
 
 class _BlocksKey(BasisKey):

@@ -19,8 +19,10 @@ them by literal and caches them, per spec object: a spec swapped into
 
 A split (S, T) is a pair of vertex masks at the key level (`product_key`,
 `coproduct_key`, `braiding`) and a pair of label sets at the element level
-(`product`, `coproduct_component`, `braiding_coeff`), which checks the
-labels and converts them once.
+(`product`, `coproduct_component`, `braiding_coeff`); `Graph._split`
+checks and converts the label sets of `product` and `coproduct_component`,
+`Graph.crossing_edges` those of `braiding_coeff`, which need not cover the
+graph.
 
 The orientation, flat and matching keys hold label pairs, and their maps
 intersect whole sets with edge sets cached per graph and vertex mask: a
@@ -485,16 +487,6 @@ def _clear_store() -> None:
 # ---------------------------------------------------------------- wrappers
 
 
-def _check_split(g: Graph, S, T) -> tuple[int, int]:
-    """The masks of the label sets S and T, refused unless they split g."""
-    s, t = frozenset(S), frozenset(T)
-    if s & t:
-        raise InputError("S and T overlap")
-    if s | t != g.vertex_set:
-        raise InputError("S and T do not cover the vertex set")
-    return _mask_of(s), _mask_of(t)
-
-
 def _checked(spec: MonoidSpec, g: Graph, x: Element) -> None:
     """Refuse x unless it is an element of spec's monoid on g whose every
     key is a basis key of g: the one refusal of a foreign element."""
@@ -523,7 +515,7 @@ def make_element(mid: str, g: Graph, key_or_terms, coeff=1) -> Element:
 def product(mid: str, g: Graph, S, T, x: Element, y: Element) -> Element:
     """The (S, T) product component applied to elements on G_S and G_T."""
     spec = get_monoid(mid)
-    s, t = _check_split(g, S, T)
+    s, t = g._split(S, T)
     _checked(spec, g._induced(s), x)
     _checked(spec, g._induced(t), y)
     out = Element.zero(mid, g)
@@ -541,7 +533,7 @@ def product(mid: str, g: Graph, S, T, x: Element, y: Element) -> Element:
 def coproduct_component(mid: str, g: Graph, S, T, x: Element) -> TensorElement:
     """The (S, T) coproduct component applied to an element on g."""
     spec = get_monoid(mid)
-    s, t = _check_split(g, S, T)
+    s, t = g._split(S, T)
     _checked(spec, g, x)
     out = TensorElement.zero(mid, g._induced(s), g._induced(t))
     _accumulate(

@@ -52,7 +52,7 @@ import os
 import random
 import time
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .antipode import (
     CLOSED_FORM_IDS,
@@ -452,16 +452,13 @@ def _closure_witness(spec, g: Graph, key_cap) -> dict | None:
     # products of basis keys and coproduct factors must land back in the
     # basis; each (graph, key) is validated once, so its refusal is the
     # same wherever it recurs
-    refusals: dict = {}
-
+    @cache
     def refusal(h: Graph, key) -> str | None:
-        if (h, key) not in refusals:
-            try:
-                spec.validate_key(h, key)
-                refusals[h, key] = None
-            except InputError as exc:
-                refusals[h, key] = str(exc)
-        return refusals[h, key]
+        try:
+            spec.validate_key(h, key)
+        except InputError as exc:
+            return str(exc)
+        return None
 
     rows = [(key, spec.coproducts(g, key)) for key in _capped_basis(spec.id, g, key_cap)]
     for s_set, t_set, gs, gt in _splits(g):
@@ -718,13 +715,7 @@ def _morphism_witness(morphism, g: Graph, key_cap: int | None) -> dict | None:
     mapped once per check."""
     splits = _splits(g)
     halves = {s: (gs, gt) for s, _, gs, gt in splits}
-    images: dict = {}
-
-    def image(h: Graph, key):
-        hit = images.get((h, key))
-        if hit is None:
-            hit = images[h, key] = morphism.map_key(h, key)
-        return hit
+    image = cache(morphism.map_key)
 
     for dom_id in sorted(morphism.routes):
         cod_id = morphism.routes[dom_id]

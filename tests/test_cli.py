@@ -332,6 +332,37 @@ def test_split_tolerates_spaces(capsys, p3_path):
     assert "(x)" in out
 
 
+# a bad split of P3 and its refusal; the library's split check says the same
+SPLIT_REFUSALS = [
+    ("a,b|b,c", "split sides overlap: ['b']"),
+    ("a|b", "split does not partition the vertex set: missing vertices ['c']"),
+    ("a,b,c|z", "split does not partition the vertex set: unknown vertices ['z']"),
+    (
+        "a|z",
+        "split does not partition the vertex set: missing vertices ['b', 'c'];"
+        " unknown vertices ['z']",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "split, message", SPLIT_REFUSALS, ids=["overlap", "missing", "unknown", "both"]
+)
+def test_bad_split_is_refused_with_its_message(capsys, p3_path, split, message):
+    for argv in (
+        ["coproduct", "--monoid", "L", "--graph", p3_path, "--split", split, "--key", "a<b<c"],
+        ["product", "--monoid", "L", "--graph", p3_path, "--split", split,
+         "--left", "a", "--right", "c"],
+    ):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_jobs_env_not_positive(capsys, monkeypatch):
+    monkeypatch.setenv("GRHOPF_JOBS", "0")
+    code, out, err = run(capsys, ["verify", "--suite", "stanley", "--nmax", "1"])
+    assert (code, out, err) == (2, "", "error: GRHOPF_JOBS must be positive, got 0\n")
+
+
 # ---------------------------------------------------------------- transcript
 
 # Two graphs whose declaration order is not label order, so bits do not

@@ -136,6 +136,10 @@ def test_quotient_merges_blocks():
         ([("a",), ("b", "c"), ("a", "b", "c")], "label 'a' appears in two blocks"),
         ([("b", "a", "a"), ("c",)], "label 'a' appears twice in one block"),
         ([("a",), ("b", "a", "a", "c")], "label 'a' appears in two blocks"),
+        # the first repeat in the order given, as the key constructors name
+        # it, and before an empty block
+        ([("b", "a"), ("b", "a")], "label 'b' appears in two blocks"),
+        ([(), ("c", "a", "b", "b")], "label 'b' appears twice in one block"),
     ],
 )
 def test_quotient_refuses_blocks_that_do_not_partition(blocks, message):

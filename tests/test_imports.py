@@ -207,7 +207,6 @@ def test_a_private_definition_only_tests_reach_is_caught(tmp_path):
 # that only tests keep alive.
 KEPT_FOR_TESTS = {
     "ordered_bipartitions": "five test modules take it as the reference split order",
-    "complete_graph": "graph fixture",
     "discrete_graph": "graph fixture",
     "Graph.has_edge": "graph fixture",
     "unit_element": "the Hopf unit",

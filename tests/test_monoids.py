@@ -617,6 +617,27 @@ def test_product_validates_split_and_factors():
         product("L", g, {"a", "b"}, {"c"}, x, y)  # factors on wrong graphs
 
 
+@pytest.mark.parametrize(
+    "S, T, message",
+    [
+        ({"a", "b"}, {"b", "c"}, "split sides overlap: ['b']"),
+        ({"a"}, {"b"}, "split does not partition the vertex set: missing vertices ['c']"),
+        ("abc", "z", "split does not partition the vertex set: unknown vertices ['z']"),
+    ],
+    ids=["overlap", "missing", "unknown"],
+)
+def test_element_maps_refuse_a_bad_split_as_the_cli_does(S, T, message):
+    # the split is checked before either factor or the element
+    g = p3()
+    x = one_term("L", g, "a<b<c")
+    with pytest.raises(InputError) as exc:
+        product("L", g, S, T, x, x)
+    assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        coproduct_component("L", g, S, T, x)
+    assert str(exc.value) == message
+
+
 def test_product_and_coproduct_validate_every_term():
     g = p3()
     gs, gt = g.induced({"a"}), g.induced({"b", "c"})

@@ -25,6 +25,7 @@ from grhopf import (
     Graph,
     InputError,
     Morphism,
+    PartitionM,
     QTPolynomial,
     SetCompositionKey,
     VerificationReport,
@@ -911,6 +912,93 @@ def test_bimonoid_closure_witnesses(monkeypatch):
     }
 
 
+class _LSwappingOneSplit(type(MONOIDS["L"])):
+    """L, except that the product on one split of _P3 puts the right
+    factor's order first, which breaks associativity."""
+
+    SPLIT = (_mask_of(["v2"]), _mask_of(["v1", "v3"]))
+
+    def product_key(self, g, S, T, x, y):
+        if (S, T) == self.SPLIT:
+            return super().product_key(g, T, S, y, x)
+        return super().product_key(g, S, T, x, y)
+
+
+def test_bimonoid_associativity_witness(monkeypatch):
+    monkeypatch.setitem(MONOIDS, "L", _LSwappingOneSplit())
+    assert check_bimonoid("L", _P3).detail == {
+        "axiom": "associativity",
+        "parts": [["v2"], ["v1"], ["v3"]],
+        "keys": ["v2", "v1", "v3"],
+        "left": "v2<v1<v3",
+        "right": "v1<v3<v2",
+    }
+
+
+def test_antipode_recursion_disagreement_witness(monkeypatch):
+    # without associativity the right recursion leaves the alternating sum
+    # (the left one happens to agree on this key)
+    monkeypatch.setitem(MONOIDS, "L", _LSwappingOneSplit())
+    (main,) = check_antipode("L", _P3)
+    assert main.detail == {
+        "law": "method_agreement",
+        "key": "v1<v2<v3",
+        "takeuchi": "(q) v1<v3<v2 + (-q) v2<v1<v3 + (-q*t^2) v3<v2<v1",
+        "milnor-moore-right": "(q*t) v2<v3<v1 + (-q*t) v3<v1<v2 + (-q*t^2) v3<v2<v1",
+    }
+
+
+_V12 = Graph(["v1", "v2"], [("v1", "v2")])
+
+
+class _PiMSeparatingAtOneLaw(type(MONOIDS["Pi_m"])):
+    """Pi_m, except that on _V12 one (co)unit map sends the one-block
+    partition v1,v2 to v1/v2.  No proper split of _V12 tells the two apart
+    and v1/v2 stays put, so associativity and coassociativity still hold and
+    the named law is the first to fail."""
+
+    JOINED = PartitionM([["v1", "v2"]])
+    APART = PartitionM([["v1"], ["v2"]])
+
+    def __init__(self, law):
+        super().__init__("Pi_m", "m", stable=False)
+        self.law = law
+
+    def _moved(self, law, key, g, S, T, trivial):
+        """APART for JOINED when law is this mutant's and (S, T) is the
+        trivial split of _V12; else key."""
+        on = self.law == law and g.mask == _V12.mask and (S, T) == trivial
+        return self.APART if on and key is self.JOINED else key
+
+    def product_key(self, g, S, T, x, y):
+        res = super().product_key(g, S, T, x, y)
+        res = self._moved("left_unit", res, g, S, T, (0, g.mask))
+        return self._moved("right_unit", res, g, S, T, (g.mask, 0))
+
+    def coproduct_key(self, g, S, T, key):
+        left, right, qe, te = super().coproduct_key(g, S, T, key)
+        right = self._moved("left_counit", right, g, S, T, (0, g.mask))
+        left = self._moved("right_counit", left, g, S, T, (g.mask, 0))
+        return left, right, qe, te
+
+
+@pytest.mark.parametrize(
+    "law, got",
+    [
+        ("left_unit", None),
+        ("right_unit", None),
+        ("left_counit", "(1) () (x) v1/v2"),
+        ("right_counit", "(1) v1/v2 (x) ()"),
+    ],
+)
+def test_bimonoid_unit_and_counit_witnesses(monkeypatch, law, got):
+    monkeypatch.setitem(MONOIDS, "Pi_m", _PiMSeparatingAtOneLaw(law))
+    witness = {"axiom": law, "key": "v1,v2"}
+    if got is not None:
+        witness["got"] = got
+    assert check_bimonoid("Pi_m", _V12).detail == witness
+
+
 def test_commutativity_first_witnesses():
     product_witness = {
         "split": [["v1"], ["v2", "v3"]],
@@ -966,6 +1054,19 @@ def test_commutativity_first_witnesses():
         "cocommutative_plain": (True, None),
         "disjoint_commutative": (True, None),
         "join_commutative": (True, None),
+    }
+
+
+def test_commutativity_record_names_a_failing_expected_flavor(monkeypatch):
+    # L is not commutative, so expecting it to be fails the record with the
+    # flavor's witness
+    expected = EXPECTED_ALWAYS["L"] | {"commutative_exact"}
+    monkeypatch.setitem(EXPECTED_ALWAYS, "L", expected)
+    (record,), _observed = verify._commutativity_records(["L"], _P3, None)
+    assert not record.passed
+    assert record.detail == {
+        "flavor": "commutative_exact",
+        **check_commutativity("L", _P3)["commutative_exact"][1],
     }
 
 
@@ -1189,6 +1290,25 @@ def test_functors_basis_count_witness(monkeypatch):
     record = check_functors("AO", _K3)
     assert not record.passed
     assert record.detail == {"law": "basis_count", "expected": 6, "got": 5}
+
+
+def test_functors_complement_swaps_parameters_witness(monkeypatch):
+    # a braiding that forgets its t parameter does not swap under
+    # complement; the complement witness is cached per graph, so it is
+    # dropped before and after the mutant
+    monkeypatch.setattr(verify, "_braiding", lambda g, s, t: (g._crossing(s, t), 0))
+    verify._complement_witness.cache_clear()
+    try:
+        record = check_functors("L", _P3)
+    finally:
+        verify._complement_witness.cache_clear()
+    assert not record.passed
+    assert record.detail == {
+        "law": "complement_swaps_parameters",
+        "split": [["v1"], ["v2", "v3"]],
+        "braiding": "q",
+        "complement_braiding": "q",
+    }
 
 
 class _LWithoutFirstKey(type(MONOIDS["L"])):
